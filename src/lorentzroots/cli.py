@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -44,11 +45,32 @@ class UsageError(Exception):
     pass
 
 
-def _vector(text):
+def _vector(text, option="vector"):
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse vector {text!r}")
+        raise UsageError(f"cannot parse {option} {text!r}")
+
+
+def _count(text):
+    """argparse type of sizes and budgets: a nonnegative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _congruence(text, rank):
+    """--congruence as (basis rows, residues), each a vector of the lattice rank."""
+    try:
+        basis, residues = json.loads(text)
+        spec = tuple(tuple(tuple(operator.index(x) for x in row) for row in part)
+                     for part in (basis, residues))
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"cannot parse --congruence {text!r}: {exc}")
+    if len(spec[0]) != rank or any(len(row) != rank for row in spec[0] + spec[1]):
+        raise UsageError(f"--congruence {text!r} needs {rank} basis rows and "
+                         f"residues of length {rank}")
+    return spec
 
 
 def _vectors(text):
@@ -86,11 +108,7 @@ def _cmd_vinberg(args):
         norms = frozenset(int(x) for x in args.norms.split(","))
     except ValueError:
         raise UsageError(f"cannot parse norm set {args.norms!r}")
-    congruence = None
-    if args.congruence:
-        spec = json.loads(args.congruence)
-        congruence = (tuple(tuple(r) for r in spec[0]),
-                      tuple(tuple(r) for r in spec[1]))
+    congruence = _congruence(args.congruence, lat.rank) if args.congruence else None
     filt = vinberg.RootFilter(norms=norms, congruence=congruence)
     try:
         num, _, den = args.max_height_sq.partition("/")
@@ -213,7 +231,7 @@ def _cmd_qseries(args):
         _emit(list(series.coeffs), args)
         return
     if args.cusp_identity:
-        coeffs = [int(x) for x in args.coeffs.split(",")] if args.coeffs else []
+        coeffs = _vector(args.coeffs, "--coeffs") if args.coeffs else []
         direction = {"tau2m": "tau_to_m", "m2tau": "m_to_tau"}[args.cusp_identity]
         _emit(qseries.cusp_identity(direction, coeffs, args.n), args)
         return
@@ -246,9 +264,6 @@ def build_parser():
         description="Exact chambers, Weyl vectors and denominator identities "
                     "of hyperbolic integral lattices")
     parser.add_argument("--output", help="write the JSON report to a file")
-    # all computations are sequential and bit-reproducible; the flag caps
-    # any future internal parallelism and is validated for compatibility
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="lattice invariants")
@@ -261,7 +276,7 @@ def build_parser():
     p.add_argument("--norms", required=True, help="e.g. 2 or 2,8")
     p.add_argument("--max-height-sq", default="1000",
                    help="largest allowed squared-height key, as p or p/q")
-    p.add_argument("--max-roots", type=int, default=None)
+    p.add_argument("--max-roots", type=_count, default=None)
     p.add_argument("--congruence", default=None,
                    help="JSON [[basis rows], [residues]] of a finite-index filter")
     p.set_defaults(func=_cmd_vinberg)
@@ -269,8 +284,8 @@ def build_parser():
     p = sub.add_parser("weyl", help="lattice Weyl vector of a wall system")
     p.add_argument("--lattice", required=True)
     p.add_argument("--roots", required=True, help="e.g. 1,0,0;0,1,0;0,0,1")
-    p.add_argument("--norm-bound", type=int, default=0)
-    p.add_argument("--max-pairing", type=int, default=0,
+    p.add_argument("--norm-bound", type=_count, default=0)
+    p.add_argument("--max-pairing", type=_count, default=0,
                    help="height cutoff for the isotropic-Weyl-vector search")
     p.set_defaults(func=_cmd_weyl)
 
@@ -287,14 +302,14 @@ def build_parser():
     p = sub.add_parser("denominator", help="graded denominator identity")
     p.add_argument("--lattice", required=True)
     p.add_argument("--roots", required=True)
-    p.add_argument("--height", type=int, default=6)
+    p.add_argument("--height", type=_count, default=6)
     p.set_defaults(func=_cmd_denominator)
 
     p = sub.add_parser("qseries", help="one-variable integer power series")
     p.add_argument("--eta-power", type=int, default=None)
     p.add_argument("--cusp-identity", choices=["tau2m", "m2tau"], default=None)
     p.add_argument("--coeffs", default="")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.set_defaults(func=_cmd_qseries)
 
     p = sub.add_parser("family", help="translation-orbit wall family sample")
@@ -305,7 +320,7 @@ def build_parser():
     p.add_argument("--f01", default="4,2,0")
     p.add_argument("--f02", default="4,0,2")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=_count, required=True)
     p.set_defaults(func=_cmd_family)
 
     return parser
@@ -317,9 +332,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         args.func(args)
     except UsageError as exc:

@@ -124,7 +124,6 @@ def _spacelike_in_span(lattice, basis):
 
 @dataclass(frozen=True)
 class ArithmeticTypeReport:
-    arithmetic: bool
     finite_volume: bool
     witness: tuple[int, ...] | None
     cone: Cone
@@ -147,8 +146,7 @@ def is_arithmetic_type(lattice: Lattice, roots) -> ArithmeticTypeReport:
           and all(norm(lattice, r) <= 0 for r in cone.rays) and coherent)
     if not ok and witness is None and cone.lineality:
         witness = _spacelike_in_span(lattice, cone.lineality)
-    return ArithmeticTypeReport(arithmetic=ok, finite_volume=ok,
-                                witness=witness, cone=cone)
+    return ArithmeticTypeReport(finite_volume=ok, witness=witness, cone=cone)
 
 
 def _interior_point(lattice, roots, cone=None):

@@ -66,7 +66,7 @@ def cartan(lattice: Lattice, roots) -> GeneralizedCartanMatrix:
                 raise DomainError("non-integral Cartan entry")
             row.append(num // b[i][i])
         a.append(tuple(row))
-    if not vinberg_connected(b):
+    if not linalg.support_connected(b):
         raise DomainError("Gram graph of the wall system is disconnected")
     if linalg.rank(roots) < lattice.rank:
         raise DomainError("wall system does not span a finite-index sublattice")
@@ -79,18 +79,6 @@ def cartan(lattice: Lattice, roots) -> GeneralizedCartanMatrix:
         b=tuple(tuple(row) for row in b),
         lorentzian=True,
     )
-
-
-def vinberg_connected(gram):
-    seen = {0}
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j in range(len(gram)):
-            if j not in seen and gram[i][j] != 0:
-                seen.add(j)
-                todo.append(j)
-    return len(seen) == len(gram)
 
 
 def root_datum(lattice: Lattice, roots) -> RootDatum:
@@ -121,6 +109,24 @@ def tuple_norm(gcm: GeneralizedCartanMatrix, coeffs):
     return sum(ci * linalg.dot(row, coeffs) for ci, row in zip(coeffs, gcm.b))
 
 
+def _weyl_closure(gcm: GeneralizedCartanMatrix, base, height_bound: int):
+    """Closure of nonnegative tuples under the simple reflections, keeping
+    only images that stay nonnegative and inside the height bound; sorted
+    by (height, tuple)."""
+    found = set(base)
+    frontier = set(base)
+    while frontier:
+        nxt = set()
+        for t in frontier:
+            for j in range(len(gcm.a)):
+                img = simple_reflection_on_tuple(gcm, j, t)
+                if img not in found and sum(img) <= height_bound and min(img) >= 0:
+                    nxt.add(img)
+        found |= nxt
+        frontier = nxt
+    return sorted(found, key=lambda t: (sum(t), t))
+
+
 def real_root_tuples(datum: RootDatum, height_bound: int):
     """Positive real roots of height <= N in simple-root coordinates.
 
@@ -128,24 +134,10 @@ def real_root_tuples(datum: RootDatum, height_bound: int):
     reflections; every positive real root of height <= N is reachable
     without leaving the height bound.
     """
-    gcm = datum.cartan
     k = len(datum.simple_roots)
-    frontier = {tuple(1 if i == j else 0 for j in range(k)) for i in range(k)}
-    frontier = {t for t in frontier if sum(t) <= height_bound}
-    found = set(frontier)
-    while frontier:
-        nxt = set()
-        for t in frontier:
-            for j in range(k):
-                img = simple_reflection_on_tuple(gcm, j, t)
-                if img in found or sum(img) > height_bound:
-                    continue
-                if min(img) < 0:
-                    continue
-                nxt.add(img)
-        found |= nxt
-        frontier = nxt
-    return sorted(found, key=lambda t: (sum(t), t))
+    simple = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
+    return _weyl_closure(datum.cartan, [t for t in simple if sum(t) <= height_bound],
+                         height_bound)
 
 
 def real_roots(datum: RootDatum, height_bound: int):
@@ -160,48 +152,42 @@ def real_roots(datum: RootDatum, height_bound: int):
 @dataclass(frozen=True)
 class WeylElement:
     word: tuple[int, ...]           # reduced word, leftmost letter applied last
-    matrix: tuple[tuple[int, ...], ...]
     exponent: tuple[int, ...]       # w(rho) - rho in simple-root coordinates
     sign: int
 
 
 def weyl_elements(datum: RootDatum, height_bound: int):
-    """All Weyl-group elements whose exponent has height <= N.
+    """All Weyl-group elements whose exponent has height <= N, by word length.
 
     The exponent is the inversion-set sum, computed by the left-extension
     recursion exponent(s_j w) = e_j + s_j(exponent(w)); it equals
-    w(rho) - rho whenever a lattice Weyl vector rho exists.  Since the
-    exponent height dominates the word length, breadth-first search to
-    depth N is boundary-complete.
+    w(rho) - rho whenever a lattice Weyl vector rho exists, and it
+    determines w.  s_j w is longer than w iff <exponent(w), a_j^v> <= 0
+    (Kac, Infinite-dimensional Lie algebras, 3.11), and such a step raises
+    the exponent height by at least one, so breadth-first search over
+    exponents that prunes at height N is boundary-complete.
     """
     gcm = datum.cartan
     k = len(datum.simple_roots)
-    n = datum.lattice.rank
-    refl = [reflection(datum.lattice, r) for r in datum.simple_roots]
-    ident = linalg.identity(n)
-    zero = tuple(0 for _ in range(k))
-    unit = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-
-    elements = [WeylElement(word=(), matrix=ident, exponent=zero, sign=1)]
-    seen = {ident}
-    frontier = elements[:]
-    for _ in range(height_bound):
+    if height_bound < 0:
+        return []
+    frontier = [WeylElement(word=(), exponent=(0,) * k, sign=1)]
+    elements = []
+    seen = set()
+    while frontier:
+        elements.extend(frontier)
         nxt = []
         for el in frontier:
             for j in range(k):
-                mat = linalg.mat_mul(refl[j], el.matrix)
-                if mat in seen:
+                if linalg.dot(gcm.a[j], el.exponent) > 0:
                     continue
-                seen.add(mat)
-                exp = linalg.vec_add(unit[j],
-                                     simple_reflection_on_tuple(gcm, j, el.exponent))
-                nxt.append(WeylElement(word=(j,) + el.word, matrix=mat,
-                                       exponent=exp, sign=-el.sign))
+                exp = exponent_involution(gcm, j, el.exponent)
+                if sum(exp) > height_bound or exp in seen:
+                    continue
+                seen.add(exp)
+                nxt.append(WeylElement(word=(j,) + el.word, exponent=exp, sign=-el.sign))
         frontier = nxt
-        elements.extend(nxt)
-        if not nxt:
-            break
-    return [el for el in elements if sum(el.exponent) <= height_bound]
+    return elements
 
 
 # ---------------------------------------------------------------------------
@@ -230,32 +216,23 @@ class GradedSeries:
         else:
             self.coeffs.pop(key, None)
 
-    def mul(self, other):
-        out = GradedSeries(self.nvars, self.truncation, {})
-        for k1, c1 in self.coeffs.items():
-            h1 = sum(k1)
-            for k2, c2 in other.coeffs.items():
-                if h1 + sum(k2) > self.truncation:
-                    continue
-                out.add_term(linalg.vec_add(k1, k2), c1 * c2)
-        return out
-
     def binomial_factor(self, key, mult):
         """Multiply in place by (1 - x^key)^mult (any integer mult)."""
         key = tuple(key)
         h = sum(key)
         if h == 0:
             raise DomainError("factor exponent must have positive height")
-        factor = GradedSeries(self.nvars, self.truncation, {})
         copies = self.truncation // h
         if mult >= 0:
-            for j in range(min(mult, copies) + 1):
-                factor.add_term(linalg.vec_scale(j, key), (-1) ** j * comb(mult, j))
+            terms = [(-1) ** j * comb(mult, j) for j in range(min(mult, copies) + 1)]
         else:
-            for j in range(copies + 1):
-                factor.add_term(linalg.vec_scale(j, key), comb(-mult + j - 1, j))
-        merged = self.mul(factor)
-        self.coeffs = merged.coeffs
+            terms = [comb(-mult + j - 1, j) for j in range(copies + 1)]
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for j in range(min(len(terms), (self.truncation - sum(k1)) // h + 1)):
+                k2 = tuple(a + j * b for a, b in zip(k1, key))
+                out[k2] = out.get(k2, 0) + c1 * terms[j]
+        self.coeffs = {k2: c for k2, c in out.items() if c}
 
     def items_by_height(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -274,21 +251,7 @@ def imaginary_candidate_tuples(datum: RootDatum, height_bound: int):
     """Support candidates for positive imaginary roots up to height N:
     the Weyl closure of the cone K inside the height bound."""
     gcm = datum.cartan
-    k = len(datum.simple_roots)
-    base = cones.k_element_tuples(gcm.b, height_bound)
-    found = set(base)
-    frontier = set(base)
-    while frontier:
-        nxt = set()
-        for t in frontier:
-            for j in range(k):
-                img = simple_reflection_on_tuple(gcm, j, t)
-                if img in found or sum(img) > height_bound or min(img) < 0:
-                    continue
-                nxt.add(img)
-        found |= nxt
-        frontier = nxt
-    return sorted(found, key=lambda t: (sum(t), t))
+    return _weyl_closure(gcm, cones.k_element_tuples(gcm.b, height_bound), height_bound)
 
 
 @dataclass(frozen=True)

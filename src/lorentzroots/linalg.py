@@ -22,10 +22,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
@@ -57,6 +53,21 @@ def mat_pow(m, k):
     for _ in range(k):
         out = mat_mul(out, m)
     return out
+
+
+def support_connected(m, indices=None):
+    """Is the graph on indices (default: all), with an edge i-j wherever
+    m[i][j] != 0, connected?"""
+    indices = range(len(m)) if indices is None else indices
+    seen = {indices[0]}
+    todo = [indices[0]]
+    while todo:
+        i = todo.pop()
+        for j in indices:
+            if j not in seen and m[i][j] != 0:
+                seen.add(j)
+                todo.append(j)
+    return len(seen) == len(indices)
 
 
 def is_zero_matrix(m):
@@ -191,7 +202,16 @@ def det(m) -> int:
 # symmetric forms
 
 def signature(sym):
-    """(positives, negatives, zeros) of a symmetric rational matrix.
+    """(positives, negatives, zeros) of a symmetric rational matrix, read off
+    the diagonal of diagonalizing_basis."""
+    _, diag = diagonalizing_basis(sym)
+    pos = sum(1 for d in diag if d > 0)
+    neg = sum(1 for d in diag if d < 0)
+    return pos, neg, len(diag) - pos - neg
+
+
+def diagonalizing_basis(sym):
+    """Rows t_i with t_i sym t_j^T diagonal; returns (basis rows, diagonal).
 
     Congruence diagonalization with rational pivots; a zero diagonal is
     repaired with the standard add-row-and-column trick, so no square
@@ -203,45 +223,6 @@ def signature(sym):
         for j in range(i):
             if row[j] != a[j][i]:
                 raise DegenerateFormError("matrix is not symmetric")
-    pos = neg = zero = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            j = next((k for k in range(i + 1, n) if a[k][k] != 0), None)
-            if j is not None:
-                # swap basis vectors i and j
-                a[i], a[j] = a[j], a[i]
-                for row in a:
-                    row[i], row[j] = row[j], row[i]
-            else:
-                j = next((k for k in range(i + 1, n) if a[i][k] != 0), None)
-                if j is None:
-                    zero += 1
-                    continue
-                # e_i += e_j turns the 2x2 zero block into a usable pivot
-                for k in range(n):
-                    a[i][k] += a[j][k]
-                for k in range(n):
-                    a[k][i] += a[k][j]
-        piv = a[i][i]
-        if piv > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(i + 1, n):
-            f = a[r][i] / piv
-            if f == 0:
-                continue
-            for k in range(n):
-                a[r][k] -= f * a[i][k]
-            for k in range(n):
-                a[k][r] -= f * a[k][i]
-    return pos, neg, zero
-
-
-def diagonalizing_basis(sym):
-    """Rows t_i with t_i sym t_j^T diagonal; returns (basis rows, diagonal)."""
-    n = len(sym)
-    a = [[Fraction(x) for x in row] for row in sym]
     t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for i in range(n):
         if a[i][i] == 0:

@@ -6,7 +6,6 @@ isotropic-ray multiset of a corrected root system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import DomainError
 
@@ -23,20 +22,9 @@ class PowerSeries:
     def truncation(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
     @classmethod
     def one(cls, n):
         return cls((1,) + (0,) * n)
-
-    def __add__(self, other):
-        self._match(other)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._match(other)
-        return PowerSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other):
         self._match(other)
@@ -61,43 +49,32 @@ class PowerSeries:
             out[i] = -lead * acc
         return PowerSeries(tuple(out))
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = PowerSeries.one(self.truncation)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def _match(self, other):
         if self.truncation != other.truncation:
             raise DomainError("series truncations differ")
 
 
-def binomial_series(exponent: int, step: int, n: int) -> PowerSeries:
-    """(1 - q^step)^exponent truncated at degree n, for any integer exponent."""
-    out = [0] * (n + 1)
-    if exponent >= 0:
-        for j in range(0, min(exponent, n // step) + 1):
-            out[j * step] = (-1) ** j * comb(exponent, j)
-    else:
-        for j in range(0, n // step + 1):
-            out[j * step] = comb(-exponent + j - 1, j)
-    return PowerSeries(tuple(out))
+def _product_coeffs(tau, n):
+    """a_0 .. a_n of prod_{k=1..n} (1 - q^k)^{tau[k-1]}, exact.
+
+    Euler's recurrence k a_k = -sum_{j <= k} c(j) a_{k-j}, where
+    c(j) = sum_{d | j} d tau(d) are the coefficients of -q f'/f.
+    """
+    c = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for j in range(d, n + 1, d):
+            c[j] += d * tau[d - 1]
+    a = [1] + [0] * n
+    for k in range(1, n + 1):
+        a[k] = -sum(c[j] * a[k - j] for j in range(1, k + 1)) // k
+    return a
 
 
 def eta_power(e: int, n: int) -> PowerSeries:
     """prod_{m >= 1} (1 - q^m)^e up to degree n, exact."""
     if n < 0:
         raise DomainError("truncation must be nonnegative")
-    out = PowerSeries.one(n)
-    for m in range(1, n + 1):
-        out = out * binomial_series(e, m, n)
-    return out
+    return PowerSeries(tuple(_product_coeffs([e] * n, n)))
 
 
 def ramanujan_tau(n: int):
@@ -111,21 +88,22 @@ def cusp_identity(direction: str, coeffs, n: int):
 
     coeffs lists tau(1..n) (direction "tau_to_m") or m(1..n) ("m_to_tau");
     the triangular system is exactly solvable over the integers both ways.
+    m -> tau runs Euler's recurrence backwards: it recovers c(k) from the
+    series, then tau(k) = (c(k) - sum_{d | k, d < k} d tau(d)) / k.
     """
     coeffs = [int(c) for c in list(coeffs)[:n]] + [0] * max(0, n - len(coeffs))
     if direction == "tau_to_m":
-        prod = PowerSeries.one(n)
-        for k in range(1, n + 1):
-            prod = prod * binomial_series(coeffs[k - 1], k, n)
-        return [-prod[t] for t in range(1, n + 1)]
+        return [-a for a in _product_coeffs(coeffs, n)[1:]]
     if direction == "m_to_tau":
-        lhs = PowerSeries((1,) + tuple(-c for c in coeffs))
+        a = [1] + [-m for m in coeffs]
+        c = [0] * (n + 1)
+        below = [0] * (n + 1)       # sum_{d | j, d < j} d tau(d)
         tau = []
-        partial = PowerSeries.one(n)
         for k in range(1, n + 1):
-            tk = partial[k] - lhs[k]
-            tau.append(tk)
-            partial = partial * binomial_series(tk, k, n)
+            c[k] = -k * a[k] - sum(c[j] * a[k - j] for j in range(1, k))
+            tau.append((c[k] - below[k]) // k)
+            for j in range(2 * k, n + 1, k):
+                below[j] += k * tau[-1]
         return tau
     raise DomainError(f"unknown direction {direction!r}")
 

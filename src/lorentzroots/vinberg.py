@@ -34,9 +34,13 @@ class HeightKey:
         return Fraction(self.numerator, self.denominator)
 
     def __eq__(self, other):
+        if not isinstance(other, HeightKey):
+            return NotImplemented
         return self.value() == other.value()
 
     def __lt__(self, other):
+        if not isinstance(other, HeightKey):
+            return NotImplemented
         return self.value() < other.value()
 
     def __hash__(self):
@@ -214,17 +218,7 @@ def gram_bound_check(lattice: Lattice, roots, strict: bool = True) -> GramBoundR
             continue
         if linalg.rank([roots[i] for i in combo]) < n:
             continue
-        if _connected(gram, combo):
+        if linalg.support_connected(gram, combo):
             subset = combo
             break
     return GramBoundReport(violations=tuple(violations), spanning_subset=subset)
-
-
-def _connected(gram, indices):
-    todo = {indices[0]}
-    seen = set()
-    while todo:
-        i = todo.pop()
-        seen.add(i)
-        todo |= {j for j in indices if j not in seen and gram[i][j] != 0}
-    return seen == set(indices)

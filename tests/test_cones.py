@@ -144,14 +144,14 @@ def test_dual_involution_on_triangle(ex134, triangle):
 
 def test_arithmetic_type_triangle(ex134, triangle):
     art = cones.is_arithmetic_type(ex134, triangle)
-    assert art.arithmetic and art.finite_volume
+    assert art.finite_volume
     assert art.witness is None
     assert art.cone.rays == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
 def test_arithmetic_type_single_wall(ex134):
     art = cones.is_arithmetic_type(ex134, [(1, 0, 0)])
-    assert not art.arithmetic and not art.finite_volume
+    assert not art.finite_volume
     assert art.witness is not None
     assert norm(ex134, art.witness) > 0
 

@@ -118,23 +118,71 @@ def test_weyl_elements_small(datum):
     assert len([e for e in els if sum(e.exponent) == 0]) == 1
 
 
-def test_weyl_elements_matrix_word_consistency(datum, ex134):
+def _word_matrix(lattice, datum, word):
+    """Lattice matrix of a Weyl word, the leftmost letter applied last."""
     from lorentzroots.lattice import reflection
 
-    refl = [reflection(ex134, r) for r in datum.simple_roots]
+    mat = linalg.identity(lattice.rank)
+    for j in word:
+        mat = linalg.mat_mul(mat, reflection(lattice, datum.simple_roots[j]))
+    return mat
+
+
+def test_weyl_elements_matrix_word_consistency(datum, ex134):
     rho = (Fraction(1, 2),) * 3
+    mats = []
     for el in km.weyl_elements(datum, 5):
-        mat = linalg.identity(3)
-        for j in el.word:
-            mat = linalg.mat_mul(mat, refl[j])   # word applied right-to-left
-        assert mat == el.matrix
+        mat = _word_matrix(ex134, datum, el.word)
+        mats.append(mat)
         assert el.sign == (-1) ** len(el.word)
-        assert linalg.det(el.matrix) == el.sign  # reflections have det -1
+        assert linalg.det(mat) == el.sign  # reflections have det -1
         # exponent agrees with the matrix action on the Weyl vector
-        moved = apply_isometry(el.matrix, rho)
+        moved = apply_isometry(mat, rho)
         diff = tuple(a - b for a, b in zip(moved, rho))
         lifted = km.tuple_to_vector(datum, el.exponent)
         assert tuple(map(Fraction, lifted)) == diff
+    assert len(set(mats)) == len(mats)   # distinct group elements
+
+
+def _matrix_bfs_weyl_elements(datum, height_bound):
+    """Reference: breadth-first search over all reflection-matrix words up
+    to length N, deduplicated by matrix and filtered by exponent height at
+    the end, as (word, exponent, sign) triples."""
+    from lorentzroots.lattice import reflection
+
+    k = len(datum.simple_roots)
+    refl = [reflection(datum.lattice, r) for r in datum.simple_roots]
+    ident = linalg.identity(datum.lattice.rank)
+    elements = [((), ident, (0,) * k, 1)]
+    seen = {ident}
+    frontier = elements[:]
+    for _ in range(height_bound):
+        nxt = []
+        for word, mat, exp, sign in frontier:
+            for j in range(k):
+                new = linalg.mat_mul(refl[j], mat)
+                if new in seen:
+                    continue
+                seen.add(new)
+                nxt.append(((j,) + word, new, km.exponent_involution(datum.cartan, j, exp),
+                            -sign))
+        frontier = nxt
+        elements.extend(nxt)
+    return [(w, e, s) for w, _, e, s in elements if sum(e) <= height_bound]
+
+
+I41_WALLS = ((0, -1, 1, 0, 0), (0, 0, -1, 1, 0), (0, 0, 0, -1, 1), (0, 0, 0, 0, -1),
+             (1, 1, 1, 1, 0))
+
+
+def test_weyl_elements_match_matrix_bfs(datum):
+    i41 = Lattice(gram=tuple(tuple((-1 if i == 0 else 1) if i == j else 0 for j in range(5))
+                             for i in range(5)), name="I41")
+    for d in (datum, km.root_datum(i41, I41_WALLS)):
+        for n in range(-2, 11):
+            got = [(el.word, el.exponent, el.sign) for el in km.weyl_elements(d, n)]
+            assert got == _matrix_bfs_weyl_elements(d, n)
+            assert (got == []) == (n < 0)
 
 
 def test_weyl_elements_prefix_stability(datum):
@@ -333,7 +381,7 @@ def test_imaginary_membership_fails_off_arithmetic_type(ex134):
 
     sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)
     art = cones.is_arithmetic_type(ex134, sample.roots)
-    assert not art.arithmetic
+    assert not art.finite_volume
     assert art.witness is not None and norm(ex134, art.witness) > 0
     datum8 = km.root_datum(ex134, sample.roots)
     assert km.imaginary_membership(datum8, (1, 1, 1), 8) is None

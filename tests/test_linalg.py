@@ -5,10 +5,12 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from lorentzroots import linalg
+from lorentzroots.errors import DegenerateFormError
 
 
 def random_int_matrix(rng, n, m, lo=-6, hi=6):
@@ -68,6 +70,50 @@ def test_signature_known_cases():
     assert linalg.signature(((2, -2, -2), (-2, 2, -2), (-2, -2, 2))) == (2, 1, 0)
     assert linalg.signature(((1,),)) == (1, 0, 0)
     assert linalg.signature(((0, 0), (0, 0))) == (0, 0, 2)
+
+
+def test_signature_against_charpoly():
+    # eigenvalues of a real symmetric matrix are real, so Descartes' rule
+    # counts them exactly: sign changes of p(x) and p(-x), and the order of x
+    rng = random.Random(17)
+    x = sympy.Symbol("x")
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        sym = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                sym[i][j] = sym[j][i] = rng.choice([0, 0, rng.randint(-4, 4)])
+        if n > 1 and rng.random() < 0.3:      # a repeated row makes it singular
+            sym[-1] = list(sym[0])
+            for i in range(n):
+                sym[i][-1] = sym[i][0]
+            sym[-1][-1] = sym[0][0]
+        coeffs = sympy.Matrix(sym).charpoly(x).all_coeffs()
+        zero = next(i for i, c in enumerate(reversed(coeffs)) if c != 0)
+
+        def changes(cs):
+            signs = [c > 0 for c in cs if c != 0]
+            return sum(a != b for a, b in zip(signs, signs[1:]))
+
+        neg_coeffs = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
+        assert linalg.signature(sym) == (changes(coeffs), changes(neg_coeffs), zero)
+
+
+def test_diagonalizing_basis_rejects_asymmetric():
+    for bad in (((1, 2), (3, 4)), ((0, 1, 0), (1, 0, 0), (0, 5, 1))):
+        with pytest.raises(DegenerateFormError):
+            linalg.diagonalizing_basis(bad)
+        with pytest.raises(DegenerateFormError):
+            linalg.signature(bad)
+
+
+def test_support_connected():
+    path = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    assert linalg.support_connected(path)
+    assert not linalg.support_connected(path, (0, 2))
+    assert linalg.support_connected(path, (1, 2))
+    assert not linalg.support_connected(((2, 0), (0, 2)))
+    assert linalg.support_connected(((5,),))
 
 
 def test_kernel_and_solve():

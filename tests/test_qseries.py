@@ -17,21 +17,43 @@ def naive_poly_mul(a, b, n):
     return out
 
 
-def naive_eta_power(e, n):
-    """Oracle: multiply the factors with schoolbook convolution."""
+def naive_binomial(e, m, n):
+    """(1 - q^m)^e truncated at degree n, for any integer e."""
     from math import comb
 
+    factor = [0] * (n + 1)
+    if e >= 0:
+        for j in range(0, min(e, n // m) + 1):
+            factor[j * m] = (-1) ** j * comb(e, j)
+    else:
+        for j in range(0, n // m + 1):
+            factor[j * m] = comb(-e + j - 1, j)
+    return factor
+
+
+def naive_eta_power(e, n):
+    """Oracle: multiply the factors with schoolbook convolution."""
     out = [1] + [0] * n
     for m in range(1, n + 1):
-        factor = [0] * (n + 1)
-        if e >= 0:
-            for j in range(0, min(e, n // m) + 1):
-                factor[j * m] = (-1) ** j * comb(e, j)
-        else:
-            for j in range(0, n // m + 1):
-                factor[j * m] = comb(-e + j - 1, j)
-        out = naive_poly_mul(out, factor, n)
+        out = naive_poly_mul(out, naive_binomial(e, m, n), n)
     return out
+
+
+def naive_cusp_identity(direction, coeffs, n):
+    """Oracle: expand prod_k (1 - q^k)^{tau(k)} factor by factor; for m -> tau
+    peel off tau(k) as the first coefficient the partial product misses."""
+    coeffs = list(coeffs)[:n] + [0] * max(0, n - len(coeffs))
+    prod = [1] + [0] * n
+    if direction == "tau_to_m":
+        for k in range(1, n + 1):
+            prod = naive_poly_mul(prod, naive_binomial(coeffs[k - 1], k, n), n)
+        return [-prod[t] for t in range(1, n + 1)]
+    lhs = [1] + [-c for c in coeffs]
+    tau = []
+    for k in range(1, n + 1):
+        tau.append(prod[k] - lhs[k])
+        prod = naive_poly_mul(prod, naive_binomial(tau[-1], k, n), n)
+    return tau
 
 
 # classical reference values
@@ -56,9 +78,8 @@ def test_eta_power_zero_exponent():
 
 def test_eta_power_against_oracle_various():
     rng = random.Random(50)
-    for _ in range(12):
-        e = rng.randint(-8, 8)
-        n = rng.randint(0, 12)
+    cases = [(rng.randint(-8, 8), rng.randint(0, 12)) for _ in range(12)]
+    for e, n in cases + [(24, 40), (-24, 40), (7, 40)]:
         assert list(qs.eta_power(e, n).coeffs) == naive_eta_power(e, n)
 
 
@@ -99,6 +120,16 @@ def test_cusp_identity_roundtrip_random():
         assert qs.cusp_identity("m_to_tau", m, n) == tau
         back = qs.cusp_identity("tau_to_m", qs.cusp_identity("m_to_tau", m, n), n)
         assert back == m
+
+
+def test_cusp_identity_against_product_oracle():
+    rng = random.Random(53)
+    sizes = [0, -1, -3] + [rng.randint(1, 40) for _ in range(12)]
+    for n in sizes:
+        for direction in ("tau_to_m", "m_to_tau"):
+            coeffs = [rng.randint(-30, 30) for _ in range(rng.randint(0, 45))]
+            assert qs.cusp_identity(direction, coeffs, n) == \
+                naive_cusp_identity(direction, coeffs, n)
 
 
 def test_cusp_identity_bad_direction():

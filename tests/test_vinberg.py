@@ -19,6 +19,9 @@ def test_height_key_ordering():
     assert HeightKey(1, 2) < HeightKey(4, 2) < HeightKey(144, 8)
     assert sorted([HeightKey(144, 8), HeightKey(4, 2), HeightKey(36, 2)]) \
         == [HeightKey(4, 2), HeightKey(144, 8), HeightKey(36, 2)]
+    assert HeightKey(1, 1) != 1 and HeightKey(1, 1) != "1"
+    with pytest.raises(TypeError):
+        HeightKey(1, 1) < 1
     with pytest.raises(DomainError):
         HeightKey(-1, 2)
     with pytest.raises(DomainError):
