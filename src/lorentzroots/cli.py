@@ -37,7 +37,7 @@ def _load_lattice_arg(path) -> Lattice:
         if fixture.is_file():
             return lattice_from_dict(json.loads(fixture.read_text()))
         raise
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse lattice file {path}: {exc}")
 
 
@@ -45,11 +45,15 @@ class UsageError(Exception):
     pass
 
 
-def _vector(text, option="vector"):
+def _vector(text, option, rank=None):
+    """Comma-separated integers; with a rank, exactly that many."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        v = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse {option} {text!r}")
+    if rank is not None and len(v) != rank:
+        raise UsageError(f"{option} {text!r} has {len(v)} entries, the lattice rank is {rank}")
+    return v
 
 
 def _count(text):
@@ -73,8 +77,8 @@ def _congruence(text, rank):
     return spec
 
 
-def _vectors(text):
-    return tuple(_vector(part) for part in text.split(";") if part)
+def _vectors(text, option, rank):
+    return tuple(_vector(part, option, rank) for part in text.split(";") if part)
 
 
 def _emit(report, args):
@@ -103,7 +107,7 @@ def _cmd_info(args):
 
 def _cmd_vinberg(args):
     lat = _load_lattice_arg(args.lattice)
-    controller = _vector(args.controller)
+    controller = _vector(args.controller, "--controller", lat.rank)
     try:
         norms = frozenset(int(x) for x in args.norms.split(","))
     except ValueError:
@@ -139,7 +143,7 @@ def _cmd_vinberg(args):
 
 def _cmd_weyl(args):
     lat = _load_lattice_arg(args.lattice)
-    roots = _vectors(args.roots)
+    roots = _vectors(args.roots, "--roots", lat.rank)
     data = weylstruct.lattice_weyl_vector(lat, roots)
     candidates = None
     if data.rho is not None and args.norm_bound:
@@ -166,7 +170,7 @@ def _cmd_weyl(args):
 
 def _cmd_classify(args):
     lat = _load_lattice_arg(args.lattice)
-    roots = _vectors(args.roots)
+    roots = _vectors(args.roots, "--roots", lat.rank)
     sym = weylstruct.symmetry_group(lat, roots)
     kind = weylstruct.classify_chamber(lat, roots, sym)
     _emit({
@@ -180,7 +184,7 @@ def _cmd_classify(args):
 
 def _cmd_cartan(args):
     lat = _load_lattice_arg(args.lattice)
-    roots = _vectors(args.roots)
+    roots = _vectors(args.roots, "--roots", lat.rank)
     gcm = kacmoody.cartan(lat, roots)
     _emit({
         "command": "cartan",
@@ -195,7 +199,7 @@ def _cmd_cartan(args):
 
 def _cmd_denominator(args):
     lat = _load_lattice_arg(args.lattice)
-    roots = _vectors(args.roots)
+    roots = _vectors(args.roots, "--roots", lat.rank)
     datum = kacmoody.root_datum(lat, roots)
     series = kacmoody.sum_side(datum, args.height)
     result = kacmoody.solve_multiplicities(datum, args.height)
@@ -240,11 +244,10 @@ def _cmd_qseries(args):
 
 def _cmd_family(args):
     lat = _load_lattice_arg(args.lattice)
-    phi = weylstruct.parabolic_translation(lat, _vector(args.mirror_a),
-                                           _vector(args.mirror_b))
-    sample = weylstruct.build_Pk_sample(
-        lat, phi, _vector(args.e0), _vector(args.f01), _vector(args.f02),
-        args.k, args.window)
+    a, b, e0, f01, f02 = (_vector(getattr(args, opt), "--" + opt.replace("_", "-"), lat.rank)
+                          for opt in ("mirror_a", "mirror_b", "e0", "f01", "f02"))
+    phi = weylstruct.parabolic_translation(lat, a, b)
+    sample = weylstruct.build_Pk_sample(lat, phi, e0, f01, f02, args.k, args.window)
     c = weylstruct.fixed_isotropic(lat, [phi])
     _emit({
         "command": "family",
@@ -332,12 +335,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # argparse drops a "--" value: "--roots=--" leaves roots == []
+    dropped = next((k for k, v in vars(args).items() if v == []), None)
+    if dropped is not None:
+        print(f"error: --{dropped.replace('_', '-')} needs a value", file=sys.stderr)
+        return 2
     try:
         args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -17,8 +17,8 @@ from math import comb
 
 from . import cones, linalg, weylstruct
 from .errors import DenominatorMismatchError, DomainError
-from .lattice import (Lattice, apply_isometry, is_crystallographic, norm, pair,
-                      reflection)
+from .lattice import Lattice, apply_isometry, norm, pair, reflection
+from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
 @dataclass(frozen=True)
@@ -40,23 +40,16 @@ class RootDatum:
 def cartan(lattice: Lattice, roots) -> GeneralizedCartanMatrix:
     """Generalized Cartan matrix 2 S(a_i, a_j) / S(a_i, a_i) of a wall system.
 
-    Requires crystallographic spacelike walls, nonobtuse pairings and a
+    The walls must pass `weylstruct.RootSet.checked` (spacelike,
+    crystallographic, pairwise nonobtuse, none proportional) and have a
     connected Gram graph; the symmetrized matrix must have exactly one
     negative square.
     """
-    roots = [tuple(r) for r in roots]
+    roots = weylstruct.RootSet.checked(lattice, roots).roots
     if not roots:
         raise DomainError("empty wall system")
     b = [[pair(lattice, x, y) for y in roots] for x in roots]
     k = len(roots)
-    for i in range(k):
-        if b[i][i] <= 0:
-            raise DomainError(f"wall {roots[i]} is not spacelike")
-        if not is_crystallographic(lattice, roots[i]):
-            raise DomainError(f"wall {roots[i]} is not crystallographic")
-        for j in range(k):
-            if i != j and b[i][j] > 0:
-                raise DomainError("wall system is not nonobtuse")
     a = []
     for i in range(k):
         row = []

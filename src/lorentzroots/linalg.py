@@ -381,8 +381,9 @@ def sqrt_fraction(f):
     return None
 
 
-def _ldl(q):
-    """q = U^T D U with U unit upper triangular; raises if not positive definite."""
+def ldl(q):
+    """(D, U) with q = U^T D U, U unit upper triangular; raises if q is not
+    positive definite."""
     n = len(q)
     a = [[Fraction(x) for x in row] for row in q]
     d = []
@@ -401,31 +402,22 @@ def _ldl(q):
     return d, u
 
 
-def quadric_integer_points(q, lin, const):
-    """All integer y with y^T q y + lin . y + const = 0, for positive definite q.
-
-    Recursive shell enumeration: complete the square, then walk coordinates
-    from the last to the first with exact rational interval bounds.
-    """
-    n = len(q)
+def quadric_integer_points(ldl, centre, radius):
+    """All integer y with (y - centre)^T q (y - centre) = radius, where
+    ldl = (D, U) factors the positive definite q; walks coordinates from the
+    last to the first with exact rational interval bounds."""
+    d, u = ldl
+    n = len(d)
     if n == 0:
-        return [()] if const == 0 else []
-    two_q = [[2 * Fraction(x) for x in row] for row in q]
-    center, _ = solve(two_q, [-Fraction(x) for x in lin])
-    if center is None:
-        raise DegenerateFormError("positive definite form must be invertible")
-    s = list(center)
-    # (y-s)^T q (y-s) = s^T q s - const
-    radius = sum(s[i] * sum(Fraction(q[i][j]) * s[j] for j in range(n)) for i in range(n)) - const
+        return [()] if radius == 0 else []
     if radius < 0:
         return []
-    d, u = _ldl(q)
     out = []
     y = [0] * n
 
     def descend(i, rem):
         # rem = budget left for terms 0..i
-        ci = s[i] - sum(u[i][j] * (y[j] - s[j]) for j in range(i + 1, n))
+        ci = centre[i] - sum(u[i][j] * (y[j] - centre[j]) for j in range(i + 1, n))
         if i == 0:
             # exact equation d0 (y0 - c0)^2 = rem
             t = sqrt_fraction(rem / d[0])

@@ -86,32 +86,35 @@ class ChamberReport:
     gram: tuple[tuple[int, ...], ...]
 
 
-def _cell_roots(lattice, h, d, m):
-    """Integer x with S(x,x) = d and S(h,x) = -m, sorted."""
-    w = linalg.mat_vec(lattice.gram, h)
-    g, cols = linalg.row_kernel_transform(w)
-    if m % g != 0:
-        return []
-    x0 = linalg.vec_scale(-m // g, cols[0])
+def shells(lattice, h):
+    """roots(d, m): the sorted integer x with S(x,x) = d and S(h,x) = -m.
+
+    Shell (d, m) lies on the slice S(h,x) = -m, centred at m h / |S(h,h)|,
+    where the form on h^perp is fixed and the squared radius is
+    d + m^2/|S(h,h)|; so the unimodular basis, the coordinates of h in it
+    and the LDL of the kernel Gram matrix are computed once per controller.
+    """
+    g, cols = linalg.row_kernel_transform(linalg.mat_vec(lattice.gram, h))
+    basis = linalg.transpose(cols)
     kern = cols[1:]
-    q = [[pair(lattice, u, v) for v in kern] for u in kern]
-    lin = [2 * pair(lattice, x0, v) for v in kern]
-    const = pair(lattice, x0, x0) - d
-    pts = linalg.quadric_integer_points(q, lin, const)
-    roots = []
-    for y in pts:
-        x = list(x0)
-        for c, v in zip(y, kern):
-            for j in range(len(x)):
-                x[j] += c * v[j]
-        roots.append(tuple(x))
-    return sorted(roots)
+    hh = -norm(lattice, h)
+    z, _ = linalg.solve(basis, h)
+    c = [x / hh for x in z[1:]]
+    ldl = linalg.ldl([[pair(lattice, u, v) for v in kern] for u in kern])
+
+    def roots(d, m):
+        if m % g != 0:
+            return []
+        pts = linalg.quadric_integer_points(ldl, [m * x for x in c],
+                                            d + Fraction(m * m, hh))
+        return sorted(linalg.mat_vec(basis, (-m // g,) + y) for y in pts)
+    return roots
 
 
-def _mirror_check(lattice, h, filt):
+def _mirror_check(roots, lattice, filt):
     """Raise if some admissible root is orthogonal to the controller."""
     for d in sorted(filt.norms):
-        for x in _cell_roots(lattice, h, d, 0):
+        for x in roots(d, 0):
             if any(x) and linalg.content(x) == 1 and is_crystallographic(lattice, x) \
                     and _residue_ok(filt, x):
                 raise ControllerOnMirrorError(x)
@@ -130,7 +133,8 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
         raise DomainError("controller must be timelike")
     if any(Fraction(x).denominator != 1 for x in h):
         raise DomainError("controller must be integral")
-    _mirror_check(lattice, h, filt)
+    roots = shells(lattice, h)
+    _mirror_check(roots, lattice, filt)
 
     bound = max_key.value()
     heap = []
@@ -141,7 +145,7 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
         if key > bound:
             continue
         heapq.heappush(heap, (Fraction((m + 1) ** 2, d), d, m + 1))
-        for x in _cell_roots(lattice, h, d, m):
+        for x in roots(d, m):
             if linalg.content(x) == 1 and is_crystallographic(lattice, x) \
                     and _residue_ok(filt, x):
                 yield HeightKey(m * m, d), x

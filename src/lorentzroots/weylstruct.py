@@ -46,7 +46,8 @@ class RootSet:
                 s = pair(lattice, roots[i], roots[j])
                 if s > 0:
                     raise NonObtusePairError(roots[i], roots[j], s)
-                if linalg.primitive(roots[i]) == linalg.primitive(roots[j]):
+                p = linalg.primitive(roots[i])
+                if linalg.primitive(roots[j]) in (p, linalg.vec_scale(-1, p)):
                     raise DomainError(f"proportional walls {roots[i]}, {roots[j]}")
         return cls(roots=roots)
 
@@ -159,11 +160,12 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
     scaled_rho = tuple(int(x * den) for x in rho)
     out = []
     if rn < 0:
+        roots = vinberg.shells(lattice, scaled_rho)
         for d in range(1, int(norm_bound) + 1):
             target = Fraction(den * d, 2)
             if target.denominator != 1:
                 continue
-            for x in vinberg._cell_roots(lattice, scaled_rho, d, int(target)):
+            for x in roots(d, int(target)):
                 if is_crystallographic(lattice, x):
                     out.append(x)
         return sorted(out)
@@ -173,13 +175,14 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
     h = tuple(controller) if controller is not None else timelike_vector(lattice)
     if norm(lattice, h) >= 0:
         raise DomainError("controller must be timelike")
+    roots = vinberg.shells(lattice, h)
     for d in range(1, int(norm_bound) + 1):
         target = Fraction(den * d, 2)
         if target.denominator != 1:
             continue
         # m = 0 included: the controller only bounds the search here
         for m in range(0, int(max_pairing) + 1):
-            for x in vinberg._cell_roots(lattice, h, d, m):
+            for x in roots(d, m):
                 if pair(lattice, scaled_rho, x) == -target and is_crystallographic(lattice, x):
                     out.append(x)
     return sorted(set(out))
@@ -285,8 +288,9 @@ def parabolic_translation(lattice: Lattice, d_a, d_b):
         raise DomainError("mirrors must be parallel at infinity")
     phi = linalg.mat_mul(reflection(lattice, d_b), reflection(lattice, d_a))
     delta = _minus_identity_shift(phi)
+    if linalg.is_zero_matrix(delta):
+        raise DomainError("the two vectors give the same mirror")
     assert linalg.is_zero_matrix(linalg.mat_pow(delta, 3))
-    assert not linalg.is_zero_matrix(delta)
     return phi
 
 
@@ -334,23 +338,19 @@ def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int) ->
         if 2 * pair(lattice, rho, s) != -norm(lattice, s):
             raise DomainError(f"seed {s} violates the Weyl property")
 
+    images = {0: seeds}
     phi_inv = int_inverse(phi)
+    for t in range(1, window + 1):
+        images[t] = [apply_isometry(phi, s) for s in images[t - 1]]
+        images[-t] = [apply_isometry(phi_inv, s) for s in images[1 - t]]
     roots = []
     for t in range(-window, window + 1):
-        power = _matrix_power_signed(phi, phi_inv, t)
-        if t % k != 0:
-            roots.append(apply_isometry(power, seeds[0]))
-        else:
-            roots.append(apply_isometry(power, seeds[1]))
-            roots.append(apply_isometry(power, seeds[2]))
+        e, f1, f2 = images[t]
+        roots += [f1, f2] if t % k == 0 else [e]
     for r in roots:
         if 2 * pair(lattice, rho, r) != -norm(lattice, r):
             raise DomainError(f"sample wall {r} violates the Weyl property")
     return RootSet.checked(lattice, roots)
-
-
-def _matrix_power_signed(g, g_inv, t):
-    return linalg.mat_pow(g if t >= 0 else g_inv, abs(t))
 
 
 def classify_chamber(lattice: Lattice, roots, sym: SymmetryGroup) -> str:

@@ -103,11 +103,21 @@ def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("info", "--lattice", str(bad)).returncode == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xd0\xcf\x11\xe0")
+    assert run_cli("info", "--lattice", str(binary)).returncode == 2
+    res = run_cli("info", "--lattice", str(tmp_path))    # a directory
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
     # domain error: controller not timelike
     res = run_cli("vinberg", "--lattice", "ex134.json",
                   "--controller", "0,1,1", "--norms", "2")
     assert res.returncode == 1
     assert res.stdout == ""          # no partial JSON on error paths
+    # the same mirror twice
+    res = run_cli("family", "--lattice", "ex134.json", "--k", "2", "--window", "2",
+                  "--mirror-a", "0,1,0", "--mirror-b", "0,1,0")
+    assert res.returncode == 1 and "Traceback" not in res.stderr
     # usage error from argparse
     assert run_cli("vinberg", "--lattice", "ex134.json").returncode == 2
 
@@ -160,6 +170,12 @@ _ROOTS = "1,0,0;0,1,0;0,0,1"
       "--max-roots", "-1"), "--max-roots"),
     (("qseries", "--eta-power", "24", "--n", "-2"), "--n"),
     (("qseries", "--cusp-identity", "m2tau", "--coeffs", "1", "--n", "-2"), "--n"),
+    (("cartan", "--lattice", "ex134.json", "--roots", "1,0;0,1"), "--roots"),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1", "--norms", "2"),
+     "--controller"),
+    (("weyl", "--lattice", "ex134.json", "--roots", "1,0,0,0"), "--roots"),
+    (("denominator", "--lattice", "ex134.json", "--roots=--"), "--roots"),
+    (("qseries", "--eta-power=--", "--n", "3"), "--eta-power"),
 ])
 def test_bad_inputs_are_usage_errors(args, option):
     res = run_cli(*args)

@@ -11,7 +11,7 @@ import pytest
 
 from ex134_data import CUSP, F01, F02
 from lorentzroots import kacmoody as km, linalg
-from lorentzroots.errors import DenominatorMismatchError, DomainError
+from lorentzroots.errors import DenominatorMismatchError, DomainError, NonObtusePairError
 from lorentzroots.lattice import Lattice, apply_isometry, norm
 
 
@@ -59,7 +59,7 @@ def test_cartan_orthogonal_pair_zeros(u_plus_2):
 
 
 def test_cartan_rejects_obtuse(ex134):
-    with pytest.raises(DomainError):
+    with pytest.raises(NonObtusePairError):
         km.cartan(ex134, [(1, 0, 0), (2, 1, 0)])
 
 

@@ -171,7 +171,10 @@ def test_quadric_points_match_bruteforce():
                         for j in range(k)) for i in range(k))
         lin = tuple(rng.randint(-4, 4) for _ in range(k))
         const = rng.randint(-20, 4)
-        pts = linalg.quadric_integer_points(q, lin, const)
+        # y^T q y + lin.y + const = (y - s)^T q (y - s) - radius, with 2 q s = -lin
+        s, _ = linalg.solve([[2 * x for x in row] for row in q], [-x for x in lin])
+        radius = sum(s[i] * q[i][j] * s[j] for i in range(k) for j in range(k)) - const
+        pts = linalg.quadric_integer_points(linalg.ldl(q), s, radius)
         assert pts == brute_quadric(q, lin, const, 14)
         assert all(max(abs(c) for c in p) <= 14 for p in pts)
 

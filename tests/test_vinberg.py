@@ -1,6 +1,7 @@
 """Height-ordered enumeration, chamber accretion and the pairing bounds."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -65,6 +66,27 @@ def test_enumeration_matches_bruteforce_broadly(ex134, u_plus_2, u_plus_a2, diag
         for d in norms:
             brute.extend(brute_first_shell(lat, h, d, max_key, box=12))
         assert got == sorted(brute), (lat.name, norms)
+
+
+def test_shell_arithmetic_is_exact(monkeypatch):
+    # every shell gets its centre and radius as exact rationals, never floats
+    seen = []
+    quadric = linalg.quadric_integer_points
+
+    def spy(ldl, centre, radius):
+        seen.append((tuple(centre), radius))
+        return quadric(ldl, centre, radius)
+
+    monkeypatch.setattr(linalg, "quadric_integer_points", spy)
+    i41 = Lattice(gram=tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(5))
+                             for i in range(5)))
+    rep = vinberg.run(i41, (400, 4, 3, 2, 1), RootFilter(norms=frozenset({1, 2})),
+                      max_key=HeightKey(10 ** 7, 1))
+    assert rep.terminated and len(rep.accepted) == 5
+    assert seen
+    for centre, radius in seen:
+        assert type(radius) in (int, Fraction)
+        assert all(type(c) in (int, Fraction) for c in centre)
 
 
 def test_zero_key_is_empty(ex134):

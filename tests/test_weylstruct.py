@@ -207,6 +207,8 @@ def test_rootset_checked_rejects_obtuse(ex134):
         ws.RootSet.checked(ex134, [(1, 0, 0), (2, 1, 0)])
     with pytest.raises(DomainError):
         ws.RootSet.checked(ex134, [(1, 0, 0), (2, 0, 0)])
+    with pytest.raises(DomainError, match="proportional"):    # antiparallel
+        ws.RootSet.checked(ex134, [(1, 0, 0), (-1, 0, 0)])
 
 
 def test_classify_chamber(ex134, triangle):
