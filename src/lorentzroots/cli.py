@@ -16,7 +16,7 @@ from importlib import resources
 
 from . import kacmoody, qseries, vinberg, weylstruct
 from .errors import DomainError
-from .lattice import Lattice, invariants, lattice_from_dict, pair
+from .lattice import Lattice, invariants, load_lattice, pair
 
 
 def _rat(x):
@@ -30,14 +30,13 @@ def _rat_vec(v):
 
 def _load_lattice_arg(path) -> Lattice:
     try:
-        with open(path) as fh:
-            return lattice_from_dict(json.load(fh))
+        return load_lattice(path)
     except FileNotFoundError:
         fixture = resources.files("lorentzroots").joinpath("fixtures", path)
         if fixture.is_file():
-            return lattice_from_dict(json.loads(fixture.read_text()))
+            return load_lattice(fixture)
         raise
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse lattice file {path}: {exc}")
 
 
@@ -347,9 +346,6 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: unparseable input: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,12 +10,11 @@ lineality space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
 from .errors import DomainError
-from .lattice import Lattice, norm, pair
+from .lattice import Lattice, norm, pair, vector_of_sign
 
 
 @dataclass(frozen=True)
@@ -36,14 +35,7 @@ def _dd_pointed(rows, n):
     """
     if n == 0:
         return []
-    base = []
-    seen = []
-    for i, row in enumerate(rows):
-        if linalg.rank(seen + [row]) > len(seen):
-            seen.append(list(row))
-            base.append(i)
-        if len(base) == n:
-            break
+    base = linalg.pivots(linalg.transpose(rows))
     inv = linalg.inverse([rows[i] for i in base])
     cols = linalg.transpose(inv)
     rays = [linalg.clear_denominators([-x for x in col]) for col in cols]
@@ -87,15 +79,8 @@ def dual_extreme_rays(lattice: Lattice, roots) -> Cone:
     n = lattice.rank
     rows = [linalg.mat_vec(lattice.gram, a) for a in roots]
     lin = linalg.kernel_basis(rows, ncols=n)
-    # complement coordinates: standard basis vectors extending the lineality
-    comp = []
-    span = [list(v) for v in lin]
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        if linalg.rank(span + [e]) > len(span):
-            span.append(e)
-            comp.append(j)
+    # e_j (j in J) complement the kernel of rows iff columns J of rows are independent
+    comp = linalg.pivots(rows)
     reduced = [tuple(row[j] for j in comp) for row in rows]
     quotient_rays = _dd_pointed(reduced, len(comp))
     rays = []
@@ -106,20 +91,6 @@ def dual_extreme_rays(lattice: Lattice, roots) -> Cone:
         rays.append(tuple(x))
     return Cone(walls=tuple(roots), rays=tuple(sorted(rays)),
                 lineality=tuple(sorted(linalg.primitive(v) for v in lin)))
-
-
-def _spacelike_in_span(lattice, basis):
-    """A spacelike integer vector in the rational span of basis, or None."""
-    gram = [[pair(lattice, u, v) for v in basis] for u in basis]
-    rows, diag = linalg.diagonalizing_basis(gram)
-    for row, d in zip(rows, diag):
-        if d > 0:
-            v = [Fraction(0)] * lattice.rank
-            for c, b in zip(row, basis):
-                for k in range(lattice.rank):
-                    v[k] += c * b[k]
-            return linalg.clear_denominators(v)
-    return None
 
 
 @dataclass(frozen=True)
@@ -145,14 +116,13 @@ def is_arithmetic_type(lattice: Lattice, roots) -> ArithmeticTypeReport:
     ok = (not cone.lineality and witness is None
           and all(norm(lattice, r) <= 0 for r in cone.rays) and coherent)
     if not ok and witness is None and cone.lineality:
-        witness = _spacelike_in_span(lattice, cone.lineality)
+        witness = vector_of_sign(lattice, 1, cone.lineality)
     return ArithmeticTypeReport(finite_volume=ok, witness=witness, cone=cone)
 
 
-def _interior_point(lattice, roots, cone=None):
+def _interior_point(lattice, roots):
     """Integer vector h with S(h, a) < 0 for every wall, or None."""
-    if cone is None:
-        cone = dual_extreme_rays(lattice, roots)
+    cone = dual_extreme_rays(lattice, roots)
     if not cone.rays:
         return None
     h = [0] * lattice.rank
@@ -176,7 +146,7 @@ def q_plus_membership(lattice: Lattice, roots, x, budget=None):
         raise DomainError("empty wall system")
     cols = linalg.transpose(roots)  # matrix with the roots as columns
     if linalg.rank(roots) == len(roots):
-        sol, _ = linalg.solve(cols, x)
+        sol = linalg.solve(cols, x)
         if sol is None:
             return None
         coeffs = tuple(sol)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from . import linalg
 from .errors import DomainError
 from .lattice import Lattice, norm, pair
 
@@ -63,6 +64,8 @@ def classify_mirrors(lattice: Lattice, d1, d2) -> MirrorRelation:
     n1, n2 = norm(lattice, d1), norm(lattice, d2)
     if n1 <= 0 or n2 <= 0:
         raise DomainError("mirror vectors must be spacelike")
+    if linalg.rank([d1, d2]) < 2:
+        raise DomainError("the two vectors give the same mirror")
     s = pair(lattice, d1, d2)
     disc = n1 * n2 - s * s
     if disc > 0:

@@ -93,9 +93,7 @@ def simple_reflection_on_tuple(gcm: GeneralizedCartanMatrix, j: int, coeffs):
 
 
 def tuple_to_vector(datum: RootDatum, coeffs):
-    n = datum.lattice.rank
-    return tuple(sum(c * r[i] for c, r in zip(coeffs, datum.simple_roots))
-                 for i in range(n))
+    return linalg.mat_vec(linalg.transpose(datum.simple_roots), coeffs)
 
 
 def tuple_norm(gcm: GeneralizedCartanMatrix, coeffs):

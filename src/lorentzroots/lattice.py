@@ -9,6 +9,7 @@ on column vectors (column j = image of the j-th basis vector).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -22,9 +23,11 @@ class Lattice:
     name: str = ""
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(tuple(operator.index(x) for x in row) for row in self.gram)
         object.__setattr__(self, "gram", g)
         n = len(g)
+        if n == 0:
+            raise DimensionError("gram matrix is empty")
         if any(len(row) != n for row in g):
             raise DimensionError("gram matrix must be square")
         for i in range(n):
@@ -49,9 +52,9 @@ class LatticeInvariants:
     exponent_aS: int
 
 
-def lattice_from_dict(data, name=None) -> Lattice:
+def lattice_from_dict(data) -> Lattice:
     return Lattice(gram=tuple(tuple(row) for row in data["gram"]),
-                   name=name if name is not None else data.get("name", ""))
+                   name=data.get("name", ""))
 
 
 def load_lattice(path) -> Lattice:
@@ -171,14 +174,22 @@ def scaled(lattice: Lattice, m: int) -> Lattice:
                    name=f"{lattice.name}({m})" if lattice.name else "")
 
 
-def timelike_vector(lattice: Lattice):
-    """Some integer vector of negative norm (exact construction).
+def vector_of_sign(lattice: Lattice, sign: int, basis):
+    """A primitive integer vector of the span of basis whose norm has the
+    given sign (+1 or -1), or None: the first diagonal entry of that sign
+    of the restricted form's rational diagonalization, pulled back."""
+    gram = [[pair(lattice, u, v) for v in basis] for u in basis]
+    rows, diag = linalg.diagonalizing_basis(gram)
+    for row, d in zip(rows, diag):
+        if d * sign > 0:
+            return linalg.clear_denominators(linalg.mat_vec(linalg.transpose(basis), row))
+    return None
 
-    Pulls back a negative entry of a rational diagonalization; raises if
-    the form is positive semidefinite.
-    """
-    basis, diag = linalg.diagonalizing_basis(lattice.gram)
-    for row, d in zip(basis, diag):
-        if d < 0:
-            return linalg.clear_denominators(row)
-    raise DomainError("lattice has no timelike vectors")
+
+def timelike_vector(lattice: Lattice):
+    """Some integer vector of negative norm (exact construction); raises if
+    the form is positive semidefinite."""
+    v = vector_of_sign(lattice, -1, linalg.identity(lattice.rank))
+    if v is None:
+        raise DomainError("lattice has no timelike vectors")
+    return v

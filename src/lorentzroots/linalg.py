@@ -129,8 +129,14 @@ def _rref(rows):
     return m, pivots
 
 
+def pivots(rows):
+    """Pivot columns of the rref: the lexicographically first independent
+    columns."""
+    return _rref(rows)[1]
+
+
 def rank(rows) -> int:
-    return len(_rref(rows)[1])
+    return len(pivots(rows))
 
 
 def kernel_basis(rows, ncols=None):
@@ -151,19 +157,16 @@ def kernel_basis(rows, ncols=None):
 
 
 def solve(rows, rhs):
-    """One exact solution of rows @ x = rhs, or None if inconsistent.
-
-    Returns (solution, n_free) where n_free counts free variables.
-    """
+    """One exact solution of rows @ x = rhs, or None if inconsistent."""
     n = len(rows[0])
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     red, pivots = _rref(aug)
     if n in pivots:  # pivot in the rhs column
-        return None, 0
+        return None
     x = [Fraction(0)] * n
     for r, pc in enumerate(pivots):
         x[pc] = red[r][n]
-    return tuple(x), n - len(pivots)
+    return tuple(x)
 
 
 def inverse(m):
@@ -383,23 +386,15 @@ def sqrt_fraction(f):
 
 def ldl(q):
     """(D, U) with q = U^T D U, U unit upper triangular; raises if q is not
-    positive definite."""
-    n = len(q)
-    a = [[Fraction(x) for x in row] for row in q]
-    d = []
-    u = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        piv = a[i][i]
-        if piv <= 0:
-            raise DegenerateFormError("form is not positive definite")
-        d.append(piv)
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / piv
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                a[r][c] -= a[i][r] * a[i][c] / piv
-                a[c][r] = a[r][c]
-    return d, u
+    positive definite.
+
+    For positive definite q no pivot of diagonalizing_basis vanishes, so
+    its basis T is unit lower triangular with T q T^T = D, and U = T^-T.
+    """
+    t, d = diagonalizing_basis(q)
+    if any(x <= 0 for x in d):
+        raise DegenerateFormError("form is not positive definite")
+    return d, transpose(inverse(t))
 
 
 def quadric_integer_points(ldl, centre, radius):

@@ -72,7 +72,7 @@ def _residue_ok(filt: RootFilter, delta) -> bool:
     basis, residues = filt.congruence
     cols = linalg.transpose(basis)
     for r in residues:
-        sol, _ = linalg.solve(cols, linalg.vec_sub(delta, r))
+        sol = linalg.solve(cols, linalg.vec_sub(delta, r))
         if sol is not None and all(c.denominator == 1 for c in sol):
             return True
     return False
@@ -98,7 +98,7 @@ def shells(lattice, h):
     basis = linalg.transpose(cols)
     kern = cols[1:]
     hh = -norm(lattice, h)
-    z, _ = linalg.solve(basis, h)
+    z = linalg.solve(basis, h)
     c = [x / hh for x in z[1:]]
     ldl = linalg.ldl([[pair(lattice, u, v) for v in kern] for u in kern])
 

@@ -81,7 +81,7 @@ def lattice_weyl_vector(lattice: Lattice, roots) -> WeylData:
     if linalg.rank(rows) < lattice.rank:
         raise UnderDeterminedError("wall system does not span; Weyl vector not unique")
     rhs = [Fraction(-norm(lattice, a), 2) for a in roots]
-    sol, _ = linalg.solve(rows, rhs)
+    sol = linalg.solve(rows, rhs)
     if sol is None:
         return WeylData(rho=None, rho_norm=None, kind="none")
     rho = tuple(Fraction(x) for x in sol)
@@ -200,10 +200,7 @@ def symmetry_group(lattice: Lattice, roots) -> SymmetryGroup:
         raise DomainError("wall system must span to determine isometries")
     k = len(roots)
     gram = [[pair(lattice, a, b) for b in roots] for a in roots]
-    base = []
-    for i in range(k):
-        if linalg.rank([roots[j] for j in base] + [roots[i]]) > len(base):
-            base.append(i)
+    base = linalg.pivots(linalg.transpose(roots))
     base_cols = linalg.transpose([roots[i] for i in base])
     base_inv = linalg.inverse(base_cols)
     elements = []
@@ -247,8 +244,7 @@ def fixed_isotropic(lattice: Lattice, gens):
     for g in gens:
         if not is_isometry(lattice, g):
             raise DomainError("fixed_isotropic expects verified isometries")
-        for i in range(n):
-            rows.append(tuple(g[i][j] - (1 if i == j else 0) for j in range(n)))
+        rows += _minus_identity_shift(g)
     basis = linalg.kernel_basis(rows, ncols=n)
     if len(basis) > 2:
         raise IndeterminateFixedSpaceError(
@@ -287,10 +283,7 @@ def parabolic_translation(lattice: Lattice, d_a, d_b):
     if classify_mirrors(lattice, d_a, d_b) is not MirrorRelation.PARALLEL_AT_INFINITY:
         raise DomainError("mirrors must be parallel at infinity")
     phi = linalg.mat_mul(reflection(lattice, d_b), reflection(lattice, d_a))
-    delta = _minus_identity_shift(phi)
-    if linalg.is_zero_matrix(delta):
-        raise DomainError("the two vectors give the same mirror")
-    assert linalg.is_zero_matrix(linalg.mat_pow(delta, 3))
+    assert linalg.is_zero_matrix(linalg.mat_pow(_minus_identity_shift(phi), 3))
     return phi
 
 

@@ -109,6 +109,13 @@ def test_exit_codes(tmp_path):
     res = run_cli("info", "--lattice", str(tmp_path))    # a directory
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    # a gram that is not a nonempty square symmetric integer matrix
+    for i, gram in enumerate(([["a"]], [], [[1.5]], "x", [[1, 2]], [[1, 2], [3, 4]])):
+        path = tmp_path / f"gram{i}.json"
+        path.write_text(json.dumps({"gram": gram}))
+        res = run_cli("info", "--lattice", str(path))
+        assert res.returncode == 2, gram
+        assert str(path) in res.stderr and "Traceback" not in res.stderr
     # domain error: controller not timelike
     res = run_cli("vinberg", "--lattice", "ex134.json",
                   "--controller", "0,1,1", "--norms", "2")

@@ -1,9 +1,10 @@
-"""Property test of the CLI boundary: over generated argument lists for every
-subcommand on the shipped fixtures, `cli.main` returns 0, 1 or 2 and never
-lets an exception escape."""
+"""Property tests of the CLI boundary: over generated argument lists for
+every subcommand on the shipped fixtures, and over generated lattice files,
+`cli.main` returns 0, 1 or 2 and never lets an exception escape."""
 
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -113,3 +114,37 @@ def test_cli_exit_codes_over_generated_arguments(command, data):
     assert code in (0, 1, 2), (args, err.getvalue())
     if code != 0:
         assert out.getvalue() == "", args
+
+
+entry = st.one_of(st.integers(-5, 5), st.floats(-5, 5), st.text(max_size=2), st.booleans())
+
+
+@st.composite
+def gram(draw):
+    """Mostly a symmetric integer matrix of rank <= 4, else empty, ragged or
+    non-integer rows, or a bare entry."""
+    roll = draw(st.integers(0, 9))
+    n = draw(st.integers(0, 4))
+    if roll == 0:
+        return draw(entry)
+    if roll < 4:
+        return draw(st.lists(st.one_of(st.lists(entry, max_size=4), entry), max_size=4))
+    upper = {(i, j): draw(st.integers(-5, 5)) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_exit_codes_over_generated_lattice_files(tmp_path_factory, data):
+    g = data.draw(gram())
+    path = tmp_path_factory.getbasetemp() / "lattice.json"
+    path.write_text(json.dumps({"gram": g}))
+    rank = len(g) if isinstance(g, list) and g else 1
+    units = ";".join(",".join(str(int(i == j)) for j in range(rank)) for i in range(rank))
+    for args in (["info"], ["cartan", f"--roots={units}"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(args + [f"--lattice={path}"])
+        assert code in (0, 1, 2), (g, args, err.getvalue())
+        if code != 0:
+            assert out.getvalue() == "", (g, args)

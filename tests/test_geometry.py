@@ -67,6 +67,9 @@ def test_classify_mirrors(ex134):
     assert classify_mirrors(two, (1, 0), (0, 1)) is MirrorRelation.ULTRAPARALLEL
     with pytest.raises(DomainError):
         classify_mirrors(ex134, CUSP, (1, 0, 0))
+    for same in (((0, 1, 0), (0, 1, 0)), ((0, 1, 0), (0, -2, 0))):
+        with pytest.raises(DomainError):
+            classify_mirrors(ex134, *same)
 
 
 def test_classify_mirrors_symmetry_and_equivariance(ex134):

@@ -222,7 +222,7 @@ def _matrix_action_sum_side(datum, n):
             sign = seen[mat]
             moved = apply_isometry(mat, rho)
             diff = tuple(a - b for a, b in zip(moved, rho))
-            sol, _ = linalg.solve(basis_cols, diff)
+            sol = linalg.solve(basis_cols, diff)
             assert all(c.denominator == 1 for c in sol)
             key = tuple(int(c) for c in sol)
             if sum(key) <= n:

@@ -125,9 +125,48 @@ def test_kernel_and_solve():
             assert all(linalg.dot(row, v) == 0 for row in a)
         x = tuple(rng.randint(-3, 3) for _ in range(m))
         b = linalg.mat_vec(a, x)
-        sol, _ = linalg.solve(a, b)
+        sol = linalg.solve(a, b)
         assert sol is not None
         assert linalg.mat_vec(a, sol) == tuple(map(Fraction, b))
+
+
+def greedy_independent_rows(rows):
+    """Reference for pivots: keep each row that raises the rank of those kept."""
+    kept = []
+    for i, row in enumerate(rows):
+        if linalg.rank([rows[j] for j in kept] + [row]) > len(kept):
+            kept.append(i)
+    return kept
+
+
+def test_pivots_match_greedy_rank():
+    rng = random.Random(19)
+    for _ in range(80):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        a = random_int_matrix(rng, n, m, -2, 2)
+        if rng.random() < 0.3:      # rank deficient: a row combination, or zero
+            a = a[:-1] + (linalg.vec_sub(a[0], a[-1]) if n > 1 else (0,) * m,)
+        assert linalg.pivots(linalg.transpose(a)) == greedy_independent_rows(a)
+        assert linalg.pivots(a) == greedy_independent_rows(linalg.transpose(a))
+    assert linalg.pivots(((0, 0), (0, 0))) == []
+
+
+def test_ldl_factors():
+    rng = random.Random(20)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a = random_int_matrix(rng, n, n, -3, 3)
+        q = tuple(tuple(sum(a[r][i] * a[r][j] for r in range(n)) + (1 if i == j else 0)
+                        for j in range(n)) for i in range(n))
+        d, u = linalg.ldl(q)
+        assert all(u[i][j] == (1 if i == j else 0) for i in range(n) for j in range(i + 1))
+        assert all(x > 0 for x in d)
+        dd = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        assert linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(dd, u)) == q
+    for bad in (((1, 0), (0, -1)), ((0, 1), (1, 0)), ((1, 1), (1, 1)), ((0,),),
+                ((2, 0, 0), (0, 0, 0), (0, 0, 3))):
+        with pytest.raises(DegenerateFormError):
+            linalg.ldl(bad)
 
 
 def test_row_kernel_transform():
@@ -172,7 +211,7 @@ def test_quadric_points_match_bruteforce():
         lin = tuple(rng.randint(-4, 4) for _ in range(k))
         const = rng.randint(-20, 4)
         # y^T q y + lin.y + const = (y - s)^T q (y - s) - radius, with 2 q s = -lin
-        s, _ = linalg.solve([[2 * x for x in row] for row in q], [-x for x in lin])
+        s = linalg.solve([[2 * x for x in row] for row in q], [-x for x in lin])
         radius = sum(s[i] * q[i][j] * s[j] for i in range(k) for j in range(k)) - const
         pts = linalg.quadric_integer_points(linalg.ldl(q), s, radius)
         assert pts == brute_quadric(q, lin, const, 14)
