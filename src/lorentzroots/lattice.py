@@ -17,13 +17,20 @@ from . import linalg
 from .errors import DegenerateFormError, DimensionError, DomainError
 
 
+def _integer(x) -> int:
+    # operator.index takes True for 1, so booleans are refused first
+    if isinstance(x, bool):
+        raise TypeError(f"gram entry {x} is a boolean, not an integer")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class Lattice:
     gram: tuple[tuple[int, ...], ...]
     name: str = ""
 
     def __post_init__(self):
-        g = tuple(tuple(operator.index(x) for x in row) for row in self.gram)
+        g = tuple(tuple(_integer(x) for x in row) for row in self.gram)
         object.__setattr__(self, "gram", g)
         n = len(g)
         if n == 0:
@@ -53,8 +60,11 @@ class LatticeInvariants:
 
 
 def lattice_from_dict(data) -> Lattice:
-    return Lattice(gram=tuple(tuple(row) for row in data["gram"]),
-                   name=data.get("name", ""))
+    gram = tuple(tuple(row) for row in data["gram"])
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise TypeError(f"lattice name must be a string, not {type(name).__name__}")
+    return Lattice(gram=gram, name=name)
 
 
 def load_lattice(path) -> Lattice:

@@ -8,7 +8,7 @@ tuples, vectors are plain tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DegenerateFormError, DimensionError
 
@@ -92,8 +92,6 @@ def primitive(v):
 
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector, keeping direction."""
-    from math import lcm
-
     den = 1
     for a in v:
         den = lcm(den, Fraction(a).denominator)
@@ -362,27 +360,7 @@ def _xgcd(a, b):
 
 
 # ---------------------------------------------------------------------------
-# positive definite enumeration (Fincke-Pohst style, fully rational)
-
-def floor_sqrt_fraction(f) -> int:
-    """floor(sqrt(f)) for a nonnegative Fraction."""
-    f = Fraction(f)
-    if f < 0:
-        raise DegenerateFormError("negative radicand")
-    p, q = f.numerator, f.denominator
-    return isqrt(p * q) // q
-
-
-def sqrt_fraction(f):
-    """Exact rational square root, or None."""
-    f = Fraction(f)
-    if f < 0:
-        return None
-    sp, sq = isqrt(f.numerator), isqrt(f.denominator)
-    if sp * sp == f.numerator and sq * sq == f.denominator:
-        return Fraction(sp, sq)
-    return None
-
+# positive definite enumeration (Fincke-Pohst descent on Python ints)
 
 def ldl(q):
     """(D, U) with q = U^T D U, U unit upper triangular; raises if q is not
@@ -398,39 +376,58 @@ def ldl(q):
 
 
 def quadric_integer_points(ldl, centre, radius):
-    """All integer y with (y - centre)^T q (y - centre) = radius, where
-    ldl = (D, U) factors the positive definite q; walks coordinates from the
-    last to the first with exact rational interval bounds."""
+    """All integer y with (y - centre)^T q (y - centre) = radius, sorted,
+    where ldl = (D, U) factors the positive definite q; centre, radius and
+    the factors are exact rationals (int or Fraction).
+
+    The left side is sum_i d_i (y_i - c_i)^2 with
+    c_i = centre_i - sum_{j>i} U_ij (y_j - centre_j), so coordinates are
+    walked from the last to the first.  With N the lcm of the denominators
+    of centre and of U above the diagonal, and K that of radius and D,
+    every term of the scaled equation
+
+        sum_i K d_i (N^2 y_i - N^2 c_i)^2 = K N^4 radius
+
+    is an integer, so the descent runs on ints alone: each level takes
+    exactly the y_i with |N^2 y_i - N^2 c_i| <= isqrt(budget // (K d_i)),
+    and the first coordinate solves its square exactly.
+    """
     d, u = ldl
     n = len(d)
     if n == 0:
         return [()] if radius == 0 else []
     if radius < 0:
         return []
+    upper = [row[i + 1:] for i, row in enumerate(u)]
+    nn = lcm(*(x.denominator for x in centre), *(x.denominator for row in upper for x in row))
+    k = lcm(radius.denominator, *(x.denominator for x in d))
+    n2 = nn * nn
+    cen = [x.numerator * (nn // x.denominator) for x in centre]          # N centre_j
+    nu = [[x.numerator * (nn // x.denominator) for x in row] for row in upper]  # N U_ij, j > i
+    kd = [x.numerator * (k // x.denominator) for x in d]                 # K d_i
     out = []
     y = [0] * n
+    z = [0] * n                                                          # N (y_j - centre_j)
 
     def descend(i, rem):
-        # rem = budget left for terms 0..i
-        ci = centre[i] - sum(u[i][j] * (y[j] - centre[j]) for j in range(i + 1, n))
+        # rem = scaled budget left for terms 0..i; c = N^2 c_i
+        c = nn * cen[i] - sum(a * b for a, b in zip(nu[i], z[i + 1:]))
         if i == 0:
-            # exact equation d0 (y0 - c0)^2 = rem
-            t = sqrt_fraction(rem / d[0])
-            if t is None:
+            s2, r = divmod(rem, kd[0])
+            s = isqrt(s2)
+            if r or s * s != s2:
                 return
-            for cand in {ci + t, ci - t}:
-                if cand.denominator == 1:
-                    y[0] = int(cand)
+            for t in {c + s, c - s}:
+                if t % n2 == 0:
+                    y[0] = t // n2
                     out.append(tuple(y))
             return
-        r = floor_sqrt_fraction(rem / d[i])
-        lo = int(ci) - r - 1
-        hi = int(ci) + r + 1
-        for cand in range(lo, hi + 1):
-            term = d[i] * (Fraction(cand) - ci) ** 2
-            if term <= rem:
-                y[i] = cand
-                descend(i - 1, rem - term)
+        r = isqrt(rem // kd[i])
+        for yi in range(-((r - c) // n2), (c + r) // n2 + 1):
+            t = n2 * yi - c
+            y[i] = yi
+            z[i] = nn * yi - cen[i]
+            descend(i - 1, rem - kd[i] * t * t)
 
-    descend(n - 1, radius)
+    descend(n - 1, radius.numerator * (k // radius.denominator) * n2 * n2)
     return sorted(out)

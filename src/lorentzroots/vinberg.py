@@ -145,6 +145,8 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
         if key > bound:
             continue
         heapq.heappush(heap, (Fraction((m + 1) ** 2, d), d, m + 1))
+        if (2 * m) % d:
+            continue     # d | 2 S(e_j, x) for all j, hence d | 2m
         for x in roots(d, m):
             if linalg.content(x) == 1 and is_crystallographic(lattice, x) \
                     and _residue_ok(filt, x):

@@ -116,6 +116,15 @@ def test_exit_codes(tmp_path):
         res = run_cli("info", "--lattice", str(path))
         assert res.returncode == 2, gram
         assert str(path) in res.stderr and "Traceback" not in res.stderr
+    # booleans are not integer entries, and a name must be a string
+    for i, data in enumerate(({"gram": [[True, False], [False, True]]},
+                              {"gram": [[2]], "name": {"a": [1]}},
+                              {"gram": [[2]], "name": 7})):
+        path = tmp_path / f"lattice{i}.json"
+        path.write_text(json.dumps(data))
+        res = run_cli("info", "--lattice", str(path))
+        assert res.returncode == 2, data
+        assert str(path) in res.stderr and "Traceback" not in res.stderr
     # domain error: controller not timelike
     res = run_cli("vinberg", "--lattice", "ex134.json",
                   "--controller", "0,1,1", "--norms", "2")

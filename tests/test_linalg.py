@@ -4,6 +4,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -216,6 +217,77 @@ def test_quadric_points_match_bruteforce():
         pts = linalg.quadric_integer_points(linalg.ldl(q), s, radius)
         assert pts == brute_quadric(q, lin, const, 14)
         assert all(max(abs(c) for c in p) <= 14 for p in pts)
+
+
+def fraction_quadric_points(ldl, centre, radius):
+    """The descent on Fractions with a slack of one step at each end: the
+    reference for the integer descent of quadric_integer_points."""
+    d, u = ldl
+    n = len(d)
+    if n == 0:
+        return [()] if radius == 0 else []
+    if radius < 0:
+        return []
+    out = []
+    y = [0] * n
+
+    def descend(i, rem):
+        ci = centre[i] - sum(u[i][j] * (y[j] - centre[j]) for j in range(i + 1, n))
+        f = Fraction(rem) / d[i]
+        if i == 0:
+            sp, sq = isqrt(f.numerator), isqrt(f.denominator)
+            if sp * sp != f.numerator or sq * sq != f.denominator:
+                return
+            for cand in {ci + Fraction(sp, sq), ci - Fraction(sp, sq)}:
+                if cand.denominator == 1:
+                    y[0] = int(cand)
+                    out.append(tuple(y))
+            return
+        r = isqrt(f.numerator * f.denominator) // f.denominator
+        for cand in range(int(ci) - r - 1, int(ci) + r + 2):
+            term = d[i] * (Fraction(cand) - ci) ** 2
+            if term <= rem:
+                y[i] = cand
+                descend(i - 1, rem - term)
+
+    descend(n - 1, radius)
+    return sorted(out)
+
+
+def test_integer_descent_matches_fraction_descent():
+    rng = random.Random(21)
+    nonempty = 0
+    for case in range(1200):
+        n = rng.randint(1, 5)
+        a = random_int_matrix(rng, n, n, -2, 2)
+        e = [rng.randint(1, 3) for _ in range(n)]
+        den = rng.choice((1, 1, 2, 3, 5))
+        q = tuple(tuple(Fraction(sum(a[r][i] * a[r][j] for r in range(n))
+                                 + (e[i] if i == j else 0), den)
+                        for j in range(n)) for i in range(n))
+        centre = tuple(Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, 7)))
+                       for _ in range(n))
+        if case % 2:
+            # the value at an integer point near the centre: never empty
+            p = tuple(round(c) + rng.randint(-1, 1) for c in centre)
+            v = linalg.vec_sub(p, centre)
+            radius = sum(v[i] * q[i][j] * v[j] for i in range(n) for j in range(n))
+        else:
+            radius = Fraction(rng.randint(0, 24), rng.choice((1, 2, 3, 5, 9)))
+        f = linalg.ldl(q)
+        got = linalg.quadric_integer_points(f, centre, radius)
+        assert got == fraction_quadric_points(f, centre, radius), (q, centre, radius)
+        nonempty += bool(got)
+    assert nonempty > 600
+    # radius 0, negative radius and the empty form
+    f = linalg.ldl(((2, 1), (1, 2)))
+    assert linalg.quadric_integer_points(f, (3, -1), 0) == [(3, -1)]
+    assert linalg.quadric_integer_points(f, (Fraction(1, 2), 0), 0) == []
+    assert linalg.quadric_integer_points(f, (0, 0), -1) == []
+    assert linalg.quadric_integer_points(f, (0, 0), Fraction(-1, 3)) == []
+    assert linalg.quadric_integer_points(((), ()), (), 0) == [()]
+    assert linalg.quadric_integer_points(((), ()), (), 1) == []
+    assert linalg.quadric_integer_points(((), ()), (), -1) == []
 
 
 def test_primitive_and_clear_denominators():

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -87,6 +88,33 @@ def test_shell_arithmetic_is_exact(monkeypatch):
     for centre, radius in seen:
         assert type(radius) in (int, Fraction)
         assert all(type(c) in (int, Fraction) for c in centre)
+
+
+def test_shells_whose_norm_does_not_divide_twice_the_pairing_are_skipped(monkeypatch):
+    # a crystallographic x of norm d has d | 2 S(e_j, x) for every j, so
+    # d | 2 S(h, x) = -2m: on U+<22> no norm-22 shell with 11 not dividing m
+    lat = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
+    h = (22, 30, -1)
+    hh = -norm(lat, h)
+    seen = []
+    quadric = linalg.quadric_integer_points
+
+    def spy(ldl, centre, radius):
+        # radius = d + m^2/hh, and m^2 < hh on every shell below the key
+        d = int(radius)
+        m = isqrt(int((radius - d) * hh))
+        assert d + Fraction(m * m, hh) == radius
+        seen.append((d, m))
+        return quadric(ldl, centre, radius)
+
+    monkeypatch.setattr(linalg, "quadric_integer_points", spy)
+    max_key = HeightKey(22 * 22, 22)
+    got = vinberg.enumerate_roots(lat, h, RootFilter(norms=frozenset({2, 22})), max_key)
+    assert sorted(got) == sorted(brute_first_shell(lat, h, 2, max_key)
+                                 + brute_first_shell(lat, h, 22, max_key))
+    assert any(norm(lat, x) == 22 for x in got)
+    assert {(22, 0), (22, 22), (2, 2), (2, 6)} <= set(seen)
+    assert all(m % 11 == 0 for d, m in seen if d == 22)
 
 
 def test_zero_key_is_empty(ex134):
