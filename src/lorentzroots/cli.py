@@ -8,6 +8,7 @@ vectors as integer arrays in basis coordinates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import sys
@@ -260,6 +261,7 @@ def _cmd_family(args):
     }, args)
 
 
+@functools.cache     # built once: parse_args keeps no state in the parser
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lorentz-roots",
@@ -328,10 +330,19 @@ def build_parser():
     return parser
 
 
+_VECTOR_OPTIONS = ("--controller", "--roots", "--mirror-a", "--mirror-b", "--e0", "--f01",
+                   "--f02", "--coeffs")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # argparse reads a separate value that starts with '-' as an option:
+    # "--controller -4,-3,-1" is passed on as "--controller=-4,-3,-1"
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _VECTOR_OPTIONS and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # argparse drops a "--" value: "--roots=--" leaves roots == []

@@ -24,73 +24,66 @@ class Cone:
     lineality: tuple[tuple[int, ...], ...]
 
 
-def _dd_pointed(rows, n):
-    """Extreme rays of {y : row . y <= 0}, assuming the rows have rank n.
+def clip(lin, rays, rows, row):
+    """Intersect span(lin) + cone(rays) with {y : row . y <= 0}.
 
-    Incremental double description: seed with an invertible subset of the
-    inequalities (a simplicial cone containing the target), then clip by
-    the remaining inequalities one at a time, combining adjacent rays
-    across the new hyperplane.  Adjacency is the exact rank test on the
-    common tight set.
+    One double description step (Fukuda & Prodon 1996): rows are the
+    inequalities clipped so far and lin spans their common kernel.  If row
+    is nonzero on a lineality vector, the first one, k, oriented so that
+    row . k < 0, becomes a ray and all else is projected along k onto
+    row . y = 0.  Otherwise the rays with row . y > 0 are dropped and each
+    adjacent pair across the hyperplane adds its combination on it;
+    adjacency is the exact rank test on the processed rows tight on both.
     """
-    if n == 0:
-        return []
-    base = linalg.pivots(linalg.transpose(rows))
-    inv = linalg.inverse([rows[i] for i in base])
-    cols = linalg.transpose(inv)
-    rays = [linalg.clear_denominators([-x for x in col]) for col in cols]
-    processed = list(base)
+    j = next((i for i, l in enumerate(lin) if linalg.dot(row, l)), None)
+    if j is not None:
+        k = lin[j] if linalg.dot(row, lin[j]) < 0 else linalg.vec_scale(-1, lin[j])
+        vk = linalg.dot(row, k)
+
+        def project(y):     # a positive multiple of y - (row . y / row . k) k
+            return linalg.primitive(linalg.vec_sub(linalg.vec_scale(linalg.dot(row, y), k),
+                                                   linalg.vec_scale(vk, y)))
+        return ([project(l) for i, l in enumerate(lin) if i != j],
+                [project(r) for r in rays] + [k])
+    vals = [linalg.dot(row, r) for r in rays]
+    edge_rank = len(row) - len(lin) - 2    # tight rank on a 2-face modulo lin
 
     def adjacent(p, q):
-        tight = [rows[i] for i in processed
-                 if linalg.dot(rows[i], p) == 0 and linalg.dot(rows[i], q) == 0]
-        return linalg.rank(tight) == n - 2
+        tight = [r for r in rows if linalg.dot(r, p) == 0 and linalg.dot(r, q) == 0]
+        return linalg.rank(tight) == edge_rank
 
-    for i, row in enumerate(rows):
-        if i in base:
+    new = []
+    for (p, vp), (q, vq) in combinations(zip(rays, vals), 2):
+        if vp * vq >= 0 or not adjacent(p, q):
             continue
-        vals = [linalg.dot(row, r) for r in rays]
-        if all(v <= 0 for v in vals):
-            processed.append(i)
-            continue
-        keep = [r for r, v in zip(rays, vals) if v <= 0]
-        new = []
-        for (p, vp), (q, vq) in combinations(zip(rays, vals), 2):
-            if vp * vq >= 0:
-                continue
-            if not adjacent(p, q):
-                continue
-            if vp < 0:
-                p, q, vp, vq = q, p, vq, vp
-            combo = linalg.vec_sub(linalg.vec_scale(vp, q), linalg.vec_scale(vq, p))
-            new.append(linalg.primitive(combo))
-        rays = keep + new
-        processed.append(i)
-        if not rays:
-            break
-    return sorted(set(rays))
+        if vp < 0:
+            p, q, vp, vq = q, p, vq, vp
+        new.append(linalg.primitive(linalg.vec_sub(linalg.vec_scale(vp, q),
+                                                   linalg.vec_scale(vq, p))))
+    return lin, [r for r, v in zip(rays, vals) if v <= 0] + new
 
 
 def dual_extreme_rays(lattice: Lattice, roots) -> Cone:
-    """Generator description of {x : S(x, a) <= 0 for all a in roots}."""
+    """Generator description of {x : S(x, a) <= 0 for all a in roots}.
+
+    A fold of clip from the whole space.  Lineality leaves in the order of
+    the rref pivot columns of the wall rows, so lin ends as
+    kernel_basis(rows) and every ray vanishes on the free columns.
+    """
     roots = [tuple(a) for a in roots]
     if not roots:
         raise DomainError("empty wall system")
-    n = lattice.rank
     rows = [linalg.mat_vec(lattice.gram, a) for a in roots]
-    lin = linalg.kernel_basis(rows, ncols=n)
-    # e_j (j in J) complement the kernel of rows iff columns J of rows are independent
-    comp = linalg.pivots(rows)
-    reduced = [tuple(row[j] for j in comp) for row in rows]
-    quotient_rays = _dd_pointed(reduced, len(comp))
-    rays = []
-    for qr in quotient_rays:
-        x = [0] * n
-        for j, v in zip(comp, qr):
-            x[j] = v
-        rays.append(tuple(x))
-    return Cone(walls=tuple(roots), rays=tuple(sorted(rays)),
-                lineality=tuple(sorted(linalg.primitive(v) for v in lin)))
+    lin, rays = linalg.identity(lattice.rank), []
+    for i, row in enumerate(rows):
+        lin, rays = clip(lin, rays, rows[:i], row)
+    return Cone(walls=tuple(roots), rays=tuple(sorted(rays)), lineality=tuple(sorted(lin)))
+
+
+def in_light_cone(lattice: Lattice, rays) -> bool:
+    """All rays isotropic or timelike and pairwise in one closed half-cone."""
+    return (all(norm(lattice, r) <= 0 for r in rays)
+            and all(pair(lattice, p, q) <= 0 for p, q in combinations(rays, 2)))
 
 
 @dataclass(frozen=True)
@@ -110,11 +103,8 @@ def is_arithmetic_type(lattice: Lattice, roots) -> ArithmeticTypeReport:
     a spacelike vector of the dual cone when one exists.
     """
     cone = dual_extreme_rays(lattice, roots)
+    ok = not cone.lineality and in_light_cone(lattice, cone.rays)
     witness = next((r for r in cone.rays if norm(lattice, r) > 0), None)
-    coherent = all(
-        pair(lattice, p, q) <= 0 for p, q in combinations(cone.rays, 2))
-    ok = (not cone.lineality and witness is None
-          and all(norm(lattice, r) <= 0 for r in cone.rays) and coherent)
     if not ok and witness is None and cone.lineality:
         witness = vector_of_sign(lattice, 1, cone.lineality)
     return ArithmeticTypeReport(finite_volume=ok, witness=witness, cone=cone)

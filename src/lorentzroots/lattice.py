@@ -112,11 +112,6 @@ def invariants(lattice: Lattice) -> LatticeInvariants:
     )
 
 
-def is_hyperbolic(lattice: Lattice) -> bool:
-    pos, neg, zero = linalg.signature(lattice.gram)
-    return zero == 0 and neg == 1 and pos == lattice.rank - 1
-
-
 def a_delta(lattice: Lattice, d) -> int:
     """Largest a such that d/a still pairs integrally with the whole lattice.
 

@@ -163,27 +163,28 @@ def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
     """Accrete a fundamental chamber around the controller.
 
     Candidates are processed in height order and accepted when nonobtuse
-    against everything accepted so far; after each acceptance the dual
-    cone is re-examined, and the run stops with terminated=True once the
-    finite-volume certificate holds.  Hitting either budget sets
-    exhausted=True instead.
+    against everything accepted so far.  Each acceptance clips the kept
+    dual cone once, and the run stops with terminated=True when that cone
+    is pointed and inside the light cone (the finite-volume certificate).
+    Hitting either budget sets exhausted=True instead.
     """
-    accepted = []
+    accepted, rows = [], []
+    lin, rays = linalg.identity(lattice.rank), []
     terminated = False
     if max_roots is None or max_roots > 0:
         for _, x in candidate_stream(lattice, h, filt, max_key):
-            if any(pair(lattice, x, y) > 0 for y in accepted):
+            if any(linalg.dot(row, x) > 0 for row in rows):
                 continue
+            row = linalg.mat_vec(lattice.gram, x)
+            lin, rays = cones.clip(lin, rays, rows, row)
             accepted.append(x)
-            if cones.is_arithmetic_type(lattice, accepted).finite_volume:
-                terminated = True
+            rows.append(row)
+            terminated = not lin and cones.in_light_cone(lattice, rays)
+            if terminated or len(accepted) == max_roots:
                 break
-            if max_roots is not None and len(accepted) >= max_roots:
-                break
-    exhausted = not terminated
     gram = tuple(tuple(pair(lattice, x, y) for y in accepted) for x in accepted)
     return ChamberReport(accepted=tuple(accepted), terminated=terminated,
-                         exhausted=exhausted, gram=gram)
+                         exhausted=not terminated, gram=gram)
 
 
 @dataclass(frozen=True)

@@ -199,3 +199,28 @@ def test_bad_inputs_are_usage_errors(args, option):
     assert option in res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args, option, value, code", [
+    (("vinberg", "--lattice", "u_plus_2.json", "--norms", "2"), "--controller", "-4,-3,-1", 0),
+    (("cartan", "--lattice", "u_plus_2.json"), "--roots", "-1,0,-1;1,-1,0;0,0,1", 0),
+    (("cartan", "--lattice", "ex134.json"), "--roots", "-1,0,0;0,1,0;0,0,1", 1),
+    (("weyl", "--lattice", "u_plus_2.json"), "--roots", "-1,0,-1;1,-1,0;0,0,1", 0),
+    (("family", "--lattice", "ex134.json", "--k", "2", "--window", "2"),
+     "--mirror-a", "-0,-1,0", 0),
+    (("family", "--lattice", "ex134.json", "--k", "2", "--window", "2"),
+     "--mirror-b", "-0,0,-1", 0),
+    (("family", "--lattice", "ex134.json", "--k", "2", "--window", "2"), "--e0", "-1,0,0", 1),
+    (("family", "--lattice", "ex134.json", "--k", "2", "--window", "2"), "--f01", "-4,-2,0", 1),
+    (("family", "--lattice", "ex134.json", "--k", "2", "--window", "2"), "--f02", "-4,0,-2", 1),
+    (("qseries", "--cusp-identity", "tau2m", "--n", "3"), "--coeffs", "-24,24,24", 0),
+    (("qseries", "--n", "3"), "--eta-power", "-24", 0),
+])
+def test_negative_vector_after_a_space(capsys, args, option, value, code):
+    from lorentzroots import cli
+
+    outcomes = []
+    for argv in ([*args, option, value], [*args, f"{option}={value}"]):
+        outcomes.append((cli.main(argv), *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code, outcomes[0]

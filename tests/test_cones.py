@@ -1,14 +1,15 @@
 """Double description, duality round trips and the arithmetic-type test."""
 
+import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 
 from ex134_data import CUSP
 from lorentzroots import cones, linalg
 from lorentzroots.errors import DomainError
-from lorentzroots.lattice import Lattice, norm, pair
-
+from lorentzroots.lattice import Lattice, norm, pair, vector_of_sign
 
 
 def test_triangle_dual_rays(ex134, triangle):
@@ -216,3 +217,92 @@ def test_k_elements(ex134, triangle):
     assert cones.k_elements(ex134, triangle, 0) == []
     for x in cones.k_elements(ex134, triangle, 5):
         assert norm(ex134, x) <= 0
+
+
+def _reference_dd_pointed(rows, n):
+    """Extreme rays of {y : row . y <= 0} for rows of rank n: seed with an
+    invertible subset of the rows, then clip by the others one at a time."""
+    if n == 0:
+        return []
+    base = linalg.pivots(linalg.transpose(rows))
+    inv = linalg.inverse([rows[i] for i in base])
+    rays = [linalg.clear_denominators([-x for x in col]) for col in linalg.transpose(inv)]
+    processed = list(base)
+
+    def adjacent(p, q):
+        tight = [rows[i] for i in processed
+                 if linalg.dot(rows[i], p) == 0 and linalg.dot(rows[i], q) == 0]
+        return linalg.rank(tight) == n - 2
+
+    for i, row in enumerate(rows):
+        if i in base:
+            continue
+        vals = [linalg.dot(row, r) for r in rays]
+        processed.append(i)
+        if all(v <= 0 for v in vals):
+            continue
+        new = []
+        for (p, vp), (q, vq) in combinations(zip(rays, vals), 2):
+            if vp * vq >= 0 or not adjacent(p, q):
+                continue
+            if vp < 0:
+                p, q, vp, vq = q, p, vq, vp
+            new.append(linalg.primitive(linalg.vec_sub(linalg.vec_scale(vp, q),
+                                                       linalg.vec_scale(vq, p))))
+        rays = [r for r, v in zip(rays, vals) if v <= 0] + new
+        if not rays:
+            break
+    return sorted(set(rays))
+
+
+def _reference_cone(lat, roots):
+    """The pointed double description on the coordinates complementing the
+    kernel of the wall rows (the pivot columns), embedded back by zeros."""
+    n = lat.rank
+    rows = [linalg.mat_vec(lat.gram, a) for a in roots]
+    comp = linalg.pivots(rows)
+    rays = []
+    for qr in _reference_dd_pointed([tuple(row[j] for j in comp) for row in rows], len(comp)):
+        x = [0] * n
+        for j, v in zip(comp, qr):
+            x[j] = v
+        rays.append(tuple(x))
+    lin = sorted(linalg.primitive(v) for v in linalg.kernel_basis(rows, ncols=n))
+    return cones.Cone(walls=tuple(roots), rays=tuple(sorted(rays)), lineality=tuple(lin))
+
+
+def _reference_arithmetic_type(lat, roots):
+    cone = _reference_cone(lat, roots)
+    witness = next((r for r in cone.rays if norm(lat, r) > 0), None)
+    ok = (not cone.lineality and witness is None
+          and all(norm(lat, r) <= 0 for r in cone.rays)
+          and all(pair(lat, p, q) <= 0 for p, q in combinations(cone.rays, 2)))
+    if not ok and witness is None and cone.lineality:
+        witness = vector_of_sign(lat, 1, cone.lineality)
+    return ok, witness, cone
+
+
+def test_clip_fold_matches_pointed_reference(ex134, u, u_plus_2, u_plus_a2, diag22m):
+    i41 = Lattice(gram=tuple(tuple((-1 if i == 0 else 1) * (i == j) for j in range(5))
+                             for i in range(5)))
+    u22 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
+    rng = random.Random(26)
+    total = with_lineality = 0
+    for lat in (ex134, u, u_plus_2, u_plus_a2, diag22m, i41, u22):
+        for _ in range(150):
+            k = rng.randint(1, lat.rank + 3)
+            roots = []
+            while len(roots) < k:
+                v = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
+                if any(v):
+                    roots.append(v)
+            art = cones.is_arithmetic_type(lat, roots)
+            assert (art.finite_volume, art.witness, art.cone) \
+                == _reference_arithmetic_type(lat, roots), roots
+            assert art.cone == cones.dual_extreme_rays(lat, roots)
+            shuffled = rng.sample(roots, len(roots))
+            again = cones.dual_extreme_rays(lat, shuffled)
+            assert dataclasses.replace(again, walls=art.cone.walls) == art.cone, roots
+            total += 1
+            with_lineality += bool(art.cone.lineality)
+    assert total >= 1000 and with_lineality >= 300, (total, with_lineality)

@@ -162,6 +162,39 @@ def test_run_prefix_stability_under_budget(ex134):
         assert part.accepted == full.accepted[:k]
 
 
+def _certificate_by_prefix(lat, accepted):
+    return [cones.is_arithmetic_type(lat, accepted[:k]).finite_volume
+            for k in range(1, len(accepted) + 1)]
+
+
+def test_run_stops_where_a_fresh_certificate_first_holds(
+        ex134, u_plus_2, u_plus_a2, diag22m):
+    # the kept cone clipped once per wall agrees with a fresh double
+    # description on every prefix of the accepted walls
+    runs = [(ex134, (1, 1, 1), {2}, 2000, 16), (ex134, (4, 3, 2), {2, 8}, 2000, 16),
+            (u_plus_2, (-4, -3, -1), {2}, 2000, 16), (u_plus_2, (-4, -3, -1), {2, 4}, 2000, 16),
+            (diag22m, (1, 2, 4), {2, 4}, 2000, 16), (u_plus_a2, (-4, -3, -1, -1), {2}, 2000, 16)]
+    for n in (4, 5):
+        gram = tuple(tuple((-1 if i == 0 else 1) * (i == j) for j in range(n + 1))
+                     for i in range(n + 1))
+        runs.append((Lattice(gram=gram), (400,) + tuple(range(n, 0, -1)), {1, 2}, 10 ** 7, None))
+    u22 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
+    runs.append((u22, (22, 30, -1), {2, 22}, 4 * 10 ** 6, None))
+    for lat, h, norms, key, max_roots in runs:
+        rep = vinberg.run(lat, h, RootFilter(norms=frozenset(norms)),
+                          max_key=HeightKey(key, 1), max_roots=max_roots)
+        assert rep.terminated, (lat.gram, h)
+        assert _certificate_by_prefix(lat, rep.accepted) \
+            == [False] * (len(rep.accepted) - 1) + [True], (lat.gram, h)
+    # budget-capped runs never see the certificate
+    u26 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 26)))
+    for lat, h, max_roots, walls in ((u22, (22, 30, -1), 5, 5), (u26, (-12, -28, -3), 40, 25)):
+        rep = vinberg.run(lat, h, NORMS2, max_key=HeightKey(4 * 10 ** 6, 1),
+                          max_roots=max_roots)
+        assert rep.exhausted and len(rep.accepted) == walls
+        assert _certificate_by_prefix(lat, rep.accepted) == [False] * walls
+
+
 def test_controller_on_mirror_cases(ex134, diag22m):
     # (0,0,1) is orthogonal to the norm-2 root (1,0,0) of diag(2,2,-2)
     with pytest.raises(ControllerOnMirrorError):
