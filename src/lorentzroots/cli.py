@@ -108,17 +108,16 @@ def _cmd_info(args):
 def _cmd_vinberg(args):
     lat = _load_lattice_arg(args.lattice)
     controller = _vector(args.controller, "--controller", lat.rank)
-    try:
-        norms = frozenset(int(x) for x in args.norms.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse norm set {args.norms!r}")
+    norms = frozenset(_vector(args.norms, "--norms"))
+    if any(d <= 0 for d in norms):
+        raise UsageError(f"--norms {args.norms!r} must be positive integers")
     congruence = _congruence(args.congruence, lat.rank) if args.congruence else None
     filt = vinberg.RootFilter(norms=norms, congruence=congruence)
     try:
         num, _, den = args.max_height_sq.partition("/")
         max_key = vinberg.HeightKey(int(num), int(den) if den else 1)
     except ValueError:
-        raise UsageError(f"cannot parse height bound {args.max_height_sq!r}")
+        raise UsageError(f"cannot parse --max-height-sq {args.max_height_sq!r}")
     report = vinberg.run(lat, controller, filt, max_key=max_key,
                          max_roots=args.max_roots)
     bound = vinberg.gram_bound_check(lat, report.accepted) if report.accepted else None

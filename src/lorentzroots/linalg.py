@@ -350,6 +350,68 @@ def row_kernel_transform(w):
     return g, [tuple(c) for c in cols]
 
 
+def lll(rows, gram):
+    """LLL-reduce (delta = 3/4) integer rows under the integer form gram.
+
+    The integral LLL of Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7: d[i] is the Gram determinant of the first i rows
+    and lam[k][j] = d[j+1] mu_kj, both integers kept up to date by exact
+    division.  gram may be indefinite, but it must be positive definite on
+    span(rows); a Gram determinant <= 0 raises DegenerateFormError.  Returns
+    a unimodular change of the rows, as a list of tuples.
+    """
+    b = [list(r) for r in rows]
+    n = len(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:
+            # Gram-Schmidt data of the new row k against rows 0..k
+            kmax = k
+            gk = mat_vec(gram, b[k])
+            for j in range(k + 1):
+                u = dot(b[j], gk)
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+            if u <= 0:
+                raise DegenerateFormError("form is not positive definite on the span")
+            d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        red(k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:
+            # swap rows k-1 and k; rows below keep exact Gram-Schmidt data
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            nb = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (nb * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = nb
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return [tuple(r) for r in b]
+
+
 def _xgcd(a, b):
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:

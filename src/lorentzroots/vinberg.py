@@ -93,10 +93,13 @@ def shells(lattice, h):
     where the form on h^perp is fixed and the squared radius is
     d + m^2/|S(h,h)|; so the unimodular basis, the coordinates of h in it
     and the LDL of the kernel Gram matrix are computed once per controller.
+    The kernel part of that basis is LLL-reduced under the form, which keeps
+    the Fincke-Pohst descent from walking long thin boxes (Fincke & Pohst
+    1985), whatever basis the lattice is given in.
     """
     g, cols = linalg.row_kernel_transform(linalg.mat_vec(lattice.gram, h))
-    basis = linalg.transpose(cols)
-    kern = cols[1:]
+    kern = linalg.lll(cols[1:], lattice.gram)
+    basis = linalg.transpose([cols[0]] + kern)
     hh = -norm(lattice, h)
     z = linalg.solve(basis, h)
     c = [x / hh for x in z[1:]]

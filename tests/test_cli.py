@@ -192,6 +192,16 @@ _ROOTS = "1,0,0;0,1,0;0,0,1"
     (("weyl", "--lattice", "ex134.json", "--roots", "1,0,0,0"), "--roots"),
     (("denominator", "--lattice", "ex134.json", "--roots=--"), "--roots"),
     (("qseries", "--eta-power=--", "--n", "3"), "--eta-power"),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "0"),
+     "--norms"),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "-2"),
+     "--norms"),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2,-2"),
+     "--norms"),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", ",,"),
+     "--norms"),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
+      "--max-height-sq", "1/0"), "--max-height-sq"),
 ])
 def test_bad_inputs_are_usage_errors(args, option):
     res = run_cli(*args)

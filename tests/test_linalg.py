@@ -189,6 +189,84 @@ def test_row_kernel_transform():
         assert abs(linalg.det(linalg.transpose(cols))) == 1
 
 
+def random_basis(rng, n, m, lo=-20, hi=20):
+    while True:
+        b = random_int_matrix(rng, n, m, lo, hi)
+        if linalg.rank(b) == n:
+            return b
+
+
+def assert_lll_reduced(rows, gram, out):
+    """out is a unimodular change of rows, size-reduced (|mu_ij| <= 1/2) and
+    Lovasz at 3/4, by a Fraction Gram-Schmidt on the Gram matrix of out."""
+    n = len(rows)
+    assert len(out) == n
+    coords = [linalg.solve(linalg.transpose(rows), r) for r in out]
+    assert all(c is not None and all(x.denominator == 1 for x in c) for c in coords)
+    assert abs(linalg.det([[int(x) for x in c] for c in coords])) == 1
+    g = [[linalg.dot(a, linalg.mat_vec(gram, b)) for b in out] for a in out]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (g[i][j] - sum(mu[j][k] * mu[i][k] * bstar[k] for k in range(j))) \
+                / bstar[j]
+        bstar.append(g[i][i] - sum(mu[i][k] ** 2 * bstar[k] for k in range(i)))
+    assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
+    assert all(bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]
+               for k in range(1, n))
+
+
+def test_lll_is_a_reduced_unimodular_change():
+    rng = random.Random(21)
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        b = random_basis(rng, rng.randint(1, m), m)
+        assert_lll_reduced(b, linalg.identity(m), linalg.lll(b, linalg.identity(m)))
+    # indefinite forms, positive definite on h^perp for a timelike h
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        gram = tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(n))
+                     for i in range(n))
+        h = (rng.randint(3 * n, 60),) + tuple(rng.randint(-3, 3) for _ in range(n - 1))
+        _, cols = linalg.row_kernel_transform(linalg.mat_vec(gram, h))
+        assert_lll_reduced(cols[1:], gram, linalg.lll(cols[1:], gram))
+
+
+def test_lll_matches_sympy():
+    # identity form: sympy's LLL (delta = 3/4) on the same rows
+    rng = random.Random(22)
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        b = random_basis(rng, rng.randint(1, m), m)
+        assert [list(r) for r in linalg.lll(b, linalg.identity(m))] \
+            == sympy.Matrix(b).lll().tolist()
+    # gram = A^T A: reducing b under gram is reducing the rows b A^T
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        a = random_int_matrix(rng, m, m, -5, 5)
+        if linalg.det(a) == 0:
+            continue
+        b = random_basis(rng, rng.randint(1, m), m)
+        gram = linalg.mat_mul(linalg.transpose(a), a)
+        out = linalg.mat_mul(linalg.lll(b, gram), linalg.transpose(a))
+        assert [list(r) for r in out] \
+            == sympy.Matrix(linalg.mat_mul(b, linalg.transpose(a))).lll().tolist()
+
+
+def test_lll_small_ranks_and_degenerate_spans():
+    assert linalg.lll([], linalg.identity(3)) == []
+    assert linalg.lll([(3, -1, 2)], linalg.identity(3)) == [(3, -1, 2)]
+    assert linalg.lll([(1, 1, 0)], ((1, 0, 0), (0, 1, 0), (0, 0, -1))) == [(1, 1, 0)]
+    u_plus_2 = ((0, -1, 0), (-1, 0, 0), (0, 0, 2))
+    # h = (1,0,0) is isotropic, so the form on h^perp = span((0,0,1), h) is
+    # only semidefinite; negative and dependent rows are rejected too
+    for rows in ([(0, 0, 1), (1, 0, 0)], [(1, 0, 0), (0, 0, 1)], [(1, 1, 0)],
+                 [(0, 0, 1), (1, 1, 0)], [(0, 0, 1), (0, 0, 2)], [(0, 0, 0)]):
+        with pytest.raises(DegenerateFormError):
+            linalg.lll(rows, u_plus_2)
+
+
 def brute_quadric(q, lin, const, box):
     import itertools
 

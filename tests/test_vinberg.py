@@ -162,6 +162,44 @@ def test_run_prefix_stability_under_budget(ex134):
         assert part.accepted == full.accepted[:k]
 
 
+def _transvections(n, steps):
+    """U = product of (I + s e_i e_j^T) over steps (i, j, s), and U^-1."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for i, j, s in steps:
+        for r in range(n):
+            u[r][j] += s * u[r][i]
+        u_inv[i] = [a - s * b for a, b in zip(u_inv[i], u_inv[j])]
+    assert linalg.mat_mul(u, u_inv) == linalg.identity(n)
+    return u, u_inv
+
+
+def test_runs_and_enumerations_do_not_depend_on_the_basis(ex134):
+    # the same lattice in a new basis: S' = U^T S U and x' = U^-1 x, mapped
+    # back by x = U x'; the shell basis is reduced, so only cost may change
+    i51 = Lattice(gram=tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(6))
+                             for i in range(6)))
+    u22 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
+    cases = [(i51, (400, 5, 4, 3, 2, 1), {1, 2}, 10 ** 7, 2000,
+              [(0, 3, 1), (5, 1, -1), (2, 4, 1), (3, 0, -1)]),
+             (ex134, (1, 1, 1), {2}, 2000, 400, [(0, 1, 1), (2, 0, -1), (1, 2, 1)]),
+             (u22, (22, 30, -1), {2, 22}, 4 * 10 ** 6, 10 ** 5,
+              [(2, 0, 1), (0, 1, -1), (1, 2, 1), (2, 1, -1)])]
+    for lat, h, norms, key, enum_key, steps in cases:
+        u, u_inv = _transvections(lat.rank, steps)
+        moved = Lattice(gram=linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(lat.gram, u)))
+        h2 = linalg.mat_vec(u_inv, h)
+        filt = RootFilter(norms=frozenset(norms))
+        rep = vinberg.run(lat, h, filt, max_key=HeightKey(key, 1))
+        rep2 = vinberg.run(moved, h2, filt, max_key=HeightKey(key, 1))
+        assert rep.terminated and rep2.terminated, lat.gram
+        assert sorted(linalg.mat_vec(u, x) for x in rep2.accepted) == sorted(rep.accepted)
+        got = vinberg.enumerate_roots(moved, h2, filt, HeightKey(enum_key, 1))
+        want = vinberg.enumerate_roots(lat, h, filt, HeightKey(enum_key, 1))
+        assert len(want) > len(rep.accepted)
+        assert sorted(linalg.mat_vec(u, x) for x in got) == sorted(want)
+
+
 def _certificate_by_prefix(lat, accepted):
     return [cones.is_arithmetic_type(lat, accepted[:k]).finite_volume
             for k in range(1, len(accepted) + 1)]
