@@ -357,8 +357,13 @@ def lll(rows, gram):
     Theory, Alg. 2.6.7: d[i] is the Gram determinant of the first i rows
     and lam[k][j] = d[j+1] mu_kj, both integers kept up to date by exact
     division.  gram may be indefinite, but it must be positive definite on
-    span(rows); a Gram determinant <= 0 raises DegenerateFormError.  Returns
-    a unimodular change of the rows, as a list of tuples.
+    span(rows); a Gram determinant <= 0 raises DegenerateFormError.
+
+    Returns (b, d, lam): b is a unimodular change of the rows, as a list of
+    tuples, d = (d_0, ..., d_n) with d_0 = 1 holds the Gram determinants of
+    its leading rows, and lam[k] = (lam_k0, ..., lam_k,k-1).  They are an
+    integral LDL of the Gram matrix G of b: G = U^T D U with
+    D_i = d_{i+1} / d_i and U_jk = lam_kj / d_{j+1} for j < k.
     """
     b = [list(r) for r in rows]
     n = len(b)
@@ -409,7 +414,7 @@ def lll(rows, gram):
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    return [tuple(r) for r in b]
+    return [tuple(r) for r in b], tuple(d), tuple(tuple(row[:k]) for k, row in enumerate(lam))
 
 
 def _xgcd(a, b):
@@ -424,56 +429,37 @@ def _xgcd(a, b):
 # ---------------------------------------------------------------------------
 # positive definite enumeration (Fincke-Pohst descent on Python ints)
 
-def ldl(q):
-    """(D, U) with q = U^T D U, U unit upper triangular; raises if q is not
-    positive definite.
+def quadric_integer_points(form, centre, radius):
+    """All integer y with (y - c)^T q (y - c) = rho, sorted, for a positive
+    definite q given by an LDL q = U^T D U (U unit upper triangular) in
+    integer form: form = (N, nu, kd) with nu[i] = (N U_i,i+1, ..., N U_i,n-1)
+    and kd[i] = K D_i, centre = N c and radius = K N^4 rho.  Every input is
+    a Python int, so the caller scales once and each call only descends.
 
-    For positive definite q no pivot of diagonalizing_basis vanishes, so
-    its basis T is unit lower triangular with T q T^T = D, and U = T^-T.
+    The left side is sum_i D_i (y_i - t_i)^2 with
+    t_i = c_i - sum_{j>i} U_ij (y_j - c_j), so coordinates are walked from
+    the last to the first.  Every term of the scaled equation
+
+        sum_i K D_i (N^2 y_i - N^2 t_i)^2 = K N^4 rho
+
+    is an integer: each level takes exactly the y_i with
+    |N^2 y_i - N^2 t_i| <= isqrt(budget // (K D_i)), and the first
+    coordinate solves its square exactly.
     """
-    t, d = diagonalizing_basis(q)
-    if any(x <= 0 for x in d):
-        raise DegenerateFormError("form is not positive definite")
-    return d, transpose(inverse(t))
-
-
-def quadric_integer_points(ldl, centre, radius):
-    """All integer y with (y - centre)^T q (y - centre) = radius, sorted,
-    where ldl = (D, U) factors the positive definite q; centre, radius and
-    the factors are exact rationals (int or Fraction).
-
-    The left side is sum_i d_i (y_i - c_i)^2 with
-    c_i = centre_i - sum_{j>i} U_ij (y_j - centre_j), so coordinates are
-    walked from the last to the first.  With N the lcm of the denominators
-    of centre and of U above the diagonal, and K that of radius and D,
-    every term of the scaled equation
-
-        sum_i K d_i (N^2 y_i - N^2 c_i)^2 = K N^4 radius
-
-    is an integer, so the descent runs on ints alone: each level takes
-    exactly the y_i with |N^2 y_i - N^2 c_i| <= isqrt(budget // (K d_i)),
-    and the first coordinate solves its square exactly.
-    """
-    d, u = ldl
-    n = len(d)
+    nn, nu, kd = form
+    n = len(kd)
     if n == 0:
         return [()] if radius == 0 else []
     if radius < 0:
         return []
-    upper = [row[i + 1:] for i, row in enumerate(u)]
-    nn = lcm(*(x.denominator for x in centre), *(x.denominator for row in upper for x in row))
-    k = lcm(radius.denominator, *(x.denominator for x in d))
     n2 = nn * nn
-    cen = [x.numerator * (nn // x.denominator) for x in centre]          # N centre_j
-    nu = [[x.numerator * (nn // x.denominator) for x in row] for row in upper]  # N U_ij, j > i
-    kd = [x.numerator * (k // x.denominator) for x in d]                 # K d_i
     out = []
     y = [0] * n
-    z = [0] * n                                                          # N (y_j - centre_j)
+    z = [0] * n                                                          # N (y_j - c_j)
 
     def descend(i, rem):
-        # rem = scaled budget left for terms 0..i; c = N^2 c_i
-        c = nn * cen[i] - sum(a * b for a, b in zip(nu[i], z[i + 1:]))
+        # rem = scaled budget left for terms 0..i; c = N^2 t_i
+        c = nn * centre[i] - sum(a * b for a, b in zip(nu[i], z[i + 1:]))
         if i == 0:
             s2, r = divmod(rem, kd[0])
             s = isqrt(s2)
@@ -488,8 +474,8 @@ def quadric_integer_points(ldl, centre, radius):
         for yi in range(-((r - c) // n2), (c + r) // n2 + 1):
             t = n2 * yi - c
             y[i] = yi
-            z[i] = nn * yi - cen[i]
+            z[i] = nn * yi - centre[i]
             descend(i - 1, rem - kd[i] * t * t)
 
-    descend(n - 1, radius.numerator * (k // radius.denominator) * n2 * n2)
+    descend(n - 1, radius)
     return sorted(out)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from itertools import combinations
+from math import lcm
 
 from . import cones, linalg
 from .errors import ControllerOnMirrorError, DomainError
@@ -27,6 +28,9 @@ class HeightKey:
     denominator: int
 
     def __post_init__(self):
+        if type(self.numerator) is not int or type(self.denominator) is not int:
+            raise DomainError(f"height key needs integers, got "
+                              f"{self.numerator!r}/{self.denominator!r}")
         if self.numerator < 0 or self.denominator <= 0:
             raise DomainError("height key needs numerator >= 0, denominator > 0")
 
@@ -53,7 +57,10 @@ class RootFilter:
     congruence: tuple | None = None  # (basis rows of M1, tuple of residues)
 
     def __post_init__(self):
-        object.__setattr__(self, "norms", frozenset(int(d) for d in self.norms))
+        object.__setattr__(self, "norms", frozenset(self.norms))
+        for d in self.norms:
+            if type(d) is not int:
+                raise DomainError(f"norm {d!r} is not an integer")
         if not self.norms or any(d <= 0 for d in self.norms):
             raise DomainError("norm set must be a nonempty set of positive integers")
         if self.congruence is not None:
@@ -91,25 +98,38 @@ def shells(lattice, h):
 
     Shell (d, m) lies on the slice S(h,x) = -m, centred at m h / |S(h,h)|,
     where the form on h^perp is fixed and the squared radius is
-    d + m^2/|S(h,h)|; so the unimodular basis, the coordinates of h in it
-    and the LDL of the kernel Gram matrix are computed once per controller.
-    The kernel part of that basis is LLL-reduced under the form, which keeps
-    the Fincke-Pohst descent from walking long thin boxes (Fincke & Pohst
-    1985), whatever basis the lattice is given in.
+    (d |S(h,h)| + m^2) / |S(h,h)|.  The kernel part of the unimodular basis
+    is LLL-reduced under the form, which keeps the Fincke-Pohst descent from
+    walking long thin boxes (Fincke & Pohst 1985), whatever basis the
+    lattice is given in, and LLL's integral Gram-Schmidt data is the LDL of
+    the form on h^perp.  The coordinates z of h in the basis are integers,
+    so the only denominators are those of that LDL and |S(h,h)|: they are
+    cleared once per controller, and each shell passes quadric_integer_points
+    the ints m z N / |S(h,h)| and (d |S(h,h)| + m^2) K N^4 / |S(h,h)|.
     """
     g, cols = linalg.row_kernel_transform(linalg.mat_vec(lattice.gram, h))
-    kern = linalg.lll(cols[1:], lattice.gram)
+    kern, dets, lam = linalg.lll(cols[1:], lattice.gram)
     basis = linalg.transpose([cols[0]] + kern)
     hh = -norm(lattice, h)
-    z = linalg.solve(basis, h)
-    c = [x / hh for x in z[1:]]
-    ldl = linalg.ldl([[pair(lattice, u, v) for v in kern] for u in kern])
+    # h = basis z with det(basis) = +-1: Cramer's rule gives z in ints
+    sign = linalg.det(basis)
+    z = [sign * linalg.det([row[:i] + (x,) + row[i + 1:] for row, x in zip(basis, h)])
+         for i in range(1, len(h))]
+    r = len(kern)
+    # D_i = dets[i+1]/dets[i] and U_ik = lam[k][i]/dets[i+1]: N clears U and
+    # z/hh, K clears D, and hh | N makes the scaled radius an int
+    nn = lcm(hh, *dets[1:r])
+    kk = lcm(*dets[:r])
+    form = (nn, [[lam[j][i] * nn // dets[i + 1] for j in range(i + 1, r)] for i in range(r)],
+            [kk * dets[i + 1] // dets[i] for i in range(r)])
+    centre = [x * nn // hh for x in z]
+    scale = kk * nn ** 4 // hh
 
     def roots(d, m):
         if m % g != 0:
             return []
-        pts = linalg.quadric_integer_points(ldl, [m * x for x in c],
-                                            d + Fraction(m * m, hh))
+        pts = linalg.quadric_integer_points(form, [m * x for x in centre],
+                                            (d * hh + m * m) * scale)
         return sorted(linalg.mat_vec(basis, (-m // g,) + y) for y in pts)
     return roots
 
@@ -132,22 +152,24 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
     primitive, crystallographic, congruence-admissible and satisfy
     S(h, root) < 0.
     """
+    if any(type(x) is not int for x in h):
+        raise DomainError("controller must be integral")
     if norm(lattice, h) >= 0:
         raise DomainError("controller must be timelike")
-    if any(Fraction(x).denominator != 1 for x in h):
-        raise DomainError("controller must be integral")
     roots = shells(lattice, h)
     _mirror_check(roots, lattice, filt)
 
-    bound = max_key.value()
-    heap = []
-    for d in sorted(filt.norms):
-        heapq.heappush(heap, (Fraction(1, d), d, 1))
+    # keys scaled by L = lcm(norms): m^2 (L/d) <= floor(L max_key) is exactly
+    # m^2/d <= max_key, with the same order and ties
+    big = lcm(*filt.norms)
+    bound = max_key.numerator * big // max_key.denominator
+    heap = [(big // d, d, 1) for d in filt.norms]
+    heapq.heapify(heap)
     while heap:
         key, d, m = heapq.heappop(heap)
         if key > bound:
             continue
-        heapq.heappush(heap, (Fraction((m + 1) ** 2, d), d, m + 1))
+        heapq.heappush(heap, ((m + 1) ** 2 * (big // d), d, m + 1))
         if (2 * m) % d:
             continue     # d | 2 S(e_j, x) for all j, hence d | 2m
         for x in roots(d, m):

@@ -4,7 +4,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 import sympy
@@ -152,22 +152,33 @@ def test_pivots_match_greedy_rank():
     assert linalg.pivots(((0, 0), (0, 0))) == []
 
 
-def test_ldl_factors():
+def test_lll_data_is_an_ldl_of_the_reduced_gram():
+    # lll's integral Gram-Schmidt data factors the Gram matrix of its rows
     rng = random.Random(20)
     for _ in range(60):
         n = rng.randint(1, 6)
         a = random_int_matrix(rng, n, n, -3, 3)
         q = tuple(tuple(sum(a[r][i] * a[r][j] for r in range(n)) + (1 if i == j else 0)
                         for j in range(n)) for i in range(n))
-        d, u = linalg.ldl(q)
-        assert all(u[i][j] == (1 if i == j else 0) for i in range(n) for j in range(i + 1))
+        rows, dets, lam = linalg.lll(linalg.identity(n), q)
+        d, u = lll_ldl(dets, lam)
         assert all(x > 0 for x in d)
         dd = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        assert linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(dd, u)) == q
+        assert linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(dd, u)) \
+            == linalg.mat_mul(rows, linalg.mat_mul(q, linalg.transpose(rows)))
     for bad in (((1, 0), (0, -1)), ((0, 1), (1, 0)), ((1, 1), (1, 1)), ((0,),),
                 ((2, 0, 0), (0, 0, 0), (0, 0, 3))):
         with pytest.raises(DegenerateFormError):
-            linalg.ldl(bad)
+            linalg.lll(linalg.identity(len(bad)), bad)
+
+
+def lll_ldl(dets, lam):
+    """(D, U) as Fractions from lll's data: D_i = d_{i+1}/d_i, U_jk = lam_kj/d_{j+1}."""
+    n = len(lam)
+    d = [Fraction(dets[i + 1], dets[i]) for i in range(n)]
+    u = [[Fraction(lam[k][j], dets[j + 1]) if j < k else Fraction(int(j == k))
+          for k in range(n)] for j in range(n)]
+    return d, u
 
 
 def test_row_kernel_transform():
@@ -196,15 +207,18 @@ def random_basis(rng, n, m, lo=-20, hi=20):
             return b
 
 
-def assert_lll_reduced(rows, gram, out):
-    """out is a unimodular change of rows, size-reduced (|mu_ij| <= 1/2) and
-    Lovasz at 3/4, by a Fraction Gram-Schmidt on the Gram matrix of out."""
+def assert_lll_reduced(rows, gram, result):
+    """result = (out, d, lam): out is a unimodular change of rows,
+    size-reduced (|mu_ij| <= 1/2) and Lovasz at 3/4, and d and lam are its
+    Gram determinants and d_{j+1} mu_kj, all by a Fraction Gram-Schmidt on
+    the Gram matrix of out."""
+    out, d, lam = result
     n = len(rows)
     assert len(out) == n
     coords = [linalg.solve(linalg.transpose(rows), r) for r in out]
     assert all(c is not None and all(x.denominator == 1 for x in c) for c in coords)
     assert abs(linalg.det([[int(x) for x in c] for c in coords])) == 1
-    g = [[linalg.dot(a, linalg.mat_vec(gram, b)) for b in out] for a in out]
+    g = [[Fraction(linalg.dot(a, linalg.mat_vec(gram, b))) for b in out] for a in out]
     mu = [[Fraction(0)] * n for _ in range(n)]
     bstar = []
     for i in range(n):
@@ -215,6 +229,13 @@ def assert_lll_reduced(rows, gram, out):
     assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
     assert all(bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]
                for k in range(1, n))
+    dets = [Fraction(1)]
+    for b in bstar:
+        dets.append(dets[-1] * b)
+    assert [type(x) for x in d] == [int] * (n + 1) and list(d) == dets
+    assert [len(row) for row in lam] == list(range(n))
+    assert all(type(lam[k][j]) is int and lam[k][j] == dets[j + 1] * mu[k][j]
+               for k in range(n) for j in range(k))
 
 
 def test_lll_is_a_reduced_unimodular_change():
@@ -239,7 +260,7 @@ def test_lll_matches_sympy():
     for _ in range(60):
         m = rng.randint(1, 6)
         b = random_basis(rng, rng.randint(1, m), m)
-        assert [list(r) for r in linalg.lll(b, linalg.identity(m))] \
+        assert [list(r) for r in linalg.lll(b, linalg.identity(m))[0]] \
             == sympy.Matrix(b).lll().tolist()
     # gram = A^T A: reducing b under gram is reducing the rows b A^T
     for _ in range(60):
@@ -249,15 +270,16 @@ def test_lll_matches_sympy():
             continue
         b = random_basis(rng, rng.randint(1, m), m)
         gram = linalg.mat_mul(linalg.transpose(a), a)
-        out = linalg.mat_mul(linalg.lll(b, gram), linalg.transpose(a))
+        out = linalg.mat_mul(linalg.lll(b, gram)[0], linalg.transpose(a))
         assert [list(r) for r in out] \
             == sympy.Matrix(linalg.mat_mul(b, linalg.transpose(a))).lll().tolist()
 
 
 def test_lll_small_ranks_and_degenerate_spans():
-    assert linalg.lll([], linalg.identity(3)) == []
-    assert linalg.lll([(3, -1, 2)], linalg.identity(3)) == [(3, -1, 2)]
-    assert linalg.lll([(1, 1, 0)], ((1, 0, 0), (0, 1, 0), (0, 0, -1))) == [(1, 1, 0)]
+    assert linalg.lll([], linalg.identity(3)) == ([], (1,), ())
+    assert linalg.lll([(3, -1, 2)], linalg.identity(3)) == ([(3, -1, 2)], (1, 14), ((),))
+    assert linalg.lll([(1, 1, 0)], ((1, 0, 0), (0, 1, 0), (0, 0, -1))) \
+        == ([(1, 1, 0)], (1, 2), ((),))
     u_plus_2 = ((0, -1, 0), (-1, 0, 0), (0, 0, 2))
     # h = (1,0,0) is isotropic, so the form on h^perp = span((0,0,1), h) is
     # only semidefinite; negative and dependent rows are rejected too
@@ -280,7 +302,37 @@ def brute_quadric(q, lin, const, box):
     return sorted(out)
 
 
+def integer_form(d, u, centre, radius):
+    """The arguments of quadric_integer_points for the rational LDL (D, U),
+    centre c and radius rho: N and K are the lcm of the denominators of U
+    and c, and of D and N^4 rho."""
+    n = len(d)
+    nn = lcm(*(Fraction(x).denominator for x in centre),
+             *(Fraction(u[i][j]).denominator for i in range(n) for j in range(i + 1, n)))
+    k = lcm(Fraction(nn ** 4 * radius).denominator, *(Fraction(x).denominator for x in d))
+    scaled = [nn * u[i][j] for i in range(n) for j in range(i + 1, n)] \
+        + [k * x for x in d] + [nn * x for x in centre] + [k * nn ** 4 * radius]
+    assert all(Fraction(x).denominator == 1 for x in scaled)
+    form = (nn, [[int(nn * u[i][j]) for j in range(i + 1, n)] for i in range(n)],
+            [int(k * x) for x in d])
+    return form, [int(nn * x) for x in centre], int(k * nn ** 4 * radius)
+
+
+def fraction_ldl(q):
+    """(D, U) with q = U^T D U, U unit upper triangular, by Fraction elimination."""
+    n = len(q)
+    d = []
+    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        d.append(Fraction(q[i][i]) - sum(d[k] * u[k][i] ** 2 for k in range(i)))
+        for j in range(i + 1, n):
+            u[i][j] = (Fraction(q[i][j]) - sum(d[k] * u[k][i] * u[k][j] for k in range(i))) \
+                / d[i]
+    return d, u
+
+
 def test_quadric_points_match_bruteforce():
+    # the whole chain: lll's LDL in the reduced basis, scaled to ints
     rng = random.Random(18)
     for _ in range(30):
         k = rng.randint(1, 3)
@@ -292,7 +344,11 @@ def test_quadric_points_match_bruteforce():
         # y^T q y + lin.y + const = (y - s)^T q (y - s) - radius, with 2 q s = -lin
         s = linalg.solve([[2 * x for x in row] for row in q], [-x for x in lin])
         radius = sum(s[i] * q[i][j] * s[j] for i in range(k) for j in range(k)) - const
-        pts = linalg.quadric_integer_points(linalg.ldl(q), s, radius)
+        rows, dets, lam = linalg.lll(linalg.identity(k), q)
+        back = linalg.transpose(rows)           # y = back . w for w in the lll basis
+        d, u = lll_ldl(dets, lam)
+        pts = linalg.quadric_integer_points(*integer_form(d, u, linalg.solve(back, s), radius))
+        pts = sorted(linalg.mat_vec(back, w) for w in pts)
         assert pts == brute_quadric(q, lin, const, 14)
         assert all(max(abs(c) for c in p) <= 14 for p in pts)
 
@@ -352,20 +408,20 @@ def test_integer_descent_matches_fraction_descent():
             radius = sum(v[i] * q[i][j] * v[j] for i in range(n) for j in range(n))
         else:
             radius = Fraction(rng.randint(0, 24), rng.choice((1, 2, 3, 5, 9)))
-        f = linalg.ldl(q)
-        got = linalg.quadric_integer_points(f, centre, radius)
+        f = fraction_ldl(q)
+        got = linalg.quadric_integer_points(*integer_form(*f, centre, radius))
         assert got == fraction_quadric_points(f, centre, radius), (q, centre, radius)
         nonempty += bool(got)
     assert nonempty > 600
     # radius 0, negative radius and the empty form
-    f = linalg.ldl(((2, 1), (1, 2)))
-    assert linalg.quadric_integer_points(f, (3, -1), 0) == [(3, -1)]
-    assert linalg.quadric_integer_points(f, (Fraction(1, 2), 0), 0) == []
-    assert linalg.quadric_integer_points(f, (0, 0), -1) == []
-    assert linalg.quadric_integer_points(f, (0, 0), Fraction(-1, 3)) == []
-    assert linalg.quadric_integer_points(((), ()), (), 0) == [()]
-    assert linalg.quadric_integer_points(((), ()), (), 1) == []
-    assert linalg.quadric_integer_points(((), ()), (), -1) == []
+    f = fraction_ldl(((2, 1), (1, 2)))
+    assert linalg.quadric_integer_points(*integer_form(*f, (3, -1), 0)) == [(3, -1)]
+    assert linalg.quadric_integer_points(*integer_form(*f, (Fraction(1, 2), 0), 0)) == []
+    assert linalg.quadric_integer_points(*integer_form(*f, (0, 0), -1)) == []
+    assert linalg.quadric_integer_points(*integer_form(*f, (0, 0), Fraction(-1, 3))) == []
+    assert linalg.quadric_integer_points((1, [], []), [], 0) == [()]
+    assert linalg.quadric_integer_points((1, [], []), [], 1) == []
+    assert linalg.quadric_integer_points((1, [], []), [], -1) == []
 
 
 def test_primitive_and_clear_denominators():

@@ -2,7 +2,6 @@
 
 import itertools
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -70,14 +69,32 @@ def test_enumeration_matches_bruteforce_broadly(ex134, u_plus_2, u_plus_a2, diag
 
 
 def test_shell_arithmetic_is_exact(monkeypatch):
-    # every shell gets its centre and radius as exact rationals, never floats
-    seen = []
-    quadric = linalg.quadric_integer_points
+    # every shell gets its centre and radius as Python ints, never floats
+    # or Fractions, and no Fraction is made for a shell: the scaling is done
+    # once per controller
+    seen, made = [], []
+    quadric, shells, new = linalg.quadric_integer_points, vinberg.shells, Fraction.__new__
 
-    def spy(ldl, centre, radius):
-        seen.append((tuple(centre), radius))
-        return quadric(ldl, centre, radius)
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
 
+    def spy(form, centre, radius):
+        seen.append((form, tuple(centre), radius))
+        return quadric(form, centre, radius)
+
+    def spy_shells(lattice, h):
+        roots = shells(lattice, h)
+
+        def spy_roots(d, m):
+            before = len(made)
+            out = roots(d, m)
+            assert len(made) == before, made[before:]
+            return out
+        return spy_roots
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(vinberg, "shells", spy_shells)
     monkeypatch.setattr(linalg, "quadric_integer_points", spy)
     i41 = Lattice(gram=tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(5))
                              for i in range(5)))
@@ -85,9 +102,13 @@ def test_shell_arithmetic_is_exact(monkeypatch):
                       max_key=HeightKey(10 ** 7, 1))
     assert rep.terminated and len(rep.accepted) == 5
     assert seen
-    for centre, radius in seen:
-        assert type(radius) in (int, Fraction)
-        assert all(type(c) in (int, Fraction) for c in centre)
+    for (nn, nu, kd), centre, radius in seen:
+        assert type(radius) is int
+        assert all(type(c) is int for c in centre)
+        assert type(nn) is int and all(type(x) is int for row in nu for x in row)
+        assert all(type(x) is int for x in kd)
+    Fraction(1, 2)
+    assert made[-1] == (1, 2)
 
 
 def test_shells_whose_norm_does_not_divide_twice_the_pairing_are_skipped(monkeypatch):
@@ -96,25 +117,86 @@ def test_shells_whose_norm_does_not_divide_twice_the_pairing_are_skipped(monkeyp
     lat = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
     h = (22, 30, -1)
     hh = -norm(lat, h)
-    seen = []
-    quadric = linalg.quadric_integer_points
+    seen, shell, scales = [], [], set()
+    quadric, shells = linalg.quadric_integer_points, vinberg.shells
 
-    def spy(ldl, centre, radius):
-        # radius = d + m^2/hh, and m^2 < hh on every shell below the key
-        d = int(radius)
-        m = isqrt(int((radius - d) * hh))
-        assert d + Fraction(m * m, hh) == radius
+    def spy_shells(lattice, h):
+        roots = shells(lattice, h)
+
+        def spy_roots(d, m):
+            shell[:] = [(d, m)]
+            return roots(d, m)
+        return spy_roots
+
+    def spy(form, centre, radius):
+        # the scaled radius is (d hh + m^2) times one constant per controller
+        d, m = shell[0]
+        assert radius % (d * hh + m * m) == 0
+        scales.add(radius // (d * hh + m * m))
         seen.append((d, m))
-        return quadric(ldl, centre, radius)
+        return quadric(form, centre, radius)
 
+    monkeypatch.setattr(vinberg, "shells", spy_shells)
     monkeypatch.setattr(linalg, "quadric_integer_points", spy)
     max_key = HeightKey(22 * 22, 22)
     got = vinberg.enumerate_roots(lat, h, RootFilter(norms=frozenset({2, 22})), max_key)
     assert sorted(got) == sorted(brute_first_shell(lat, h, 2, max_key)
                                  + brute_first_shell(lat, h, 22, max_key))
     assert any(norm(lat, x) == 22 for x in got)
+    assert len(scales) == 1
     assert {(22, 0), (22, 22), (2, 2), (2, 6)} <= set(seen)
     assert all(m % 11 == 0 for d, m in seen if d == 22)
+
+
+def brute_stream(lat, h, norms, max_key, box):
+    """(key, norm, root) of every admissible root in a box with key <= max_key,
+    sorted as Fractions: the order candidate_stream promises."""
+    from lorentzroots.lattice import is_crystallographic
+
+    bound = Fraction(max_key.numerator, max_key.denominator)
+    out = []
+    for x in itertools.product(range(-box, box + 1), repeat=lat.rank):
+        d, m = norm(lat, x), -pair(lat, h, x)
+        if d in norms and m > 0 and Fraction(m * m, d) <= bound \
+                and linalg.content(x) == 1 and is_crystallographic(lat, x):
+            out.append((Fraction(m * m, d), d, x))
+    return sorted(out)
+
+
+def test_stream_keys_and_order_match_a_fraction_sort(ex134):
+    # integer heap keys m^2 (L/d), L = lcm(norms), against Fraction keys
+    d6 = Lattice(gram=((-6, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3)))
+    configs = [(d6, (3, 1, 2, 2), {1, 2, 3, 6}, HeightKey(49, 3), 7, 0),
+               (d6, (3, 1, 2, 2), {1, 2, 3, 6}, HeightKey(75, 2), 7, 2),
+               (ex134, (4, 3, 2), {2, 8}, HeightKey(256, 8), 12, 1)]  # ties across norms
+    for lat, h, norms, max_key, box, on_bound in configs:
+        got = list(vinberg.candidate_stream(lat, h, RootFilter(norms=frozenset(norms)),
+                                            max_key))
+        for key, x in got:
+            m = -pair(lat, h, x)
+            assert (key.numerator, key.denominator) == (m * m, norm(lat, x))
+        want = brute_stream(lat, h, norms, max_key, box)
+        assert [(Fraction(k.numerator, k.denominator), norm(lat, x), x) for k, x in got] \
+            == want
+        assert all(max(map(abs, x)) < box for _, x in got)
+        assert {d for _, d, _ in want} == norms
+        assert sum(k == max_key.value() for k, _, _ in want) == on_bound
+
+
+def test_non_integer_norms_keys_and_controllers_rejected(ex134):
+    for norms in ({2.5}, {True}, {2, 2.0001}, {Fraction(2)}):
+        with pytest.raises(DomainError, match="norm .* is not an integer"):
+            RootFilter(norms=frozenset(norms))
+    with pytest.raises(DomainError, match="2.5"):
+        RootFilter(norms=frozenset({2.5}))
+    for num, den in ((1.5, 1), (4, 2.0), (True, 1), (4, False), (Fraction(4), 1)):
+        with pytest.raises(DomainError, match="height key needs integers"):
+            HeightKey(num, den)
+    for h in ((1.0, 1, 1), (True, 1, 1), (Fraction(1), 1, 1), (1, 1, 1.5)):
+        with pytest.raises(DomainError, match="controller must be integral"):
+            vinberg.run(ex134, h, NORMS2, max_key=HeightKey(100, 1))
+        with pytest.raises(DomainError, match="controller must be integral"):
+            vinberg.enumerate_roots(ex134, h, NORMS2, HeightKey(100, 1))
 
 
 def test_zero_key_is_empty(ex134):
