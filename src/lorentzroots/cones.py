@@ -174,21 +174,33 @@ def q_plus_membership(lattice: Lattice, roots, x, budget=None):
 
 
 def k_element_tuples(gram_of_roots, height_bound):
-    """Coefficient tuples a >= 0, 0 < sum(a) <= N with (B a)_j <= 0 for all j."""
+    """Coefficient tuples a >= 0, 0 < sum(a) <= N with (B a)_j <= 0 for all j.
+
+    Depth-first over the coordinates in lexicographic order, so the output
+    is sorted.  With a_0 .. a_{i-1} fixed, r_j the partial value of
+    (B a)_j and `left` the height still free, row j can end no lower than
+    r_j + left * min(0, min_{i' >= i} B_{j i'}); a branch is cut as soon
+    as that bound is positive for some row.  The bound holds for any
+    integer B.
+    """
     b = [tuple(row) for row in gram_of_roots]
     k = len(b)
+    floor = [[min(0, *row[i:]) for row in b] for i in range(k)] + [[0] * k]
     out = []
 
-    def rec(i, left, acc):
+    def rec(i, left, acc, r):
+        if any(rj + left * fj > 0 for rj, fj in zip(r, floor[i])):
+            return
         if i == k:
-            if any(acc) and all(linalg.dot(row, acc) <= 0 for row in b):
+            if any(acc):
                 out.append(tuple(acc))
             return
+        col = [row[i] for row in b]
         for c in range(left + 1):
-            rec(i + 1, left - c, acc + [c])
+            rec(i + 1, left - c, acc + [c], [rj + c * bj for rj, bj in zip(r, col)])
 
-    rec(0, height_bound, [])
-    return sorted(out)
+    rec(0, height_bound, [], [0] * k)
+    return out
 
 
 def k_elements(lattice: Lattice, roots, height_bound):

@@ -210,6 +210,8 @@ class GradedSeries:
     def binomial_factor(self, key, mult):
         """Multiply in place by (1 - x^key)^mult (any integer mult)."""
         key = tuple(key)
+        if len(key) != self.nvars or min(key) < 0:
+            raise DomainError(f"factor exponent {key} is not a nonnegative {self.nvars}-tuple")
         h = sum(key)
         if h == 0:
             raise DomainError("factor exponent must have positive height")
@@ -256,43 +258,87 @@ def solve_multiplicities(datum: RootDatum, height_bound: int,
                          imaginary_candidates=None) -> MultiplicityResult:
     """Solve the denominator identity for root multiplicities up to height N.
 
-    The product over positive roots of (1 - x^root)^mult must reproduce
-    the Weyl sum; unknown multiplicities sit at the real roots (forced to
-    1 unless assume_real_simple is False, in which case they are solved
-    and must come out 1) and at the imaginary candidates (by default the
-    Weyl closure of the cone K).  The system is unitriangular in the
-    height filtration.  After solving, every graded coefficient is
-    re-checked; a mismatch raises DenominatorMismatchError carrying the
-    first failing exponent.
+    The product P over positive roots of (1 - x^root)^mult must reproduce
+    the Weyl sum W; unknown multiplicities sit at the real roots (forced
+    to 1 unless assume_real_simple is False, in which case they are
+    solved and must come out 1) and at the imaginary candidates (by
+    default the Weyl closure of the cone K).
+
+    Both sides are compared through their graded log-derivatives: with D
+    the height derivation (D x^u = |u| x^u), G_W = DW/W obeys
+    G_W(u) = |u| W(u) - sum_{0<v<u} W(v) G_W(u - v), and G_P = DP/P has
+    G_P(u) = -sum_{k t = u} |t| m_t.  P = W up to height N iff G_P = G_W
+    at every u of height 1..N, and at the first height where they differ
+    |u| (P(u) - W(u)) = G_P(u) - G_W(u).  So, height by height, each
+    unknown t is m_t = (G_P(t) - G_W(t)) / |t| with the division exact,
+    and the sum over v is pushed forward over the support of W only: the
+    cost is about |supp W| * |supp G| dict operations, with no truncated
+    product ever expanded.  A mismatch raises DenominatorMismatchError
+    carrying the first failing exponent in (height, tuple) order.
     """
-    target = sum_side(datum, height_bound)
+    if type(height_bound) is not int or height_bound < 0:
+        raise DomainError(f"height bound must be a nonnegative integer, got {height_bound!r}")
     nvars = len(datum.simple_roots)
+    target = sum_side(datum, height_bound).coeffs
+    zero = (0,) * nvars
+    if target.get(zero, 0) != 1:
+        raise DenominatorMismatchError(zero, 1, target.get(zero, 0))
     reals = set(real_root_tuples(datum, height_bound))
     if imaginary_candidates is None:
         ims = imaginary_candidate_tuples(datum, height_bound)
     else:
-        ims = sorted({tuple(t) for t in imaginary_candidates},
-                     key=lambda t: (sum(t), t))
+        ims = {tuple(t) for t in imaginary_candidates}
+        for t in ims:
+            if len(t) != nvars or min(t) < 0 or not any(t):
+                raise DomainError(f"imaginary candidate {t} is not a nonzero "
+                                  f"nonnegative {nvars}-tuple")
     mults = {}
-    prod = GradedSeries.one(nvars, height_bound)
+    g_prod = [{} for _ in range(height_bound + 1)]   # G_P by height
+
+    def factor(t, m):
+        h = sum(t)
+        for k in range(1, height_bound // h + 1):
+            level = g_prod[k * h]
+            u = tuple(k * c for c in t)
+            level[u] = level.get(u, 0) - h * m
+
     if assume_real_simple:
         for t in sorted(reals, key=lambda t: (sum(t), t)):
             mults[t] = 1
-            prod.binomial_factor(t, 1)
-        unknowns = ims
+            factor(t, 1)
     else:
-        unknowns = sorted(reals | set(ims), key=lambda t: (sum(t), t))
-    for t in unknowns:
-        m = prod.get(t) - target.get(t)
-        if m:
-            mults[t] = m
-            prod.binomial_factor(t, m)
-        elif t in reals:
-            mults[t] = 0
-    keys = set(prod.coeffs) | set(target.coeffs)
-    for key in sorted(keys, key=lambda t: (sum(t), t)):
-        if prod.get(key) != target.get(key):
-            raise DenominatorMismatchError(key, prod.get(key), target.get(key))
+        ims = reals | set(ims)
+    unknown_at = [[] for _ in range(height_bound + 1)]
+    for t in sorted(ims):
+        if sum(t) <= height_bound:
+            unknown_at[sum(t)].append(t)
+    w_by_height = [[] for _ in range(height_bound + 1)]
+    for v, c in target.items():
+        w_by_height[sum(v)].append((v, c))
+    pushed = [{} for _ in range(height_bound + 1)]   # sum_{0<v<u} W(v) G_W(u - v)
+    for h in range(1, height_bound + 1):
+        gp, sw = g_prod[h], pushed[h]
+        for t in unknown_at[h]:
+            m = (gp.get(t, 0) - h * target.get(t, 0) + sw.get(t, 0)) // h
+            if m:
+                mults[t] = m
+                factor(t, m)
+            elif t in reals:
+                mults[t] = 0
+        keys = set(gp) | set(sw) | {v for v, _ in w_by_height[h]}
+        for u in sorted(keys):
+            w = target.get(u, 0)
+            diff = gp.get(u, 0) - h * w + sw.get(u, 0)
+            if diff:
+                raise DenominatorMismatchError(u, w + diff // h, w)
+        for u, g in gp.items():
+            if not g:
+                continue
+            for dh in range(1, height_bound - h + 1):
+                level = pushed[h + dh]
+                for v, c in w_by_height[dh]:
+                    uv = tuple(a + b for a, b in zip(u, v))
+                    level[uv] = level.get(uv, 0) + c * g
     return MultiplicityResult(mults=mults, residual_zero=True)
 
 

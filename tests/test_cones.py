@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -217,6 +217,26 @@ def test_k_elements(ex134, triangle):
     assert cones.k_elements(ex134, triangle, 0) == []
     for x in cones.k_elements(ex134, triangle, 5):
         assert norm(ex134, x) <= 0
+
+
+def test_k_element_tuples_match_box_enumeration():
+    # the pruned search against every tuple of the box, on random symmetric
+    # integer matrices with entries of both signs off the diagonal
+    rng = random.Random(27)
+    nonempty = 0
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        b = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                b[i][j] = b[j][i] = rng.randint(-4, 4)
+        n = rng.randint(-1, 6)
+        box = [a for a in product(range(n + 1), repeat=k)
+               if any(a) and sum(a) <= n and all(linalg.dot(row, a) <= 0 for row in b)]
+        got = cones.k_element_tuples(b, n)
+        assert got == sorted(box), (b, n)
+        nonempty += bool(got)
+    assert nonempty >= 100, nonempty
 
 
 def _reference_dd_pointed(rows, n):
