@@ -192,7 +192,7 @@ def _cmd_cartan(args):
         "cartan_matrix": [list(row) for row in gcm.a],
         "symmetrizer_diagonal": [_rat(x) for x in gcm.d],
         "gram": [list(row) for row in gcm.b],
-        "lorentzian": gcm.lorentzian,
+        "lorentzian": True,     # cartan raises unless there is exactly one negative square
     }, args)
 
 
@@ -200,7 +200,6 @@ def _cmd_denominator(args):
     lat = _load_lattice_arg(args.lattice)
     roots = _vectors(args.roots, "--roots", lat.rank)
     datum = kacmoody.root_datum(lat, roots)
-    series = kacmoody.sum_side(datum, args.height)
     result = kacmoody.solve_multiplicities(datum, args.height)
     table = []
     for t, m in sorted(result.mults.items(), key=lambda kv: (sum(kv[0]), kv[0])):
@@ -214,14 +213,14 @@ def _cmd_denominator(args):
         })
     anti = None
     if datum.weyl_data is not None and datum.weyl_data.rho is not None:
-        anti = kacmoody.anti_invariance_check(datum, args.height)
+        anti = kacmoody.weyl_sum_anti_invariant(datum.cartan, result.sum_side)
     _emit({
         "command": "denominator",
         "lattice": lat.name,
         "roots": [list(r) for r in roots],
         "height": args.height,
         "sum_side": [{"exponent": list(k), "coefficient": c}
-                     for k, c in series.items_by_height()],
+                     for k, c in result.sum_side.items_by_height()],
         "residual_zero": result.residual_zero,
         "multiplicities": table,
         "anti_invariant": anti,

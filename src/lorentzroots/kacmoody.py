@@ -26,7 +26,6 @@ class GeneralizedCartanMatrix:
     a: tuple[tuple[int, ...], ...]
     d: tuple[Fraction, ...]
     b: tuple[tuple[int, ...], ...]
-    lorentzian: bool
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ def cartan(lattice: Lattice, roots) -> GeneralizedCartanMatrix:
         a=tuple(a),
         d=tuple(Fraction(2, b[i][i]) for i in range(k)),
         b=tuple(tuple(row) for row in b),
-        lorentzian=True,
     )
 
 
@@ -199,14 +197,6 @@ class GradedSeries:
     def get(self, key):
         return self.coeffs.get(tuple(key), 0)
 
-    def add_term(self, key, value):
-        key = tuple(key)
-        c = self.coeffs.get(key, 0) + value
-        if c:
-            self.coeffs[key] = c
-        else:
-            self.coeffs.pop(key, None)
-
     def binomial_factor(self, key, mult):
         """Multiply in place by (1 - x^key)^mult (any integer mult)."""
         key = tuple(key)
@@ -232,12 +222,11 @@ class GradedSeries:
 
 
 def sum_side(datum: RootDatum, height_bound: int) -> GradedSeries:
-    """Signed sum over the Weyl group of monomials at w(rho) - rho."""
-    series = GradedSeries(nvars=len(datum.simple_roots), truncation=height_bound,
-                          coeffs={})
-    for el in weyl_elements(datum, height_bound):
-        series.add_term(el.exponent, el.sign)
-    return series
+    """Signed sum over the Weyl group of monomials at w(rho) - rho; an
+    exponent determines w, so each monomial has coefficient +-1."""
+    return GradedSeries(nvars=len(datum.simple_roots), truncation=height_bound,
+                        coeffs={el.exponent: el.sign
+                                for el in weyl_elements(datum, height_bound)})
 
 
 def imaginary_candidate_tuples(datum: RootDatum, height_bound: int):
@@ -251,6 +240,7 @@ def imaginary_candidate_tuples(datum: RootDatum, height_bound: int):
 class MultiplicityResult:
     mults: dict
     residual_zero: bool
+    sum_side: GradedSeries     # the Weyl sum W that the product was balanced against
 
 
 def solve_multiplicities(datum: RootDatum, height_bound: int,
@@ -279,7 +269,8 @@ def solve_multiplicities(datum: RootDatum, height_bound: int,
     if type(height_bound) is not int or height_bound < 0:
         raise DomainError(f"height bound must be a nonnegative integer, got {height_bound!r}")
     nvars = len(datum.simple_roots)
-    target = sum_side(datum, height_bound).coeffs
+    series = sum_side(datum, height_bound)
+    target = series.coeffs
     zero = (0,) * nvars
     if target.get(zero, 0) != 1:
         raise DenominatorMismatchError(zero, 1, target.get(zero, 0))
@@ -339,7 +330,7 @@ def solve_multiplicities(datum: RootDatum, height_bound: int,
                 for v, c in w_by_height[dh]:
                     uv = tuple(a + b for a, b in zip(u, v))
                     level[uv] = level.get(uv, 0) + c * g
-    return MultiplicityResult(mults=mults, residual_zero=True)
+    return MultiplicityResult(mults=mults, residual_zero=True, sum_side=series)
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +344,13 @@ def exponent_involution(gcm: GeneralizedCartanMatrix, j: int, exponent):
     return tuple(out)
 
 
-def exponent_multiset_anti_invariant(gcm, pairs, height_bound) -> bool:
-    """Check that s_j maps the truncated (exponent, sign) multiset onto
-    itself with flipped signs, for every simple reflection."""
-    from collections import Counter
-
-    bag = Counter(pairs)
-    for j in range(len(gcm.a)):
-        for (exp, sign), count in bag.items():
-            img = exponent_involution(gcm, j, exp)
-            if sum(img) > height_bound:
-                continue
-            if bag.get((img, -sign), 0) != count:
+def weyl_sum_anti_invariant(gcm: GeneralizedCartanMatrix, series: GradedSeries) -> bool:
+    """Check that every simple reflection maps the Weyl sum to its negative:
+    W(e_j + s_j(u)) = -W(u) wherever the image stays inside the truncation."""
+    for u, c in series.coeffs.items():
+        for j in range(len(gcm.a)):
+            img = exponent_involution(gcm, j, u)
+            if sum(img) <= series.truncation and series.coeffs.get(img, 0) != -c:
                 return False
     return True
 
@@ -374,8 +360,7 @@ def anti_invariance_check(datum: RootDatum, height_bound: int) -> bool:
     verified on the boundary-complete exponent set of height <= N."""
     if datum.weyl_data is None or datum.weyl_data.rho is None:
         raise DomainError("anti-invariance is stated for data with a lattice Weyl vector")
-    pairs = [(el.exponent, el.sign) for el in weyl_elements(datum, height_bound)]
-    return exponent_multiset_anti_invariant(datum.cartan, pairs, height_bound)
+    return weyl_sum_anti_invariant(datum.cartan, sum_side(datum, height_bound))
 
 
 # ---------------------------------------------------------------------------

@@ -134,15 +134,6 @@ def shells(lattice, h):
     return roots
 
 
-def _mirror_check(roots, lattice, filt):
-    """Raise if some admissible root is orthogonal to the controller."""
-    for d in sorted(filt.norms):
-        for x in roots(d, 0):
-            if any(x) and linalg.content(x) == 1 and is_crystallographic(lattice, x) \
-                    and _residue_ok(filt, x):
-                raise ControllerOnMirrorError(x)
-
-
 def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
     """Yield (HeightKey, root) in increasing height up to max_key, ties
     broken by (norm, root).
@@ -150,20 +141,19 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
     The key bound cuts the stream at the shell level, so the generator
     terminates even when some norm admits no roots at all.  Roots are
     primitive, crystallographic, congruence-admissible and satisfy
-    S(h, root) < 0.
+    S(h, root) < 0.  The m = 0 shells come first, in increasing norm, and
+    an admissible root there raises ControllerOnMirrorError.
     """
     if any(type(x) is not int for x in h):
         raise DomainError("controller must be integral")
     if norm(lattice, h) >= 0:
         raise DomainError("controller must be timelike")
     roots = shells(lattice, h)
-    _mirror_check(roots, lattice, filt)
-
     # keys scaled by L = lcm(norms): m^2 (L/d) <= floor(L max_key) is exactly
     # m^2/d <= max_key, with the same order and ties
     big = lcm(*filt.norms)
     bound = max_key.numerator * big // max_key.denominator
-    heap = [(big // d, d, 1) for d in filt.norms]
+    heap = [(0, d, 0) for d in filt.norms]
     heapq.heapify(heap)
     while heap:
         key, d, m = heapq.heappop(heap)
@@ -175,6 +165,8 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
         for x in roots(d, m):
             if linalg.content(x) == 1 and is_crystallographic(lattice, x) \
                     and _residue_ok(filt, x):
+                if m == 0:
+                    raise ControllerOnMirrorError(x)
                 yield HeightKey(m * m, d), x
 
 

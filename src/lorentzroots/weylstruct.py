@@ -41,13 +41,13 @@ class RootSet:
                 raise DomainError(f"wall {r} is not spacelike")
             if not is_crystallographic(lattice, r):
                 raise DomainError(f"wall {r} is not crystallographic")
+        prims = [linalg.primitive(r) for r in roots]
         for i in range(len(roots)):
             for j in range(i + 1, len(roots)):
                 s = pair(lattice, roots[i], roots[j])
                 if s > 0:
                     raise NonObtusePairError(roots[i], roots[j], s)
-                p = linalg.primitive(roots[i])
-                if linalg.primitive(roots[j]) in (p, linalg.vec_scale(-1, p)):
+                if prims[j] in (prims[i], linalg.vec_scale(-1, prims[i])):
                     raise DomainError(f"proportional walls {roots[i]}, {roots[j]}")
         return cls(roots=roots)
 
@@ -154,37 +154,28 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
         raise DomainError("weyl vector must be timelike or isotropic")
     if all(x == 0 for x in rho):
         raise DomainError("zero vector")
-    den = 1
-    for x in rho:
-        den = lcm(den, x.denominator)
+    den = lcm(*(x.denominator for x in rho))
     scaled_rho = tuple(int(x * den) for x in rho)
-    out = []
     if rn < 0:
         roots = vinberg.shells(lattice, scaled_rho)
-        for d in range(1, int(norm_bound) + 1):
-            target = Fraction(den * d, 2)
-            if target.denominator != 1:
-                continue
-            for x in roots(d, int(target)):
-                if is_crystallographic(lattice, x):
-                    out.append(x)
-        return sorted(out)
-    if max_pairing is None:
-        raise DomainError(
-            "isotropic weyl vector: the candidate set is infinite, pass max_pairing")
-    h = tuple(controller) if controller is not None else timelike_vector(lattice)
-    if norm(lattice, h) >= 0:
-        raise DomainError("controller must be timelike")
-    roots = vinberg.shells(lattice, h)
+    else:
+        if max_pairing is None:
+            raise DomainError(
+                "isotropic weyl vector: the candidate set is infinite, pass max_pairing")
+        h = tuple(controller) if controller is not None else timelike_vector(lattice)
+        if norm(lattice, h) >= 0:
+            raise DomainError("controller must be timelike")
+        roots = vinberg.shells(lattice, h)
+    out = []
     for d in range(1, int(norm_bound) + 1):
-        target = Fraction(den * d, 2)
-        if target.denominator != 1:
+        if den * d % 2:
             continue
-        # m = 0 included: the controller only bounds the search here
-        for m in range(0, int(max_pairing) + 1):
-            for x in roots(d, m):
-                if pair(lattice, scaled_rho, x) == -target and is_crystallographic(lattice, x):
-                    out.append(x)
+        t = den * d // 2
+        # timelike rho: its own shell m = t is the whole slice; isotropic rho:
+        # m = 0 included, the controller only bounds the search
+        for m in ([t] if rn < 0 else range(int(max_pairing) + 1)):
+            out += [x for x in roots(d, m)
+                    if pair(lattice, scaled_rho, x) == -t and is_crystallographic(lattice, x)]
     return sorted(set(out))
 
 

@@ -134,9 +134,11 @@ def test_criterion_06_anti_invariance(ex134, triangle):
     datum = km.root_datum(ex134, triangle)
     assert datum.weyl_data.rho == (Fraction(1, 2),) * 3
     assert km.anti_invariance_check(datum, 4)
-    pairs = [(el.exponent, el.sign) for el in km.weyl_elements(datum, 4)]
-    corrupted = [(pairs[0][0], -pairs[0][1])] + pairs[1:]
-    assert not km.exponent_multiset_anti_invariant(datum.cartan, corrupted, 4)
+    series = km.sum_side(datum, 4)
+    corrupted = dict(series.coeffs)
+    corrupted[(0, 0, 0)] = -corrupted[(0, 0, 0)]
+    assert not km.weyl_sum_anti_invariant(
+        datum.cartan, km.GradedSeries(nvars=3, truncation=4, coeffs=corrupted))
     _report(6, "anti-invariance at height 4; corrupted sign detected")
 
 

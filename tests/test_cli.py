@@ -60,6 +60,7 @@ def test_weyl_and_classify_and_cartan():
     res = run_cli("cartan", "--lattice", "ex134.json", "--roots", "1,0,0;0,1,0;0,0,1")
     report = json.loads(res.stdout)
     assert report["cartan_matrix"] == [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
+    assert report["lorentzian"] is True
 
 
 def test_denominator_subcommand():
@@ -71,6 +72,18 @@ def test_denominator_subcommand():
     mults = {tuple(row["root"]): row["mult"] for row in report["multiplicities"]}
     assert mults[(1, 1, 1)] == 2
     assert mults[(0, 1, 1)] == 1
+
+
+def test_denominator_walks_the_weyl_group_once(monkeypatch, capsys):
+    from lorentzroots import cli, kacmoody
+
+    calls = []
+    walk = kacmoody.weyl_elements
+    monkeypatch.setattr(kacmoody, "weyl_elements", lambda *a: calls.append(a) or walk(*a))
+    assert cli.main(["denominator", "--lattice", "ex134.json",
+                     "--roots", "1,0,0;0,1,0;0,0,1", "--height", "4"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["anti_invariant"] is True
 
 
 def test_family_subcommand():

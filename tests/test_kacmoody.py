@@ -28,7 +28,6 @@ def test_cartan_triangle(ex134, triangle):
     assert gcm.a == ((2, -2, -2), (-2, 2, -2), (-2, -2, 2))
     assert gcm.b == gcm.a
     assert gcm.d == (Fraction(1), Fraction(1), Fraction(1))
-    assert gcm.lorentzian
     # A = D B exactly
     for i in range(3):
         for j in range(3):
@@ -201,6 +200,8 @@ def test_sum_side(datum):
     # deterministic recomputation
     again = km.sum_side(datum, 6)
     assert series.coeffs == again.coeffs
+    # the solve returns the sum it balanced
+    assert km.solve_multiplicities(datum, 6).sum_side.coeffs == series.coeffs
 
 
 def _matrix_action_sum_side(datum, n):
@@ -431,18 +432,29 @@ def test_multiplicity_weyl_invariance(datum):
 
 def test_anti_invariance(datum):
     assert km.anti_invariance_check(datum, 4)
-    pairs = [(el.exponent, el.sign) for el in km.weyl_elements(datum, 4)]
-    corrupted = [(pairs[0][0], -pairs[0][1])] + pairs[1:]
-    assert not km.exponent_multiset_anti_invariant(datum.cartan, corrupted, 4)
+
+
+@pytest.mark.parametrize("corrupt", [lambda c: -c, lambda c: 0, lambda c: 2 * c],
+                         ids=["sign-flip", "dropped", "doubled"])
+def test_anti_invariance_rejects_corrupted_series(datum, corrupt):
+    # every nonzero exponent has a descent, whose image lies inside the
+    # truncation, so a change at any single exponent is caught
+    series = km.sum_side(datum, 6)
+    for u, c in series.coeffs.items():
+        coeffs = dict(series.coeffs)
+        coeffs[u] = corrupt(c)
+        coeffs = {k: v for k, v in coeffs.items() if v}
+        bad = km.GradedSeries(nvars=3, truncation=6, coeffs=coeffs)
+        assert not km.weyl_sum_anti_invariant(datum.cartan, bad), u
 
 
 def test_anti_invariance_rank1_subcase(ex134):
     # a single generator swaps (0, +) and (e_1, -)
     lat = Lattice(gram=((2, -4), (-4, 2)))
     sub = km.root_datum(lat, [(1, 0), (0, 1)])
-    pairs = [(el.exponent, el.sign) for el in km.weyl_elements(sub, 1)]
-    assert ((0, 0), 1) in pairs and ((1, 0), -1) in pairs and ((0, 1), -1) in pairs
-    assert km.exponent_multiset_anti_invariant(sub.cartan, pairs, 1)
+    series = km.sum_side(sub, 1)
+    assert series.coeffs == {(0, 0): 1, (1, 0): -1, (0, 1): -1}
+    assert km.weyl_sum_anti_invariant(sub.cartan, series)
 
 
 def test_anti_invariance_needs_weyl_vector(datum):

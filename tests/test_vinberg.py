@@ -315,15 +315,25 @@ def test_run_stops_where_a_fresh_certificate_first_holds(
         assert _certificate_by_prefix(lat, rep.accepted) == [False] * walls
 
 
-def test_controller_on_mirror_cases(ex134, diag22m):
-    # (0,0,1) is orthogonal to the norm-2 root (1,0,0) of diag(2,2,-2)
-    with pytest.raises(ControllerOnMirrorError):
+def test_controller_on_mirror_cases(ex134, diag22m, monkeypatch):
+    calls = []
+    quadric = linalg.quadric_integer_points
+    monkeypatch.setattr(linalg, "quadric_integer_points",
+                        lambda *a: calls.append(a) or quadric(*a))
+    # (0,0,1) is orthogonal to the norm-2 root (1,0,0) of diag(2,2,-2); the
+    # first admissible root of the sorted m = 0 shell is reported
+    with pytest.raises(ControllerOnMirrorError) as exc:
         vinberg.enumerate_roots(diag22m, (0, 0, 1), NORMS2, HeightKey(4, 1))
+    assert exc.value.root == (-1, 0, 0)
+    assert len(calls) == 1
     # with norms {2,8} the center (1,1,1) of the ex134 triangle lies on the
-    # norm-8 mirror of (-1,0,1): the spec's example controller is invalid here
-    with pytest.raises(ControllerOnMirrorError):
+    # norm-8 mirror of (-1,0,1), found after the empty norm-2 shell at m = 0
+    calls.clear()
+    with pytest.raises(ControllerOnMirrorError) as exc:
         vinberg.enumerate_roots(ex134, H, RootFilter(norms=frozenset({2, 8})),
                                 HeightKey(4, 2))
+    assert exc.value.root == (-1, 0, 1)
+    assert len(calls) == 2
 
 
 def test_run_norms_2_8_with_generic_controller(ex134):
