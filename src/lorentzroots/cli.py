@@ -83,7 +83,7 @@ def _vectors(text, option, rank):
 
 def _emit(report, args):
     data = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(data + "\n")
     else:
@@ -149,7 +149,7 @@ def _cmd_weyl(args):
         if data.rho_norm < 0:
             found = weylstruct.candidate_roots_for_weyl_vector(
                 lat, data.rho, args.norm_bound)
-        elif args.max_pairing:
+        elif data.rho_norm == 0 and args.max_pairing:
             found = weylstruct.candidate_roots_for_weyl_vector(
                 lat, data.rho, args.norm_bound, max_pairing=args.max_pairing)
         else:
@@ -212,7 +212,7 @@ def _cmd_denominator(args):
             "mult": m,
         })
     anti = None
-    if datum.weyl_data is not None and datum.weyl_data.rho is not None:
+    if datum.weyl_data.rho is not None:
         anti = kacmoody.weyl_sum_anti_invariant(datum.cartan, result.sum_side)
     _emit({
         "command": "denominator",
@@ -350,10 +350,7 @@ def main(argv=None) -> int:
         return 2
     try:
         args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

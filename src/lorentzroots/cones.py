@@ -208,8 +208,9 @@ def k_elements(lattice: Lattice, roots, height_bound):
     behind every wall, up to the given coefficient-sum bound."""
     roots = [tuple(a) for a in roots]
     gram = [[pair(lattice, u, v) for v in roots] for u in roots]
+    cols = linalg.transpose(roots)
     seen = {}
     for a in k_element_tuples(gram, height_bound):
-        x = tuple(sum(c * r[j] for c, r in zip(a, roots)) for j in range(lattice.rank))
+        x = linalg.mat_vec(cols, a)
         seen.setdefault(x, a)
     return sorted(seen)

@@ -17,7 +17,7 @@ from math import comb
 
 from . import cones, linalg, weylstruct
 from .errors import DenominatorMismatchError, DomainError
-from .lattice import Lattice, apply_isometry, norm, pair, reflection
+from .lattice import Lattice, norm, pair, reflection
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
@@ -48,16 +48,7 @@ def cartan(lattice: Lattice, roots) -> GeneralizedCartanMatrix:
     if not roots:
         raise DomainError("empty wall system")
     b = [[pair(lattice, x, y) for y in roots] for x in roots]
-    k = len(roots)
-    a = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            num = 2 * b[i][j]
-            if num % b[i][i] != 0:
-                raise DomainError("non-integral Cartan entry")
-            row.append(num // b[i][i])
-        a.append(tuple(row))
+    a = tuple(tuple(2 * x // row[i] for x in row) for i, row in enumerate(b))
     if not linalg.support_connected(b):
         raise DomainError("Gram graph of the wall system is disconnected")
     if linalg.rank(roots) < lattice.rank:
@@ -66,8 +57,8 @@ def cartan(lattice: Lattice, roots) -> GeneralizedCartanMatrix:
     if neg != 1:
         raise DomainError(f"symmetrized matrix has {neg} negative squares, expected 1")
     return GeneralizedCartanMatrix(
-        a=tuple(a),
-        d=tuple(Fraction(2, b[i][i]) for i in range(k)),
+        a=a,
+        d=tuple(Fraction(2, row[i]) for i, row in enumerate(b)),
         b=tuple(tuple(row) for row in b),
     )
 
@@ -239,8 +230,8 @@ def imaginary_candidate_tuples(datum: RootDatum, height_bound: int):
 @dataclass(frozen=True)
 class MultiplicityResult:
     mults: dict
-    residual_zero: bool
     sum_side: GradedSeries     # the Weyl sum W that the product was balanced against
+    residual_zero = True       # a nonzero residual raises DenominatorMismatchError
 
 
 def solve_multiplicities(datum: RootDatum, height_bound: int,
@@ -330,7 +321,7 @@ def solve_multiplicities(datum: RootDatum, height_bound: int,
                 for v, c in w_by_height[dh]:
                     uv = tuple(a + b for a, b in zip(u, v))
                     level[uv] = level.get(uv, 0) + c * g
-    return MultiplicityResult(mults=mults, residual_zero=True, sum_side=series)
+    return MultiplicityResult(mults=mults, sum_side=series)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +389,7 @@ def imaginary_membership(datum: RootDatum, x, n_max: int,
                   if pair(lattice, y, r) > 0), None)
         if j is None:
             break
-        y = apply_isometry(refl[j], y)
+        y = linalg.mat_vec(refl[j], y)
     for n in range(1, n_max + 1):
         scaled = tuple(n * c for c in y)
         if cones.q_plus_membership(lattice, datum.simple_roots, scaled) is not None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from math import gcd
 
 from . import linalg
 from .errors import DegenerateFormError, DimensionError, DomainError
@@ -123,10 +122,7 @@ def a_delta(lattice: Lattice, d) -> int:
         raise DomainError("zero vector")
     if linalg.content(d) != 1:
         raise DomainError("a_delta expects a primitive vector")
-    g = 0
-    for row in lattice.gram:
-        g = gcd(g, abs(linalg.dot(row, d)))
-    return g
+    return linalg.content(linalg.mat_vec(lattice.gram, d))
 
 
 def is_crystallographic(lattice: Lattice, d) -> bool:
@@ -149,11 +145,6 @@ def reflection(lattice: Lattice, d):
         tuple((1 if i == j else 0) - (2 * d[i] * gd[j]) // nd for j in range(n))
         for i in range(n)
     )
-
-
-def apply_isometry(g, x):
-    """g acting on a column vector x."""
-    return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in g)
 
 
 def is_isometry(lattice: Lattice, g) -> bool:

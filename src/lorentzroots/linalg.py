@@ -99,32 +99,45 @@ def clear_denominators(v):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination over the rationals
+# fraction-free Gauss-Jordan elimination
 
 def _rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    Each row is first scaled by the lcm of its entries' denominators, which
+    keeps its rref.  Returns (m, pivots, d, sign): m = d * rref in ints with
+    d > 0, the pivot column list, and for square integer rows of full rank
+    sign * d is the determinant.  Every entry stays a minor of the scaled
+    rows, so each division is exact.
+    """
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
     pivots = []
-    r = 0
-    for c in range(ncols):
+    d = sign = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
+        d = p
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if r + 1 == len(m):
             break
-    return m, pivots
+    if d < 0:
+        m = [[-x for x in row] for row in m]
+        d, sign = -d, -sign
+    return m, pivots, d, sign
 
 
 def pivots(rows):
@@ -142,28 +155,27 @@ def kernel_basis(rows, ncols=None):
     if not rows:
         return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
     n = len(rows[0])
-    red, pivots = _rref(rows)
+    m, pivots, d, _ = _rref(rows)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+        v = [0] * n
+        v[fc] = d
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(clear_denominators(v))
+            v[pc] = -m[r][fc]
+        basis.append(primitive(v))
     return basis
 
 
 def solve(rows, rhs):
     """One exact solution of rows @ x = rhs, or None if inconsistent."""
     n = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = _rref(aug)
+    m, pivots, d, _ = _rref([list(row) + [b] for row, b in zip(rows, rhs)])
     if n in pivots:  # pivot in the rhs column
         return None
     x = [Fraction(0)] * n
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
+        x[pc] = Fraction(m[r][n], d)
     return tuple(x)
 
 
@@ -171,32 +183,16 @@ def inverse(m):
     """Exact inverse of a square rational matrix; raises if singular."""
     n = len(m)
     aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = _rref(aug)
+    red, pivots, d, _ = _rref(aug)
     if pivots[:n] != list(range(n)):
         raise DegenerateFormError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(tuple(Fraction(x, d) for x in red[i][n:]) for i in range(n))
 
 
 def det(m) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pr is None:
-                return 0
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of an integer matrix."""
+    _, pivots, d, sign = _rref(m)
+    return sign * d if len(pivots) == len(m) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,11 @@ def _residue_ok(filt: RootFilter, delta) -> bool:
 class ChamberReport:
     accepted: tuple[tuple[int, ...], ...]
     terminated: bool
-    exhausted: bool
     gram: tuple[tuple[int, ...], ...]
+
+    @property
+    def exhausted(self) -> bool:
+        return not self.terminated
 
 
 def shells(lattice, h):
@@ -111,10 +114,7 @@ def shells(lattice, h):
     kern, dets, lam = linalg.lll(cols[1:], lattice.gram)
     basis = linalg.transpose([cols[0]] + kern)
     hh = -norm(lattice, h)
-    # h = basis z with det(basis) = +-1: Cramer's rule gives z in ints
-    sign = linalg.det(basis)
-    z = [sign * linalg.det([row[:i] + (x,) + row[i + 1:] for row, x in zip(basis, h)])
-         for i in range(1, len(h))]
+    z = [int(c) for c in linalg.solve(basis, h)[1:]]     # basis is unimodular
     r = len(kern)
     # D_i = dets[i+1]/dets[i] and U_ik = lam[k][i]/dets[i+1]: N clears U and
     # z/hh, K clears D, and hh | N makes the scaled radius an int
@@ -200,8 +200,7 @@ def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
             if terminated or len(accepted) == max_roots:
                 break
     gram = tuple(tuple(pair(lattice, x, y) for y in accepted) for x in accepted)
-    return ChamberReport(accepted=tuple(accepted), terminated=terminated,
-                         exhausted=not terminated, gram=gram)
+    return ChamberReport(accepted=tuple(accepted), terminated=terminated, gram=gram)
 
 
 @dataclass(frozen=True)

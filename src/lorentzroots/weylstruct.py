@@ -12,9 +12,8 @@ from math import isqrt, lcm
 from . import cones, linalg, vinberg
 from .errors import (DomainError, IndeterminateFixedSpaceError, NonObtusePairError,
                      UnderDeterminedError)
-from .lattice import (Lattice, a_delta, apply_isometry, int_inverse, invariants,
-                      is_crystallographic, is_isometry, norm, pair, reflection,
-                      timelike_vector)
+from .lattice import (Lattice, a_delta, int_inverse, invariants, is_crystallographic,
+                      is_isometry, norm, pair, reflection, timelike_vector)
 
 
 @dataclass(frozen=True)
@@ -138,15 +137,15 @@ def m_star_p_membership(lattice: Lattice, roots, x) -> bool:
 
 
 def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
-                                    *, controller=None, max_pairing=None):
+                                    *, max_pairing=None):
     """Roots a with 0 < S(a,a) <= norm_bound and S(rho, a) = -S(a,a)/2.
 
     For timelike rho the set is finite and enumerated completely (one
     positive definite slice per norm).  For isotropic rho it is infinite
     in general (translation orbits realize unbounded families), so the
-    search is cut by a controller height: roots with -S(controller, a)
-    <= max_pairing.  Results are crystallographic but not necessarily
-    primitive.
+    search is cut by a controller height: roots with -S(h, a) <= max_pairing
+    for h = timelike_vector(lattice).  Results are crystallographic but not
+    necessarily primitive.
     """
     rho = tuple(Fraction(x) for x in rho)
     rn = pair(lattice, rho, rho)
@@ -162,10 +161,7 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
         if max_pairing is None:
             raise DomainError(
                 "isotropic weyl vector: the candidate set is infinite, pass max_pairing")
-        h = tuple(controller) if controller is not None else timelike_vector(lattice)
-        if norm(lattice, h) >= 0:
-            raise DomainError("controller must be timelike")
-        roots = vinberg.shells(lattice, h)
+        roots = vinberg.shells(lattice, timelike_vector(lattice))
     out = []
     for d in range(1, int(norm_bound) + 1):
         if den * d % 2:
@@ -205,7 +201,7 @@ def symmetry_group(lattice: Lattice, roots) -> SymmetryGroup:
                 return
             g = tuple(tuple(int(x) for x in row) for row in g)
             if is_isometry(lattice, g) and \
-                    all(apply_isometry(g, roots[r]) == roots[sigma[r]] for r in range(k)):
+                    all(linalg.mat_vec(g, roots[r]) == roots[sigma[r]] for r in range(k)):
                 elements.append(g)
             return
         for j in range(k):
@@ -284,13 +280,7 @@ def _minus_identity_shift(g):
 
 
 def is_unipotent(g) -> bool:
-    delta = _minus_identity_shift(g)
-    power = delta
-    for _ in range(len(g)):
-        if linalg.is_zero_matrix(power):
-            return True
-        power = linalg.mat_mul(power, delta)
-    return linalg.is_zero_matrix(power)
+    return linalg.is_zero_matrix(linalg.mat_pow(_minus_identity_shift(g), len(g)))
 
 
 def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int) -> RootSet:
@@ -325,8 +315,8 @@ def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int) ->
     images = {0: seeds}
     phi_inv = int_inverse(phi)
     for t in range(1, window + 1):
-        images[t] = [apply_isometry(phi, s) for s in images[t - 1]]
-        images[-t] = [apply_isometry(phi_inv, s) for s in images[1 - t]]
+        images[t] = [linalg.mat_vec(phi, s) for s in images[t - 1]]
+        images[-t] = [linalg.mat_vec(phi_inv, s) for s in images[1 - t]]
     roots = []
     for t in range(-window, window + 1):
         e, f1, f2 = images[t]

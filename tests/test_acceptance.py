@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from ex134_data import CUSP, F01, F02, PHI
 from lorentzroots import cones, kacmoody as km, linalg, qseries as qs, vinberg, weylstruct as ws
-from lorentzroots.lattice import (Lattice, apply_isometry, is_crystallographic,
-                                  is_isometry, norm, pair, reflection)
+from lorentzroots.lattice import (Lattice, is_crystallographic, is_isometry, norm, pair,
+                                  reflection)
 from lorentzroots.vinberg import HeightKey, RootFilter
 
 
@@ -40,7 +40,7 @@ def test_criterion_02_weyl_vectors(ex134, triangle):
     data = ws.lattice_weyl_vector(ex134, triangle)
     assert data.rho == (Fraction(1, 2),) * 3
     assert data.rho_norm == Fraction(-3, 2)
-    phi_d1 = apply_isometry(PHI, (1, 0, 0))
+    phi_d1 = linalg.mat_vec(PHI, (1, 0, 0))
     family = [(1, 0, 0), F01, F02]
     fdata = ws.lattice_weyl_vector(ex134, family)
     assert fdata.rho == (Fraction(0), Fraction(1, 4), Fraction(1, 4))
@@ -173,7 +173,7 @@ def test_criterion_09_parabolic_structure(ex134, triangle):
     assert is_isometry(ex134, PHI)
     s2, s3 = reflection(ex134, (0, 1, 0)), reflection(ex134, (0, 0, 1))
     assert linalg.mat_mul(s3, s2) == PHI
-    assert apply_isometry(PHI, CUSP) == CUSP
+    assert linalg.mat_vec(PHI, CUSP) == CUSP
     delta = tuple(tuple(PHI[i][j] - (1 if i == j else 0) for j in range(3))
                   for i in range(3))
     assert not linalg.is_zero_matrix(linalg.mat_mul(delta, delta))
@@ -242,7 +242,7 @@ def test_criterion_10_property_suites(ex134, u, u_plus_2, u_plus_a2, diag22m):
         mats.add(mat)
         assert el.sign == (-1) ** len(el.word)
         assert linalg.det(mat) == el.sign
-        moved = apply_isometry(mat, rho)
+        moved = linalg.mat_vec(mat, rho)
         assert tuple(a - b for a, b in zip(moved, rho)) == \
             tuple(map(Fraction, km.tuple_to_vector(datum, el.exponent)))
     assert len(mats) == len(big)

@@ -176,6 +176,17 @@ def test_weyl_parabolic_candidates_need_budget():
     assert [4, 2, 0] in report["candidates"]
 
 
+def test_weyl_max_pairing_ignored_for_spacelike_rho():
+    # rho = (5/2, 1/4, 1/4) has norm 15/2: no candidate search, with or without a budget
+    args = ("weyl", "--lattice", "ex134.json", "--roots=-2,-2,-2;-2,-2,-1;-2,-1,-2",
+            "--norm-bound", "4")
+    plain = run_cli(*args)
+    res = run_cli(*args, "--max-pairing", "3")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == plain.stdout
+    assert json.loads(res.stdout)["candidates"] is None
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "report.json"
     res = run_cli("--output", str(out), "info", "--lattice", "u.json")

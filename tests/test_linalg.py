@@ -152,6 +152,53 @@ def test_pivots_match_greedy_rank():
     assert linalg.pivots(((0, 0), (0, 0))) == []
 
 
+def test_elimination_against_sympy():
+    # int and rational rows up to 6x7, often with a dependent last row
+    rng = random.Random(21)
+    for _ in range(150):
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        a = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 1, 2, 3))) for _ in range(m)]
+             for _ in range(n)]
+        if rng.random() < 0.5:
+            a = [[int(6 * x) for x in row] for row in a]
+        if n > 1 and rng.random() < 0.4:
+            c, e = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+            a[-1] = [c * x + e * y for x, y in zip(a[0], a[rng.randrange(n - 1)])]
+        sa = sympy.Matrix(a)
+        assert linalg.pivots(a) == list(sa.rref()[1])
+
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+        if rng.random() < 0.5:
+            b = list(linalg.mat_vec(a, [rng.randint(-3, 3) for _ in range(m)]))
+        x = linalg.solve(a, b)
+        try:
+            sa.gauss_jordan_solve(sympy.Matrix(b))
+        except ValueError:
+            assert x is None
+        else:
+            assert linalg.mat_vec(a, x) == tuple(b)
+
+        k = min(n, m)
+        sq = [row[:k] for row in a[:k]]
+        ssq = sympy.Matrix(sq)
+        if ssq.det() == 0:
+            with pytest.raises(DegenerateFormError):
+                linalg.inverse(sq)
+        else:
+            assert sympy.Matrix(linalg.inverse(sq)) == ssq.inv()
+        ints = [[int(6 * x) for x in row] for row in sq]
+        assert linalg.det(ints) == sympy.Matrix(ints).det()
+
+        ker = linalg.kernel_basis(a, ncols=m)
+        null = sa.nullspace()
+        assert len(ker) == len(null)
+        for v in ker:
+            assert all(type(c) is int for c in v) and linalg.content(v) == 1
+            assert all(linalg.dot(row, v) == 0 for row in a)
+        if ker:
+            assert sympy.Matrix([list(v) for v in ker] + [list(w) for w in null]).rank() == len(ker)
+
+
 def test_lll_data_is_an_ldl_of_the_reduced_gram():
     # lll's integral Gram-Schmidt data factors the Gram matrix of its rows
     rng = random.Random(20)

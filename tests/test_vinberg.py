@@ -7,7 +7,7 @@ import pytest
 
 from lorentzroots import cones, linalg, vinberg
 from lorentzroots.errors import ControllerOnMirrorError, DomainError
-from lorentzroots.lattice import Lattice, apply_isometry, norm, pair, reflection
+from lorentzroots.lattice import Lattice, norm, pair, reflection
 from lorentzroots.vinberg import HeightKey, RootFilter
 
 
@@ -428,6 +428,6 @@ def test_orbit_soundness(ex134):
     rep = vinberg.run(ex134, H, NORMS2, max_key=HeightKey(1000, 1))
     wall = rep.accepted[0]
     s = reflection(ex134, wall)
-    h2 = apply_isometry(s, H)
+    h2 = linalg.mat_vec(s, H)
     rep2 = vinberg.run(ex134, h2, NORMS2, max_key=HeightKey(1000, 1))
-    assert sorted(rep2.accepted) == sorted(apply_isometry(s, r) for r in rep.accepted)
+    assert sorted(rep2.accepted) == sorted(linalg.mat_vec(s, r) for r in rep.accepted)
