@@ -74,6 +74,8 @@ def _congruence(text, rank):
     if len(spec[0]) != rank or any(len(row) != rank for row in spec[0] + spec[1]):
         raise UsageError(f"--congruence {text!r} needs {rank} basis rows and "
                          f"residues of length {rank}")
+    if not spec[1]:
+        raise UsageError(f"--congruence {text!r} needs at least one residue")
     return spec
 
 

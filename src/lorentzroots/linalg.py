@@ -440,7 +440,10 @@ def quadric_integer_points(form, centre, radius):
 
     is an integer: each level takes exactly the y_i with
     |N^2 y_i - N^2 t_i| <= isqrt(budget // (K D_i)), and the first
-    coordinate solves its square exactly.
+    coordinate solves its square exactly.  A last slab with no integer in
+    it returns before any set-up, and levels 1 and 0 are one loop over y_1
+    with no call per leaf: N^2 t_0 is affine in y_1 with slope -N nu[0][0],
+    and each leaf is one floor division and an isqrt square test.
     """
     nn, nu, kd = form
     n = len(kd)
@@ -449,29 +452,42 @@ def quadric_integer_points(form, centre, radius):
     if radius < 0:
         return []
     n2 = nn * nn
+    c = nn * centre[-1]
+    r = isqrt(radius // kd[-1])
+    if -((r - c) // n2) > (c + r) // n2:
+        return []                                           # the last slab holds no integer
+    if n == 1:
+        return sorted({(t // n2,) for t in (c - r, c + r) if t % n2 == 0}) \
+            if r * r * kd[0] == radius else []
     out = []
     y = [0] * n
     z = [0] * n                                                          # N (y_j - c_j)
 
-    def descend(i, rem):
-        # rem = scaled budget left for terms 0..i; c = N^2 t_i
-        c = nn * centre[i] - sum(a * b for a, b in zip(nu[i], z[i + 1:]))
-        if i == 0:
-            s2, r = divmod(rem, kd[0])
-            s = isqrt(s2)
-            if r or s * s != s2:
-                return
-            for t in {c + s, c - s}:
-                if t % n2 == 0:
-                    y[0] = t // n2
-                    out.append(tuple(y))
+    def descend(i, rem, c, r):
+        # rem = scaled budget left for terms 0..i, c = N^2 t_i, r = isqrt(rem // K D_i)
+        lo, hi = -((r - c) // n2), (c + r) // n2 + 1
+        if i > 1:
+            for yi in range(lo, hi):
+                t = n2 * yi - c
+                y[i] = yi
+                z[i] = nn * yi - centre[i]
+                left = rem - kd[i] * t * t
+                c1 = nn * centre[i - 1] - sum(a * b for a, b in zip(nu[i - 1], z[i:]))
+                descend(i - 1, left, c1, isqrt(left // kd[i - 1]))
             return
-        r = isqrt(rem // kd[i])
-        for yi in range(-((r - c) // n2), (c + r) // n2 + 1):
-            t = n2 * yi - c
-            y[i] = yi
-            z[i] = nn * yi - centre[i]
-            descend(i - 1, rem - kd[i] * t * t)
+        k0, k1, slope = kd[0], kd[1], nn * nu[0][0]                   # N^2 t_0 = c0 - slope y_1
+        c0 = nn * centre[0] + nu[0][0] * centre[1] - sum(a * b for a, b in zip(nu[0][1:], z[2:]))
+        t = n2 * lo - c
+        for y1 in range(lo, hi):
+            left = rem - k1 * t * t
+            t += n2
+            s = isqrt(left // k0)
+            if s * s * k0 == left:
+                y[1] = y1
+                for t0 in {c0 - slope * y1 + s, c0 - slope * y1 - s}:
+                    if t0 % n2 == 0:
+                        y[0] = t0 // n2
+                        out.append(tuple(y))
 
-    descend(n - 1, radius)
+    descend(n - 1, radius, c, r)
     return sorted(out)

@@ -65,6 +65,8 @@ class RootFilter:
             raise DomainError("norm set must be a nonempty set of positive integers")
         if self.congruence is not None:
             basis, residues = self.congruence
+            if not residues:
+                raise DomainError("congruence condition needs at least one residue")
             if linalg.det(basis) == 0:
                 raise DomainError("congruence sublattice must have finite index")
             object.__setattr__(

@@ -162,6 +162,17 @@ def test_vinberg_congruence_option():
     assert all((r[0] % 2, r[1] % 2, r[2] % 2) == (1, 0, 0) for r in report["accepted"])
 
 
+def test_vinberg_congruence_needs_a_residue():
+    # with no residue every root would be rejected and the run would look exhausted
+    spec = '[[[2,0,0],[0,1,0],[0,0,1]],[]]'
+    res = run_cli("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1",
+                  "--norms", "2", "--congruence", spec)
+    assert res.returncode == 2
+    assert f"--congruence {spec!r}" in res.stderr and "residue" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_weyl_parabolic_candidates_need_budget():
     roots = "4,2,0;4,0,2;1,2,6"
     res = run_cli("weyl", "--lattice", "ex134.json", "--roots", roots,

@@ -10,8 +10,9 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from lorentzroots import linalg
+from lorentzroots import linalg, vinberg
 from lorentzroots.errors import DegenerateFormError
+from lorentzroots.lattice import Lattice
 
 
 def random_int_matrix(rng, n, m, lo=-6, hi=6):
@@ -469,6 +470,86 @@ def test_integer_descent_matches_fraction_descent():
     assert linalg.quadric_integer_points((1, [], []), [], 0) == [()]
     assert linalg.quadric_integer_points((1, [], []), [], 1) == []
     assert linalg.quadric_integer_points((1, [], []), [], -1) == []
+
+
+def scaled_ldl(form, centre, radius):
+    """The rational (LDL, centre, radius) of integer-form arguments.  The
+    equation is homogeneous in K, so it may stay: D_i = kd[i] and
+    rho = radius / N^4."""
+    nn, nu, kd = form
+    n = len(kd)
+    u = [[Fraction(nu[i][j - i - 1], nn) if j > i else Fraction(int(i == j))
+          for j in range(n)] for i in range(n)]
+    return (list(kd), u), [Fraction(x, nn) for x in centre], Fraction(radius, nn ** 4)
+
+
+def last_slab(form, centre, radius):
+    """The first and last integer y_{n-1} allowed by the last level."""
+    nn, nu, kd = form
+    c, r = nn * centre[-1], isqrt(radius // kd[-1])
+    return -((r - c) // (nn * nn)), (c + r) // (nn * nn)
+
+
+def test_vinberg_shells_match_fraction_descent(monkeypatch):
+    # the big ints of real shells: I_{5,1} to its certificate and U+<22>
+    # for five walls, every call checked against the Fraction descent
+    seen = []
+    quadric = linalg.quadric_integer_points
+
+    def spy(form, centre, radius):
+        seen.append((form, tuple(centre), radius))
+        return quadric(form, centre, radius)
+
+    monkeypatch.setattr(linalg, "quadric_integer_points", spy)
+    i51 = Lattice(gram=tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(6))
+                             for i in range(6)))
+    rep = vinberg.run(i51, (400, 5, 4, 3, 2, 1), vinberg.RootFilter(norms=frozenset({1, 2})),
+                      max_key=vinberg.HeightKey(10 ** 7, 1))
+    assert rep.terminated and len(rep.accepted) == 6
+    u22 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
+    rep = vinberg.run(u22, (22, 30, -1), vinberg.RootFilter(norms=frozenset({2})),
+                      max_key=vinberg.HeightKey(4 * 10 ** 6, 1), max_roots=5)
+    assert len(rep.accepted) == 5
+    monkeypatch.undo()
+    slab = nonempty = 0
+    for args in seen:
+        got = linalg.quadric_integer_points(*args)
+        assert got == fraction_quadric_points(*scaled_ldl(*args)), args
+        lo, hi = last_slab(*args)
+        slab += lo > hi
+        nonempty += bool(got)
+    assert {len(form[2]) for form, _, _ in seen} == {2, 5}
+    assert 0 < slab < len(seen) and nonempty > 0
+
+
+def test_quadric_points_edge_cases():
+    def check(q, centre, radius):
+        f = fraction_ldl(q)
+        got = linalg.quadric_integer_points(*integer_form(*f, centre, radius))
+        assert got == fraction_quadric_points(f, centre, radius)
+        return got
+
+    # rank 1 and rank 2 with radius 0: the centre itself, if it is integral
+    assert check(((3,),), (Fraction(-7),), 0) == [(-7,)]
+    assert check(((3,),), (Fraction(1, 2),), 0) == []
+    assert check(((2, 1), (1, 3)), (Fraction(2), Fraction(-5)), 0) == [(2, -5)]
+    assert check(((2, 1), (1, 3)), (Fraction(2), Fraction(1, 3)), 0) == []
+    # a slab that holds exactly one integer: |y_1 - 1/3| <= 1/3 holds only 0
+    q, centre, radius = ((4, 0), (0, 4)), (0, Fraction(1, 3)), Fraction(4, 9)
+    assert check(q, centre, radius) == [(0, 0)]
+    assert last_slab(*integer_form(*fraction_ldl(q), centre, radius)) == (0, 0)
+    # a fractional centre whose slab is empty: |y_0 - 1/2| <= 1/3 on rank 1,
+    # |y_1 - 1/2| <= 1/3 on rank 2
+    for q, centre in ((((9,),), (Fraction(1, 2),)), (((5, 0), (0, 9)), (0, Fraction(1, 2)))):
+        lo, hi = last_slab(*integer_form(*fraction_ldl(q), centre, 1))
+        assert lo > hi
+        assert check(q, centre, 1) == []
+    # the first and last y_1 of the level-1 range, -3 and 0, both give
+    # points, so the level-0 centre, affine in y_1, is right at both ends
+    q, centre, radius = ((2, 1), (1, 2)), (Fraction(-3, 2), Fraction(-3, 2)), Fraction(13, 2)
+    assert check(q, centre, radius) == [(-3, -2), (-2, -3), (-1, 0), (0, -1)]
+    args = integer_form(*fraction_ldl(q), centre, radius)
+    assert args[0][1][0][0] != 0 and last_slab(*args) == (-3, 0)
 
 
 def test_primitive_and_clear_denominators():

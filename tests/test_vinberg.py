@@ -361,6 +361,12 @@ def test_congruence_filter(ex134):
     assert (0, 1, 0) not in got
 
 
+def test_congruence_filter_needs_a_residue():
+    # an empty residue list would reject every root
+    with pytest.raises(DomainError, match="residue"):
+        RootFilter(norms=frozenset({2}), congruence=(((2, 0, 0), (0, 1, 0), (0, 0, 1)), ()))
+
+
 def test_gram_bound_check_triangle(ex134, triangle):
     rep = vinberg.gram_bound_check(ex134, triangle)
     assert rep.violations == ()
