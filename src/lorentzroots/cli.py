@@ -1,5 +1,10 @@
 """Command-line surface: batch computations with deterministic JSON reports.
 
+`main` is the only input boundary and the only report path: it loads
+`--lattice` and parses `--roots` once, calls the subcommand's handler as
+`handler(args, lat, roots)`, which returns its payload and does no I/O,
+adds the `command`, `lattice` and `roots` header and writes the report.
+
 Exit codes: 0 success, 1 mathematical domain error, 2 usage or input
 parsing error.  Rational numbers are serialized as "p/q" strings,
 vectors as integer arrays in basis coordinates.
@@ -25,10 +30,6 @@ def _rat(x):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _rat_vec(v):
-    return [_rat(x) for x in v]
-
-
 def _load_lattice_arg(path) -> Lattice:
     try:
         return load_lattice(path)
@@ -37,7 +38,7 @@ def _load_lattice_arg(path) -> Lattice:
         if fixture.is_file():
             return load_lattice(fixture)
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"cannot parse lattice file {path}: {exc}")
 
 
@@ -69,7 +70,7 @@ def _congruence(text, rank):
         basis, residues = json.loads(text)
         spec = tuple(tuple(tuple(operator.index(x) for x in row) for row in part)
                      for part in (basis, residues))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise UsageError(f"cannot parse --congruence {text!r}: {exc}")
     if len(spec[0]) != rank or any(len(row) != rank for row in spec[0] + spec[1]):
         raise UsageError(f"--congruence {text!r} needs {rank} basis rows and "
@@ -92,23 +93,19 @@ def _emit(report, args):
         print(data)
 
 
-def _cmd_info(args):
-    lat = _load_lattice_arg(args.lattice)
+def _cmd_info(args, lat, roots):
     inv = invariants(lat)
-    _emit({
-        "command": "info",
-        "lattice": lat.name,
+    return {
         "rank": lat.rank,
         "signature": list(inv.signature),
         "even": inv.even,
         "determinant": inv.determinant,
         "smith_divisors": list(inv.smith_divisors),
         "exponent": inv.exponent_aS,
-    }, args)
+    }
 
 
-def _cmd_vinberg(args):
-    lat = _load_lattice_arg(args.lattice)
+def _cmd_vinberg(args, lat, roots):
     controller = _vector(args.controller, "--controller", lat.rank)
     norms = frozenset(_vector(args.norms, "--norms"))
     if any(d <= 0 for d in norms):
@@ -123,9 +120,7 @@ def _cmd_vinberg(args):
     report = vinberg.run(lat, controller, filt, max_key=max_key,
                          max_roots=args.max_roots)
     bound = vinberg.gram_bound_check(lat, report.accepted) if report.accepted else None
-    _emit({
-        "command": "vinberg",
-        "lattice": lat.name,
+    return {
         "controller": list(controller),
         "norms": sorted(norms),
         "max_height_sq": args.max_height_sq,
@@ -139,130 +134,95 @@ def _cmd_vinberg(args):
             "spanning_subset": list(bound.spanning_subset)
             if bound.spanning_subset is not None else None,
         },
-    }, args)
+    }
 
 
-def _cmd_weyl(args):
-    lat = _load_lattice_arg(args.lattice)
-    roots = _vectors(args.roots, "--roots", lat.rank)
+def _cmd_weyl(args, lat, roots):
     data = weylstruct.lattice_weyl_vector(lat, roots)
-    candidates = None
-    if data.rho is not None and args.norm_bound:
-        if data.rho_norm < 0:
-            found = weylstruct.candidate_roots_for_weyl_vector(
-                lat, data.rho, args.norm_bound)
-        elif data.rho_norm == 0 and args.max_pairing:
-            found = weylstruct.candidate_roots_for_weyl_vector(
-                lat, data.rho, args.norm_bound, max_pairing=args.max_pairing)
-        else:
-            found = None
-        candidates = [list(r) for r in found] if found is not None else None
-    _emit({
-        "command": "weyl",
-        "lattice": lat.name,
-        "roots": [list(r) for r in roots],
+    candidates = None      # isotropic rho: searched only with a --max-pairing budget
+    if data.rho is not None and args.norm_bound and (
+            data.rho_norm < 0 or data.rho_norm == 0 and args.max_pairing):
+        candidates = [list(r) for r in weylstruct.candidate_roots_for_weyl_vector(
+            lat, data.rho, args.norm_bound, max_pairing=args.max_pairing)]
+    return {
         "norm_bound": args.norm_bound,
-        "rho": _rat_vec(data.rho) if data.rho is not None else None,
+        "rho": [_rat(x) for x in data.rho] if data.rho is not None else None,
         "rho_norm": _rat(data.rho_norm) if data.rho_norm is not None else None,
         "kind": data.kind,
         "candidates": candidates,
-    }, args)
+    }
 
 
-def _cmd_classify(args):
-    lat = _load_lattice_arg(args.lattice)
-    roots = _vectors(args.roots, "--roots", lat.rank)
+def _cmd_classify(args, lat, roots):
     sym = weylstruct.symmetry_group(lat, roots)
-    kind = weylstruct.classify_chamber(lat, roots, sym)
-    _emit({
-        "command": "classify",
-        "lattice": lat.name,
-        "roots": [list(r) for r in roots],
+    return {
         "symmetry_order": sym.order,
-        "classification": kind,
-    }, args)
+        "classification": weylstruct.classify_chamber(lat, roots, sym),
+    }
 
 
-def _cmd_cartan(args):
-    lat = _load_lattice_arg(args.lattice)
-    roots = _vectors(args.roots, "--roots", lat.rank)
+def _cmd_cartan(args, lat, roots):
     gcm = kacmoody.cartan(lat, roots)
-    _emit({
-        "command": "cartan",
-        "lattice": lat.name,
-        "roots": [list(r) for r in roots],
+    return {
         "cartan_matrix": [list(row) for row in gcm.a],
         "symmetrizer_diagonal": [_rat(x) for x in gcm.d],
         "gram": [list(row) for row in gcm.b],
         "lorentzian": True,     # cartan raises unless there is exactly one negative square
-    }, args)
+    }
 
 
-def _cmd_denominator(args):
-    lat = _load_lattice_arg(args.lattice)
-    roots = _vectors(args.roots, "--roots", lat.rank)
+def _cmd_denominator(args, lat, roots):
     datum = kacmoody.root_datum(lat, roots)
     result = kacmoody.solve_multiplicities(datum, args.height)
-    table = []
-    for t, m in sorted(result.mults.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        if m == 0:
-            continue
-        table.append({
-            "root": list(t),
-            "vector": list(kacmoody.tuple_to_vector(datum, t)),
-            "norm": int(kacmoody.tuple_norm(datum.cartan, t)),
-            "mult": m,
-        })
-    anti = None
-    if datum.weyl_data.rho is not None:
-        anti = kacmoody.weyl_sum_anti_invariant(datum.cartan, result.sum_side)
-    _emit({
-        "command": "denominator",
-        "lattice": lat.name,
-        "roots": [list(r) for r in roots],
+    table = [{"root": list(t),
+              "vector": list(kacmoody.tuple_to_vector(datum, t)),
+              "norm": int(kacmoody.tuple_norm(datum.cartan, t)),
+              "mult": m}
+             for t, m in sorted(result.mults.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+             if m != 0]
+    anti = (kacmoody.weyl_sum_anti_invariant(datum.cartan, result.sum_side)
+            if datum.weyl_data.rho is not None else None)
+    return {
         "height": args.height,
         "sum_side": [{"exponent": list(k), "coefficient": c}
                      for k, c in result.sum_side.items_by_height()],
         "residual_zero": result.residual_zero,
         "multiplicities": table,
         "anti_invariant": anti,
-    }, args)
+    }
 
 
-def _cmd_qseries(args):
+def _cmd_qseries(args, lat, roots):
     if args.eta_power is not None:
-        series = qseries.eta_power(args.eta_power, args.n)
-        _emit(list(series.coeffs), args)
-        return
-    if args.cusp_identity:
-        coeffs = _vector(args.coeffs, "--coeffs") if args.coeffs else []
-        direction = {"tau2m": "tau_to_m", "m2tau": "m_to_tau"}[args.cusp_identity]
-        _emit(qseries.cusp_identity(direction, coeffs, args.n), args)
-        return
-    raise UsageError("qseries needs --eta-power or --cusp-identity")
+        return list(qseries.eta_power(args.eta_power, args.n).coeffs)
+    coeffs = _vector(args.coeffs, "--coeffs") if args.coeffs else []
+    direction = {"tau2m": "tau_to_m", "m2tau": "m_to_tau"}[args.cusp_identity]
+    return qseries.cusp_identity(direction, coeffs, args.n)
 
 
-def _cmd_family(args):
-    lat = _load_lattice_arg(args.lattice)
+def _cmd_family(args, lat, roots):
     a, b, e0, f01, f02 = (_vector(getattr(args, opt), "--" + opt.replace("_", "-"), lat.rank)
                           for opt in ("mirror_a", "mirror_b", "e0", "f01", "f02"))
     phi = weylstruct.parabolic_translation(lat, a, b)
     sample = weylstruct.build_Pk_sample(lat, phi, e0, f01, f02, args.k, args.window)
     c = weylstruct.fixed_isotropic(lat, [phi])
-    _emit({
-        "command": "family",
-        "lattice": lat.name,
+    return {
         "k": args.k,
         "window": args.window,
         "cusp": list(c),
         "translation": [list(row) for row in phi],
         "walls": [list(r) for r in sample],
         "wall_norms": [int(pair(lat, r, r)) for r in sample],
-    }, args)
+    }
 
 
 @functools.cache     # built once: parse_args keeps no state in the parser
 def build_parser():
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument("--lattice", required=True)
+    roots = argparse.ArgumentParser(add_help=False)
+    roots.add_argument("--roots", required=True, help="e.g. 1,0,0;0,1,0;0,0,1")
+
     parser = argparse.ArgumentParser(
         prog="lorentz-roots",
         description="Exact chambers, Weyl vectors and denominator identities "
@@ -270,12 +230,10 @@ def build_parser():
     parser.add_argument("--output", help="write the JSON report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", help="lattice invariants")
-    p.add_argument("--lattice", required=True)
+    p = sub.add_parser("info", parents=[lattice], help="lattice invariants")
     p.set_defaults(func=_cmd_info)
 
-    p = sub.add_parser("vinberg", help="chamber accretion in height order")
-    p.add_argument("--lattice", required=True)
+    p = sub.add_parser("vinberg", parents=[lattice], help="chamber accretion in height order")
     p.add_argument("--controller", required=True, help="e.g. 1,1,1")
     p.add_argument("--norms", required=True, help="e.g. 2 or 2,8")
     p.add_argument("--max-height-sq", default="1000",
@@ -285,39 +243,35 @@ def build_parser():
                    help="JSON [[basis rows], [residues]] of a finite-index filter")
     p.set_defaults(func=_cmd_vinberg)
 
-    p = sub.add_parser("weyl", help="lattice Weyl vector of a wall system")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--roots", required=True, help="e.g. 1,0,0;0,1,0;0,0,1")
+    p = sub.add_parser("weyl", parents=[lattice, roots],
+                       help="lattice Weyl vector of a wall system")
     p.add_argument("--norm-bound", type=_count, default=0)
     p.add_argument("--max-pairing", type=_count, default=0,
                    help="height cutoff for the isotropic-Weyl-vector search")
     p.set_defaults(func=_cmd_weyl)
 
-    p = sub.add_parser("classify", help="elliptic / parabolic-candidate / indefinite")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--roots", required=True)
+    p = sub.add_parser("classify", parents=[lattice, roots],
+                       help="elliptic / parabolic-candidate / indefinite")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("cartan", help="generalized Cartan matrix of a wall system")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--roots", required=True)
+    p = sub.add_parser("cartan", parents=[lattice, roots],
+                       help="generalized Cartan matrix of a wall system")
     p.set_defaults(func=_cmd_cartan)
 
-    p = sub.add_parser("denominator", help="graded denominator identity")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--roots", required=True)
+    p = sub.add_parser("denominator", parents=[lattice, roots],
+                       help="graded denominator identity")
     p.add_argument("--height", type=_count, default=6)
     p.set_defaults(func=_cmd_denominator)
 
     p = sub.add_parser("qseries", help="one-variable integer power series")
-    p.add_argument("--eta-power", type=int, default=None)
-    p.add_argument("--cusp-identity", choices=["tau2m", "m2tau"], default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--eta-power", type=int)
+    mode.add_argument("--cusp-identity", choices=["tau2m", "m2tau"])
     p.add_argument("--coeffs", default="")
     p.add_argument("--n", type=_count, required=True)
     p.set_defaults(func=_cmd_qseries)
 
-    p = sub.add_parser("family", help="translation-orbit wall family sample")
-    p.add_argument("--lattice", required=True)
+    p = sub.add_parser("family", parents=[lattice], help="translation-orbit wall family sample")
     p.add_argument("--mirror-a", default="0,1,0")
     p.add_argument("--mirror-b", default="0,0,1")
     p.add_argument("--e0", default="1,0,0")
@@ -351,7 +305,14 @@ def main(argv=None) -> int:
         print(f"error: --{dropped.replace('_', '-')} needs a value", file=sys.stderr)
         return 2
     try:
-        args.func(args)
+        lat = _load_lattice_arg(args.lattice) if "lattice" in args else None
+        roots = _vectors(args.roots, "--roots", lat.rank) if "roots" in args else None
+        report = args.func(args, lat, roots)
+        if lat is not None:      # the qseries series stays a headerless list
+            report.update(command=args.command, lattice=lat.name)
+        if roots is not None:
+            report["roots"] = [list(r) for r in roots]
+        _emit(report, args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -332,10 +332,7 @@ def row_kernel_transform(w):
     for j in range(1, n):
         if vals[j] == 0:
             continue
-        if vals[0] == 0:
-            col_op(0, j, 0, 1, -1, 0)
-            continue
-        g, x, y = _xgcd(vals[0], vals[j])
+        g, x, y = _xgcd(vals[0], vals[j])     # _xgcd(0, v) = (v, 0, 1): a signed swap
         # new col0 = x*col0 + y*colj ; new colj kills the entry
         a, b = vals[0] // g, vals[j] // g
         col_op(0, j, x, y, -b, a)

@@ -61,7 +61,7 @@ class WeylData:
 @dataclass(frozen=True)
 class SymmetryGroup:
     generators: tuple
-    order: int | str  # group order, or "infinite-candidate"
+    order: int  # len(generators): every element is listed
 
 
 def lattice_weyl_vector(lattice: Lattice, roots) -> WeylData:
@@ -334,8 +334,9 @@ def classify_chamber(lattice: Lattice, roots, sym: SymmetryGroup) -> str:
     system.  Parabolic-candidate requires an infinite-order unipotent
     symmetry whose fixed isotropic vector lies behind every wall; the
     finite-index condition of a genuine parabolic pair is not certified.
+    The walls must pass `RootSet.checked`.
     """
-    roots = [tuple(r) for r in roots]
+    roots = RootSet.checked(lattice, roots).roots
     if cones.is_arithmetic_type(lattice, roots).finite_volume:
         return "elliptic"
     n = lattice.rank

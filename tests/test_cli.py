@@ -173,6 +173,38 @@ def test_vinberg_congruence_needs_a_residue():
     assert res.stdout == ""
 
 
+def test_deeply_nested_json_is_a_usage_error(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    nested = "[" * 50000 + "]" * 50000        # one argv string is capped at 128 KiB
+    for args, named in ((("info", "--lattice", str(path)), str(path)),
+                        (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1",
+                          "--norms", "2", "--congruence", nested), "--congruence")):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert named in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+
+@pytest.mark.parametrize("lattice, roots", [
+    ("u.json", "1,0;0,1"),                            # isotropic
+    ("ex134.json", "1,0,0;0,1,0;0,0,1;1,1,1"),        # (1,1,1) is timelike
+])
+def test_classify_rejects_non_walls(lattice, roots):
+    res = run_cli("classify", "--lattice", lattice, "--roots", roots)
+    assert res.returncode == 1
+    assert "not spacelike" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("modes", [(), ("--eta-power", "24", "--cusp-identity", "tau2m")])
+def test_qseries_needs_exactly_one_mode(modes):
+    res = run_cli("qseries", *modes, "--n", "3")
+    assert res.returncode == 2
+    assert "--eta-power" in res.stderr and "--cusp-identity" in res.stderr
+    assert res.stdout == ""
+
+
 def test_weyl_parabolic_candidates_need_budget():
     roots = "4,2,0;4,0,2;1,2,6"
     res = run_cli("weyl", "--lattice", "ex134.json", "--roots", roots,

@@ -219,3 +219,12 @@ def test_classify_chamber(ex134, triangle):
     assert ws.classify_chamber(ex134, sample.roots, fam_sym) == "parabolic-candidate"
     lone = ws.SymmetryGroup(generators=(), order=1)
     assert ws.classify_chamber(ex134, [(1, 0, 0)], lone) == "indefinite"
+
+
+def test_classify_chamber_rejects_non_walls(u, ex134, triangle):
+    # isotropic vectors, or a timelike one among the walls, bound no chamber
+    with pytest.raises(DomainError, match="not spacelike"):
+        ws.classify_chamber(u, [(1, 0), (0, 1)], ws.symmetry_group(u, [(1, 0), (0, 1)]))
+    walls = [*triangle, (1, 1, 1)]
+    with pytest.raises(DomainError, match=r"\(1, 1, 1\) is not spacelike"):
+        ws.classify_chamber(ex134, walls, ws.symmetry_group(ex134, walls))
