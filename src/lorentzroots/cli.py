@@ -97,10 +97,10 @@ def _cmd_info(args, lat, roots):
     inv = invariants(lat)
     return {
         "rank": lat.rank,
-        "signature": list(inv.signature),
+        "signature": inv.signature,
         "even": inv.even,
         "determinant": inv.determinant,
-        "smith_divisors": list(inv.smith_divisors),
+        "smith_divisors": inv.smith_divisors,
         "exponent": inv.exponent_aS,
     }
 
@@ -121,18 +121,17 @@ def _cmd_vinberg(args, lat, roots):
                          max_roots=args.max_roots)
     bound = vinberg.gram_bound_check(lat, report.accepted) if report.accepted else None
     return {
-        "controller": list(controller),
+        "controller": controller,
         "norms": sorted(norms),
         "max_height_sq": args.max_height_sq,
         "max_roots": args.max_roots,
-        "accepted": [list(r) for r in report.accepted],
-        "gram": [list(row) for row in report.gram],
+        "accepted": report.accepted,
+        "gram": report.gram,
         "terminated": report.terminated,
         "exhausted": report.exhausted,
         "bound_check": None if bound is None else {
-            "violations": [list(v) for v in bound.violations],
-            "spanning_subset": list(bound.spanning_subset)
-            if bound.spanning_subset is not None else None,
+            "violations": bound.violations,
+            "spanning_subset": bound.spanning_subset,
         },
     }
 
@@ -142,8 +141,8 @@ def _cmd_weyl(args, lat, roots):
     candidates = None      # isotropic rho: searched only with a --max-pairing budget
     if data.rho is not None and args.norm_bound and (
             data.rho_norm < 0 or data.rho_norm == 0 and args.max_pairing):
-        candidates = [list(r) for r in weylstruct.candidate_roots_for_weyl_vector(
-            lat, data.rho, args.norm_bound, max_pairing=args.max_pairing)]
+        candidates = weylstruct.candidate_roots_for_weyl_vector(
+            lat, data.rho, args.norm_bound, max_pairing=args.max_pairing)
     return {
         "norm_bound": args.norm_bound,
         "rho": [_rat(x) for x in data.rho] if data.rho is not None else None,
@@ -164,9 +163,9 @@ def _cmd_classify(args, lat, roots):
 def _cmd_cartan(args, lat, roots):
     gcm = kacmoody.cartan(lat, roots)
     return {
-        "cartan_matrix": [list(row) for row in gcm.a],
+        "cartan_matrix": gcm.a,
         "symmetrizer_diagonal": [_rat(x) for x in gcm.d],
-        "gram": [list(row) for row in gcm.b],
+        "gram": gcm.b,
         "lorentzian": True,     # cartan raises unless there is exactly one negative square
     }
 
@@ -174,9 +173,9 @@ def _cmd_cartan(args, lat, roots):
 def _cmd_denominator(args, lat, roots):
     datum = kacmoody.root_datum(lat, roots)
     result = kacmoody.solve_multiplicities(datum, args.height)
-    table = [{"root": list(t),
-              "vector": list(kacmoody.tuple_to_vector(datum, t)),
-              "norm": int(kacmoody.tuple_norm(datum.cartan, t)),
+    table = [{"root": t,
+              "vector": kacmoody.tuple_to_vector(datum, t),
+              "norm": kacmoody.tuple_norm(datum.cartan, t),
               "mult": m}
              for t, m in sorted(result.mults.items(), key=lambda kv: (sum(kv[0]), kv[0]))
              if m != 0]
@@ -184,7 +183,7 @@ def _cmd_denominator(args, lat, roots):
             if datum.weyl_data.rho is not None else None)
     return {
         "height": args.height,
-        "sum_side": [{"exponent": list(k), "coefficient": c}
+        "sum_side": [{"exponent": k, "coefficient": c}
                      for k, c in result.sum_side.items_by_height()],
         "residual_zero": result.residual_zero,
         "multiplicities": table,
@@ -194,7 +193,7 @@ def _cmd_denominator(args, lat, roots):
 
 def _cmd_qseries(args, lat, roots):
     if args.eta_power is not None:
-        return list(qseries.eta_power(args.eta_power, args.n).coeffs)
+        return qseries.eta_power(args.eta_power, args.n).coeffs
     coeffs = _vector(args.coeffs, "--coeffs") if args.coeffs else []
     direction = {"tau2m": "tau_to_m", "m2tau": "m_to_tau"}[args.cusp_identity]
     return qseries.cusp_identity(direction, coeffs, args.n)
@@ -209,10 +208,10 @@ def _cmd_family(args, lat, roots):
     return {
         "k": args.k,
         "window": args.window,
-        "cusp": list(c),
-        "translation": [list(row) for row in phi],
-        "walls": [list(r) for r in sample],
-        "wall_norms": [int(pair(lat, r, r)) for r in sample],
+        "cusp": c,
+        "translation": phi,
+        "walls": sample,
+        "wall_norms": [pair(lat, r, r) for r in sample],
     }
 
 
@@ -311,7 +310,7 @@ def main(argv=None) -> int:
         if lat is not None:      # the qseries series stays a headerless list
             report.update(command=args.command, lattice=lat.name)
         if roots is not None:
-            report["roots"] = [list(r) for r in roots]
+            report["roots"] = roots
         _emit(report, args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DomainError
-from .lattice import Lattice, norm, pair, vector_of_sign
+from .lattice import Lattice, gram_matrix, norm, pair, vector_of_sign
 
 
 @dataclass(frozen=True)
@@ -207,10 +207,9 @@ def k_elements(lattice: Lattice, roots, height_bound):
     """Lattice points of the cone K: nonnegative wall combinations that lie
     behind every wall, up to the given coefficient-sum bound."""
     roots = [tuple(a) for a in roots]
-    gram = [[pair(lattice, u, v) for v in roots] for u in roots]
     cols = linalg.transpose(roots)
     seen = {}
-    for a in k_element_tuples(gram, height_bound):
+    for a in k_element_tuples(gram_matrix(lattice, roots), height_bound):
         x = linalg.mat_vec(cols, a)
         seen.setdefault(x, a)
     return sorted(seen)

@@ -17,7 +17,7 @@ from math import comb
 
 from . import cones, linalg, weylstruct
 from .errors import DenominatorMismatchError, DomainError
-from .lattice import Lattice, norm, pair, reflection
+from .lattice import Lattice, gram_matrix, norm, pair, reflection
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
@@ -39,15 +39,15 @@ class RootDatum:
 def cartan(lattice: Lattice, roots) -> GeneralizedCartanMatrix:
     """Generalized Cartan matrix 2 S(a_i, a_j) / S(a_i, a_i) of a wall system.
 
-    The walls must pass `weylstruct.RootSet.checked` (spacelike,
+    The walls must pass `weylstruct.check_walls` (spacelike,
     crystallographic, pairwise nonobtuse, none proportional) and have a
     connected Gram graph; the symmetrized matrix must have exactly one
     negative square.
     """
-    roots = weylstruct.RootSet.checked(lattice, roots).roots
+    roots = weylstruct.check_walls(lattice, roots)
     if not roots:
         raise DomainError("empty wall system")
-    b = [[pair(lattice, x, y) for y in roots] for x in roots]
+    b = gram_matrix(lattice, roots)
     a = tuple(tuple(2 * x // row[i] for x in row) for i, row in enumerate(b))
     if not linalg.support_connected(b):
         raise DomainError("Gram graph of the wall system is disconnected")
@@ -59,7 +59,7 @@ def cartan(lattice: Lattice, roots) -> GeneralizedCartanMatrix:
     return GeneralizedCartanMatrix(
         a=a,
         d=tuple(Fraction(2, row[i]) for i, row in enumerate(b)),
-        b=tuple(tuple(row) for row in b),
+        b=b,
     )
 
 

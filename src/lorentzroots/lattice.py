@@ -89,6 +89,15 @@ def norm(lattice: Lattice, x):
     return pair(lattice, x, x)
 
 
+def gram_matrix(lattice: Lattice, vectors):
+    """The pairings S(v_i, v_j) of a vector list, exact, as a tuple of tuples;
+    G v is formed once per vector."""
+    for v in vectors:
+        _check_dim(lattice, v)
+    gv = [linalg.mat_vec(lattice.gram, v) for v in vectors]
+    return tuple(tuple(linalg.dot(u, w) for w in gv) for u in vectors)
+
+
 def invariants(lattice: Lattice) -> LatticeInvariants:
     """Signature, parity, determinant and discriminant-group data.
 
@@ -174,8 +183,7 @@ def vector_of_sign(lattice: Lattice, sign: int, basis):
     """A primitive integer vector of the span of basis whose norm has the
     given sign (+1 or -1), or None: the first diagonal entry of that sign
     of the restricted form's rational diagonalization, pulled back."""
-    gram = [[pair(lattice, u, v) for v in basis] for u in basis]
-    rows, diag = linalg.diagonalizing_basis(gram)
+    rows, diag = linalg.diagonalizing_basis(gram_matrix(lattice, basis))
     for row, d in zip(rows, diag):
         if d * sign > 0:
             return linalg.clear_denominators(linalg.mat_vec(linalg.transpose(basis), row))

@@ -76,10 +76,7 @@ def is_zero_matrix(m):
 
 def content(v) -> int:
     """gcd of the entries, 0 for the zero vector."""
-    g = 0
-    for a in v:
-        g = gcd(g, abs(int(a)))
-    return g
+    return gcd(*(int(a) for a in v))
 
 
 def primitive(v):
@@ -92,9 +89,7 @@ def primitive(v):
 
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector, keeping direction."""
-    den = 1
-    for a in v:
-        den = lcm(den, Fraction(a).denominator)
+    den = lcm(*(Fraction(a).denominator for a in v))
     return primitive(tuple(int(a * den) for a in v))
 
 
@@ -292,22 +287,14 @@ def smith_divisors(m):
                     a[i][j] -= q * a[i][t]
             if a[t][j]:
                 dirty = True
-        if dirty:
-            continue
-        # pivot must divide every remaining entry for the chain property
-        offender = next(
-            ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols)
-             if a[i][j] % piv != 0),
-            None,
-        )
-        if offender is not None:
-            i = offender[0]
-            for j in range(t, cols):
-                a[t][j] += a[i][j]
-            continue
-        t += 1
-    divisors = [abs(a[i][i]) for i in range(min(rows, cols))]
-    return tuple(divisors)
+        if not dirty:
+            t += 1
+    d = [abs(a[i][i]) for i in range(min(rows, cols))]
+    # each (gcd, lcm) exchange sorts every prime's valuations: a chain, zeros last
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(d)
 
 
 def row_kernel_transform(w):

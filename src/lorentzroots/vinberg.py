@@ -9,23 +9,22 @@ hyperplane S(h, x) = -m), enumerated exactly.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import total_ordering
 from itertools import combinations
 from math import lcm
 
 from . import cones, linalg
 from .errors import ControllerOnMirrorError, DomainError
-from .lattice import Lattice, is_crystallographic, norm, pair
+from .lattice import Lattice, gram_matrix, is_crystallographic, norm
 
 
-@total_ordering
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, order=True)
 class HeightKey:
     """Squared Vinberg height S(h,d)^2 / S(d,d), compared as an exact fraction."""
-    numerator: int
-    denominator: int
+    numerator: int = field(compare=False)
+    denominator: int = field(compare=False)
+    _value: Fraction = field(init=False, repr=False)
 
     def __post_init__(self):
         if type(self.numerator) is not int or type(self.denominator) is not int:
@@ -33,22 +32,10 @@ class HeightKey:
                               f"{self.numerator!r}/{self.denominator!r}")
         if self.numerator < 0 or self.denominator <= 0:
             raise DomainError("height key needs numerator >= 0, denominator > 0")
+        object.__setattr__(self, "_value", Fraction(self.numerator, self.denominator))
 
     def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __eq__(self, other):
-        if not isinstance(other, HeightKey):
-            return NotImplemented
-        return self.value() == other.value()
-
-    def __lt__(self, other):
-        if not isinstance(other, HeightKey):
-            return NotImplemented
-        return self.value() < other.value()
-
-    def __hash__(self):
-        return hash(self.value())
+        return self._value
 
 
 @dataclass(frozen=True)
@@ -201,8 +188,8 @@ def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
             terminated = not lin and cones.in_light_cone(lattice, rays)
             if terminated or len(accepted) == max_roots:
                 break
-    gram = tuple(tuple(pair(lattice, x, y) for y in accepted) for x in accepted)
-    return ChamberReport(accepted=tuple(accepted), terminated=terminated, gram=gram)
+    return ChamberReport(accepted=tuple(accepted), terminated=terminated,
+                         gram=gram_matrix(lattice, accepted))
 
 
 @dataclass(frozen=True)
@@ -227,10 +214,10 @@ def gram_bound_check(lattice: Lattice, roots, strict: bool = True) -> GramBoundR
     """Check the normalized-pairing window [-2, 62) on all wall pairs, and
     look for a connected spanning subset of size rank that stays inside it."""
     roots = [tuple(a) for a in roots]
-    norms = [norm(lattice, a) for a in roots]
+    gram = gram_matrix(lattice, roots)
+    norms = [row[i] for i, row in enumerate(gram)]
     if any(n <= 0 for n in norms):
         raise DomainError("all wall vectors must be spacelike")
-    gram = [[pair(lattice, a, b) for b in roots] for a in roots]
     violations = [
         (i, j)
         for i in range(len(roots)) for j in range(i, len(roots))

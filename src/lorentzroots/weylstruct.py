@@ -6,49 +6,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import isqrt, lcm
 
 from . import cones, linalg, vinberg
 from .errors import (DomainError, IndeterminateFixedSpaceError, NonObtusePairError,
                      UnderDeterminedError)
-from .lattice import (Lattice, a_delta, int_inverse, invariants, is_crystallographic,
-                      is_isometry, norm, pair, reflection, timelike_vector)
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Ordered wall vectors of a chamber."""
-    roots: tuple[tuple[int, ...], ...]
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self):
-        return len(self.roots)
-
-    def __getitem__(self, i):
-        return self.roots[i]
-
-    @classmethod
-    def checked(cls, lattice: Lattice, roots) -> "RootSet":
-        """Validate the chamber invariants: spacelike crystallographic walls,
-        pairwise nonobtuse, no two proportional."""
-        roots = tuple(tuple(int(x) for x in r) for r in roots)
-        for r in roots:
-            if norm(lattice, r) <= 0:
-                raise DomainError(f"wall {r} is not spacelike")
-            if not is_crystallographic(lattice, r):
-                raise DomainError(f"wall {r} is not crystallographic")
-        prims = [linalg.primitive(r) for r in roots]
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                s = pair(lattice, roots[i], roots[j])
-                if s > 0:
-                    raise NonObtusePairError(roots[i], roots[j], s)
-                if prims[j] in (prims[i], linalg.vec_scale(-1, prims[i])):
-                    raise DomainError(f"proportional walls {roots[i]}, {roots[j]}")
-        return cls(roots=roots)
+from .lattice import (Lattice, a_delta, gram_matrix, int_inverse, invariants,
+                      is_crystallographic, is_isometry, norm, pair, reflection,
+                      timelike_vector)
 
 
 @dataclass(frozen=True)
@@ -62,6 +27,26 @@ class WeylData:
 class SymmetryGroup:
     generators: tuple
     order: int  # len(generators): every element is listed
+
+
+def check_walls(lattice: Lattice, roots):
+    """The walls as int tuples, checked for the chamber invariants:
+    spacelike crystallographic walls, pairwise nonobtuse, no two proportional."""
+    roots = tuple(tuple(int(x) for x in r) for r in roots)
+    gram = gram_matrix(lattice, roots)
+    for i, r in enumerate(roots):
+        if gram[i][i] <= 0:
+            raise DomainError(f"wall {r} is not spacelike")
+        if not is_crystallographic(lattice, r):
+            raise DomainError(f"wall {r} is not crystallographic")
+    prims = [linalg.primitive(r) for r in roots]
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            if gram[i][j] > 0:
+                raise NonObtusePairError(roots[i], roots[j], gram[i][j])
+            if prims[j] in (prims[i], linalg.vec_scale(-1, prims[i])):
+                raise DomainError(f"proportional walls {roots[i]}, {roots[j]}")
+    return roots
 
 
 def lattice_weyl_vector(lattice: Lattice, roots) -> WeylData:
@@ -186,7 +171,7 @@ def symmetry_group(lattice: Lattice, roots) -> SymmetryGroup:
     if linalg.rank(roots) < lattice.rank:
         raise DomainError("wall system must span to determine isometries")
     k = len(roots)
-    gram = [[pair(lattice, a, b) for b in roots] for a in roots]
+    gram = gram_matrix(lattice, roots)
     base = linalg.pivots(linalg.transpose(roots))
     base_cols = linalg.transpose([roots[i] for i in base])
     base_inv = linalg.inverse(base_cols)
@@ -283,7 +268,7 @@ def is_unipotent(g) -> bool:
     return linalg.is_zero_matrix(linalg.mat_pow(_minus_identity_shift(g), len(g)))
 
 
-def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int) -> RootSet:
+def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
     """Finite sample of the translation-orbit wall family.
 
     Walls are phi^t(e0) for t not divisible by k and phi^t(f01),
@@ -324,7 +309,7 @@ def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int) ->
     for r in roots:
         if 2 * pair(lattice, rho, r) != -norm(lattice, r):
             raise DomainError(f"sample wall {r} violates the Weyl property")
-    return RootSet.checked(lattice, roots)
+    return check_walls(lattice, roots)
 
 
 def classify_chamber(lattice: Lattice, roots, sym: SymmetryGroup) -> str:
@@ -334,9 +319,13 @@ def classify_chamber(lattice: Lattice, roots, sym: SymmetryGroup) -> str:
     system.  Parabolic-candidate requires an infinite-order unipotent
     symmetry whose fixed isotropic vector lies behind every wall; the
     finite-index condition of a genuine parabolic pair is not certified.
-    The walls must pass `RootSet.checked`.
+    `symmetry_group` of a finite wall list is finite, and a unipotent
+    element of finite order is the identity, so that branch fires only for
+    a symmetry the caller supplies: with `symmetry_group(lattice, roots)`
+    the P_2 sample (`build_Pk_sample`, k = 2, window 2) is "indefinite".
+    The walls must pass `check_walls`.
     """
-    roots = RootSet.checked(lattice, roots).roots
+    roots = check_walls(lattice, roots)
     if cones.is_arithmetic_type(lattice, roots).finite_volume:
         return "elliptic"
     n = lattice.rank

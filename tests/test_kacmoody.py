@@ -492,10 +492,10 @@ def test_imaginary_membership_fails_off_arithmetic_type(ex134):
     from ex134_data import PHI
 
     sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)
-    art = cones.is_arithmetic_type(ex134, sample.roots)
+    art = cones.is_arithmetic_type(ex134, sample)
     assert not art.finite_volume
     assert art.witness is not None and norm(ex134, art.witness) > 0
-    datum8 = km.root_datum(ex134, sample.roots)
+    datum8 = km.root_datum(ex134, sample)
     assert km.imaginary_membership(datum8, (1, 1, 1), 8) is None
     assert km.imaginary_membership(datum8, (2, 1, 1), 8) is None
     assert km.imaginary_membership(datum8, (3, 2, 2), 8) == 3

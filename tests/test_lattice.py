@@ -1,6 +1,7 @@
 """Bilinear form plumbing on the worked rank-3 lattice and random fixtures."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -9,9 +10,9 @@ from sympy.matrices.normalforms import invariant_factors
 from lorentzroots import linalg
 from lorentzroots.errors import DimensionError, DomainError
 from ex134_data import CUSP, F01, F02, PHI
-from lorentzroots.lattice import (Lattice, a_delta, invariants, is_crystallographic,
-                                  is_isometry, norm, pair, reflection, scaled,
-                                  timelike_vector)
+from lorentzroots.lattice import (Lattice, a_delta, gram_matrix, invariants,
+                                  is_crystallographic, is_isometry, norm, pair, reflection,
+                                  scaled, timelike_vector)
 
 
 
@@ -27,6 +28,23 @@ def test_pair_examples(ex134):
 def test_pair_dimension_mismatch(ex134):
     with pytest.raises(DimensionError):
         pair(ex134, (1, 0), (1, 0, 0))
+
+
+def test_gram_matrix_matches_pair(ex134):
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        lat = Lattice(gram=tuple(tuple(a[i][j] + a[j][i] for j in range(n)) for i in range(n)))
+        vecs = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        vecs.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)))
+        g = gram_matrix(lat, vecs)
+        assert g == tuple(tuple(pair(lat, x, y) for y in vecs) for x in vecs)
+    assert gram_matrix(ex134, []) == ()
+    with pytest.raises(DimensionError) as exc:
+        pair(ex134, (1, 0, 0), (1, 0))
+    with pytest.raises(DimensionError, match=f"^{exc.value}$"):
+        gram_matrix(ex134, [(1, 0, 0), (1, 0)])
 
 
 def test_invariants_u(u):

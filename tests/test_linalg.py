@@ -38,6 +38,23 @@ def test_smith_divisors_chain_property():
             assert b % a == 0
 
 
+def test_smith_divisors_rectangular_rank_deficient():
+    # rectangular shapes and dependent rows: zeros fill the chain's tail
+    rng = random.Random(30)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [list(r) for r in random_int_matrix(rng, rows, cols)]
+        for i in range(1, rows):
+            if rng.random() < 0.4:      # a combination of the rows above
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                m[i] = [a * x + b * y for x, y in zip(m[rng.randrange(i)], m[0])]
+        ours = linalg.smith_divisors(m)
+        nonzero = [d for d in ours if d]
+        assert len(ours) == min(rows, cols)
+        assert ours == tuple(nonzero) + (0,) * (len(ours) - len(nonzero))
+        assert nonzero == [abs(int(x)) for x in invariant_factors(sympy.Matrix(m)) if x != 0]
+
+
 def test_det_against_sympy():
     rng = random.Random(14)
     for _ in range(60):

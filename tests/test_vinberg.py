@@ -29,6 +29,12 @@ def test_height_key_ordering():
         HeightKey(1, 0)
 
 
+def test_height_key_hash_and_repr():
+    assert len({HeightKey(4, 2), HeightKey(2, 1)}) == 1
+    assert repr(HeightKey(4, 2)) == "HeightKey(numerator=4, denominator=2)"
+    assert HeightKey(4, 2).value() == 2
+
+
 def brute_first_shell(lat, h, d, max_key, box=10):
     out = []
     for x in itertools.product(range(-box, box + 1), repeat=lat.rank):

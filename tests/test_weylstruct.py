@@ -167,7 +167,7 @@ def test_parabolic_translation(ex134):
 
 def test_build_Pk_sample(ex134):
     sample2 = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)
-    roots = set(sample2.roots)
+    roots = set(sample2)
     assert PHI_D1 in roots and F01 in roots and F02 in roots
     assert len(sample2) == 8
     norms = sorted(norm(ex134, r) for r in sample2)
@@ -181,8 +181,8 @@ def test_build_Pk_sample(ex134):
     assert [norm(ex134, r) for r in sample2] == [8, 8, 2, 8, 8, 2, 8, 8]
     sample3 = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 3, 3)
     assert [norm(ex134, r) for r in sample3] == [8, 8, 2, 2, 8, 8, 2, 2, 8, 8]
-    assert set(sample3.roots) != set(
-        ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 3).roots)
+    assert set(sample3) != set(
+        ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 3))
 
 
 def test_family_restricted_parabolic_r_squared(ex134):
@@ -203,11 +203,11 @@ def test_build_Pk_sample_rejects_bad_phi(ex134):
 
 def test_rootset_checked_rejects_obtuse(ex134):
     with pytest.raises(NonObtusePairError):
-        ws.RootSet.checked(ex134, [(1, 0, 0), (2, 1, 0)])
+        ws.check_walls(ex134, [(1, 0, 0), (2, 1, 0)])
     with pytest.raises(DomainError):
-        ws.RootSet.checked(ex134, [(1, 0, 0), (2, 0, 0)])
+        ws.check_walls(ex134, [(1, 0, 0), (2, 0, 0)])
     with pytest.raises(DomainError, match="proportional"):    # antiparallel
-        ws.RootSet.checked(ex134, [(1, 0, 0), (-1, 0, 0)])
+        ws.check_walls(ex134, [(1, 0, 0), (-1, 0, 0)])
 
 
 def test_classify_chamber(ex134, triangle):
@@ -216,7 +216,7 @@ def test_classify_chamber(ex134, triangle):
     sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)
     phi2 = linalg.mat_mul(PHI, PHI)
     fam_sym = ws.SymmetryGroup(generators=(phi2,), order="infinite-candidate")
-    assert ws.classify_chamber(ex134, sample.roots, fam_sym) == "parabolic-candidate"
+    assert ws.classify_chamber(ex134, sample, fam_sym) == "parabolic-candidate"
     lone = ws.SymmetryGroup(generators=(), order=1)
     assert ws.classify_chamber(ex134, [(1, 0, 0)], lone) == "indefinite"
 
