@@ -7,7 +7,7 @@ the one-variable q-series of cusp corrections.
 from .errors import DomainError
 from .lattice import Lattice, LatticeInvariants, invariants, load_lattice, pair, reflection
 from .vinberg import ChamberReport, HeightKey, RootFilter
-from .weylstruct import SymmetryGroup, WeylData
+from .weylstruct import WeylData
 
 __all__ = [
     "ChamberReport",
@@ -16,7 +16,6 @@ __all__ = [
     "Lattice",
     "LatticeInvariants",
     "RootFilter",
-    "SymmetryGroup",
     "WeylData",
     "invariants",
     "load_lattice",

@@ -26,8 +26,7 @@ from .lattice import Lattice, invariants, load_lattice, pair
 
 
 def _rat(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))
 
 
 def _load_lattice_arg(path) -> Lattice:
@@ -155,7 +154,7 @@ def _cmd_weyl(args, lat, roots):
 def _cmd_classify(args, lat, roots):
     sym = weylstruct.symmetry_group(lat, roots)
     return {
-        "symmetry_order": sym.order,
+        "symmetry_order": len(sym),
         "classification": weylstruct.classify_chamber(lat, roots, sym),
     }
 

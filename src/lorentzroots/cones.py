@@ -19,7 +19,6 @@ from .lattice import Lattice, gram_matrix, norm, pair, vector_of_sign
 
 @dataclass(frozen=True)
 class Cone:
-    walls: tuple[tuple[int, ...], ...]
     rays: tuple[tuple[int, ...], ...]
     lineality: tuple[tuple[int, ...], ...]
 
@@ -77,7 +76,7 @@ def dual_extreme_rays(lattice: Lattice, roots) -> Cone:
     lin, rays = linalg.identity(lattice.rank), []
     for i, row in enumerate(rows):
         lin, rays = clip(lin, rays, rows[:i], row)
-    return Cone(walls=tuple(roots), rays=tuple(sorted(rays)), lineality=tuple(sorted(lin)))
+    return Cone(rays=tuple(sorted(rays)), lineality=tuple(sorted(lin)))
 
 
 def in_light_cone(lattice: Lattice, rays) -> bool:

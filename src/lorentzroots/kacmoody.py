@@ -357,13 +357,6 @@ def anti_invariance_check(datum: RootDatum, height_bound: int) -> bool:
 # ---------------------------------------------------------------------------
 # imaginary membership and the cusp embedding
 
-def chamber_interior_point(datum: RootDatum):
-    h = cones._interior_point(datum.lattice, datum.simple_roots)
-    if h is None or norm(datum.lattice, h) >= 0:
-        raise DomainError("no timelike interior point; chamber is not finite-volume")
-    return h
-
-
 def imaginary_membership(datum: RootDatum, x, n_max: int,
                          allow_lightlike: bool = False):
     """Smallest n <= n_max with n*x in the Weyl orbit of the cone K, or None.
@@ -379,7 +372,9 @@ def imaginary_membership(datum: RootDatum, x, n_max: int,
         raise DomainError("imaginary membership needs a timelike vector")
     if all(c == 0 for c in x):
         raise DomainError("zero vector")
-    h = chamber_interior_point(datum)
+    h = cones._interior_point(lattice, datum.simple_roots)
+    if h is None or norm(lattice, h) >= 0:
+        raise DomainError("no timelike interior point; chamber is not finite-volume")
     y = tuple(x)
     if pair(lattice, y, h) > 0:
         y = tuple(-c for c in y)

@@ -169,8 +169,10 @@ def is_isometry(lattice: Lattice, g) -> bool:
 
 
 def int_inverse(g):
-    """Inverse of an integer matrix with determinant +-1."""
+    """Inverse of an integer matrix with determinant +-1; raises otherwise."""
     inv = linalg.inverse(g)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise DomainError("matrix is not unimodular: its inverse is not integral")
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 

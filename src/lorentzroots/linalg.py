@@ -253,43 +253,30 @@ def diagonalizing_basis(sym):
 # integer normal forms
 
 def smith_divisors(m):
-    """Diagonal of the Smith normal form as a divisibility chain of ints >= 0."""
+    """Diagonal of the Smith normal form as a divisibility chain of ints >= 0.
+
+    A least nonzero entry goes to the corner and reduces its column and row;
+    once both are clear it is recorded and the first row and column dropped."""
     a = [list(map(int, row)) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    t = 0
-    while t < min(rows, cols):
-        # locate a nonzero pivot of minimal absolute value
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
+    size = min(len(a), len(a[0])) if a else 0
+    d = []
+    while any(map(any, a)):
+        _, bi, bj = min((abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+        a[0], a[bi] = a[bi], a[0]
         for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        piv = a[t][t]
-        dirty = False
-        for i in range(t + 1, rows):
-            q = a[i][t] // piv
-            if q:
-                for j in range(t, cols):
-                    a[i][j] -= q * a[t][j]
-            if a[i][t]:
-                dirty = True
-        for j in range(t + 1, cols):
-            q = a[t][j] // piv
-            if q:
-                for i in range(t, rows):
-                    a[i][j] -= q * a[i][t]
-            if a[t][j]:
-                dirty = True
-        if not dirty:
-            t += 1
-    d = [abs(a[i][i]) for i in range(min(rows, cols))]
+            row[0], row[bj] = row[bj], row[0]
+        p = a[0][0]
+        for row in a[1:]:
+            q = row[0] // p
+            row[:] = [x - q * y for x, y in zip(row, a[0])]
+        for j in range(1, len(a[0])):
+            q = a[0][j] // p
+            for row in a:
+                row[j] -= q * row[0]
+        if not any(a[0][1:]) and not any(row[0] for row in a[1:]):
+            d.append(abs(p))
+            a = [row[1:] for row in a[1:]]
+    d += [0] * (size - len(d))
     # each (gcd, lcm) exchange sorts every prime's valuations: a chain, zeros last
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
@@ -305,28 +292,19 @@ def row_kernel_transform(w):
     """
     n = len(w)
     cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    vals = [int(x) for x in w]
-
-    def col_op(dst, src, a, b, c, d):
-        # (col_dst, col_src) <- (a*dst + b*src, c*dst + d*src), same for vals
-        for i in range(n):
-            cols[dst][i], cols[src][i] = (
-                a * cols[dst][i] + b * cols[src][i],
-                c * cols[dst][i] + d * cols[src][i],
-            )
-        vals[dst], vals[src] = a * vals[dst] + b * vals[src], c * vals[dst] + d * vals[src]
-
+    g = int(w[0])
     for j in range(1, n):
-        if vals[j] == 0:
+        v = int(w[j])
+        if v == 0:
             continue
-        g, x, y = _xgcd(vals[0], vals[j])     # _xgcd(0, v) = (v, 0, 1): a signed swap
-        # new col0 = x*col0 + y*colj ; new colj kills the entry
-        a, b = vals[0] // g, vals[j] // g
-        col_op(0, j, x, y, -b, a)
-    g = vals[0]
+        h, x, y = _xgcd(g, v)     # _xgcd(0, v) = (v, 0, 1): a signed swap
+        # w.col0 becomes x*g + y*v = h, w.colj becomes (g*v - v*g)/h = 0
+        a, b = g // h, v // h
+        cols[0], cols[j] = ([x * c0 + y * cj for c0, cj in zip(cols[0], cols[j])],
+                            [a * cj - b * c0 for c0, cj in zip(cols[0], cols[j])])
+        g = h
     if g < 0:
-        g = -g
-        cols[0] = [-x for x in cols[0]]
+        g, cols[0] = -g, [-x for x in cols[0]]
     return g, [tuple(c) for c in cols]
 
 

@@ -174,10 +174,12 @@ def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
     is pointed and inside the light cone (the finite-volume certificate).
     Hitting either budget sets exhausted=True instead.
     """
+    if max_roots is not None and (type(max_roots) is not int or max_roots < 0):
+        raise DomainError(f"max_roots must be None or an integer >= 0, got {max_roots!r}")
     accepted, rows = [], []
     lin, rays = linalg.identity(lattice.rank), []
     terminated = False
-    if max_roots is None or max_roots > 0:
+    if max_roots != 0:
         for _, x in candidate_stream(lattice, h, filt, max_key):
             if any(linalg.dot(row, x) > 0 for row in rows):
                 continue

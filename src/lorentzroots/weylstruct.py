@@ -11,6 +11,7 @@ from math import isqrt, lcm
 from . import cones, linalg, vinberg
 from .errors import (DomainError, IndeterminateFixedSpaceError, NonObtusePairError,
                      UnderDeterminedError)
+from .geometry import MirrorRelation, classify_mirrors
 from .lattice import (Lattice, a_delta, gram_matrix, int_inverse, invariants,
                       is_crystallographic, is_isometry, norm, pair, reflection,
                       timelike_vector)
@@ -21,12 +22,6 @@ class WeylData:
     rho: tuple[Fraction, ...] | None
     rho_norm: Fraction | None
     kind: str  # "elliptic-type" | "parabolic-type" | "none"
-
-
-@dataclass(frozen=True)
-class SymmetryGroup:
-    generators: tuple
-    order: int  # len(generators): every element is listed
 
 
 def check_walls(lattice: Lattice, roots):
@@ -160,12 +155,12 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
     return sorted(set(out))
 
 
-def symmetry_group(lattice: Lattice, roots) -> SymmetryGroup:
+def symmetry_group(lattice: Lattice, roots) -> tuple:
     """Integral isometries permuting the wall system.
 
     Backtracks over Gram-preserving permutations of the walls (pruned
     entry by entry), keeps those inducing an integral isometry of the
-    lattice, and returns them all (they form a group) with the order.
+    lattice, and returns the tuple of them all (they form a group).
     """
     roots = [tuple(r) for r in roots]
     if linalg.rank(roots) < lattice.rank:
@@ -199,7 +194,7 @@ def symmetry_group(lattice: Lattice, roots) -> SymmetryGroup:
         sigma[i] = None
 
     extend(0, frozenset())
-    return SymmetryGroup(generators=tuple(elements), order=len(elements))
+    return tuple(elements)
 
 
 def fixed_isotropic(lattice: Lattice, gens):
@@ -250,8 +245,6 @@ def _canonical_sign(v):
 
 def parabolic_translation(lattice: Lattice, d_a, d_b):
     """The unipotent isometry s_{d_b} s_{d_a} of two mirrors meeting at infinity."""
-    from .geometry import MirrorRelation, classify_mirrors
-
     if classify_mirrors(lattice, d_a, d_b) is not MirrorRelation.PARALLEL_AT_INFINITY:
         raise DomainError("mirrors must be parallel at infinity")
     phi = linalg.mat_mul(reflection(lattice, d_b), reflection(lattice, d_a))
@@ -312,13 +305,14 @@ def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
     return check_walls(lattice, roots)
 
 
-def classify_chamber(lattice: Lattice, roots, sym: SymmetryGroup) -> str:
+def classify_chamber(lattice: Lattice, roots, symmetries) -> str:
     """"elliptic", "parabolic-candidate" or "indefinite".
 
     Elliptic requires the finite-volume certificate on the finite wall
-    system.  Parabolic-candidate requires an infinite-order unipotent
-    symmetry whose fixed isotropic vector lies behind every wall; the
-    finite-index condition of a genuine parabolic pair is not certified.
+    system.  Otherwise each of the given integer isometries is tested:
+    parabolic-candidate requires an infinite-order unipotent one whose
+    fixed isotropic vector lies behind every wall; the finite-index
+    condition of a genuine parabolic pair is not certified.
     `symmetry_group` of a finite wall list is finite, and a unipotent
     element of finite order is the identity, so that branch fires only for
     a symmetry the caller supplies: with `symmetry_group(lattice, roots)`
@@ -329,7 +323,7 @@ def classify_chamber(lattice: Lattice, roots, sym: SymmetryGroup) -> str:
     if cones.is_arithmetic_type(lattice, roots).finite_volume:
         return "elliptic"
     n = lattice.rank
-    for g in sym.generators:
+    for g in symmetries:
         if g == linalg.identity(n) or not is_unipotent(g):
             continue
         try:

@@ -1,6 +1,5 @@
 """Double description, duality round trips and the arithmetic-type test."""
 
-import dataclasses
 import random
 from itertools import combinations, product
 
@@ -288,7 +287,7 @@ def _reference_cone(lat, roots):
             x[j] = v
         rays.append(tuple(x))
     lin = sorted(linalg.primitive(v) for v in linalg.kernel_basis(rows, ncols=n))
-    return cones.Cone(walls=tuple(roots), rays=tuple(sorted(rays)), lineality=tuple(lin))
+    return cones.Cone(rays=tuple(sorted(rays)), lineality=tuple(lin))
 
 
 def _reference_arithmetic_type(lat, roots):
@@ -322,7 +321,7 @@ def test_clip_fold_matches_pointed_reference(ex134, u, u_plus_2, u_plus_a2, diag
             assert art.cone == cones.dual_extreme_rays(lat, roots)
             shuffled = rng.sample(roots, len(roots))
             again = cones.dual_extreme_rays(lat, shuffled)
-            assert dataclasses.replace(again, walls=art.cone.walls) == art.cone, roots
+            assert again == art.cone, roots
             total += 1
             with_lineality += bool(art.cone.lineality)
     assert total >= 1000 and with_lineality >= 300, (total, with_lineality)

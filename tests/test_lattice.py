@@ -10,7 +10,7 @@ from sympy.matrices.normalforms import invariant_factors
 from lorentzroots import linalg
 from lorentzroots.errors import DimensionError, DomainError
 from ex134_data import CUSP, F01, F02, PHI
-from lorentzroots.lattice import (Lattice, a_delta, gram_matrix, invariants,
+from lorentzroots.lattice import (Lattice, a_delta, gram_matrix, int_inverse, invariants,
                                   is_crystallographic, is_isometry, norm, pair, reflection,
                                   scaled, timelike_vector)
 
@@ -178,6 +178,16 @@ def test_is_isometry(ex134):
     assert linalg.mat_mul(s3, s2) == PHI
     bad = ((1, 0, 0), (0, 1, 0), (0, 1, 1))
     assert not is_isometry(ex134, bad)
+
+
+def test_int_inverse_rejects_non_unimodular():
+    assert int_inverse(PHI) == linalg.inverse(PHI)
+    assert linalg.mat_mul(PHI, int_inverse(PHI)) == linalg.identity(3)
+    assert int_inverse(((0, 1), (1, 0))) == ((0, 1), (1, 0))
+    # determinant 2 and 3: the rational inverse has a non-integer entry
+    for g in (((2, 0), (0, 1)), ((1, 1), (-1, 2)), ((2, 1, 0), (0, 1, 0), (0, 0, 1))):
+        with pytest.raises(DomainError, match="not unimodular"):
+            int_inverse(g)
 
 
 def _random_crystallographic(rng, lat, count):

@@ -4,7 +4,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 import sympy
@@ -246,23 +246,49 @@ def lll_ldl(dets, lam):
     return d, u
 
 
+def _reference_row_kernel_transform(w):
+    # the column-operation form of row_kernel_transform, recomputing w.col
+    n = len(w)
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    vals = [int(x) for x in w]
+
+    def col_op(dst, src, a, b, c, d):
+        for i in range(n):
+            cols[dst][i], cols[src][i] = (a * cols[dst][i] + b * cols[src][i],
+                                          c * cols[dst][i] + d * cols[src][i])
+        vals[dst], vals[src] = a * vals[dst] + b * vals[src], c * vals[dst] + d * vals[src]
+
+    for j in range(1, n):
+        if vals[j] == 0:
+            continue
+        g, x, y = linalg._xgcd(vals[0], vals[j])
+        a, b = vals[0] // g, vals[j] // g
+        col_op(0, j, x, y, -b, a)
+    g = vals[0]
+    if g < 0:
+        g = -g
+        cols[0] = [-x for x in cols[0]]
+    return g, [tuple(c) for c in cols]
+
+
 def test_row_kernel_transform():
     rng = random.Random(17)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        w = tuple(rng.randint(-9, 9) for _ in range(n))
-        if all(x == 0 for x in w):
-            continue
+    for trial in range(3000):
+        n = rng.randint(1, 7)
+        hi = rng.choice([1, 9, 1000, 10 ** 6])
+        w = [rng.randint(-hi, hi) if rng.random() < 0.7 else 0 for _ in range(n)]
+        if trial % 5 == 0:
+            w[0] = 0
         g, cols = linalg.row_kernel_transform(w)
-        from math import gcd
-        expect = 0
-        for x in w:
-            expect = gcd(expect, abs(x))
-        assert g == expect
+        # the columns seed the LLL of every Vinberg shell basis: pin them exactly
+        assert (g, cols) == _reference_row_kernel_transform(w), w
+        assert g == gcd(*w)
         assert linalg.dot(w, cols[0]) == g
         for c in cols[1:]:
             assert linalg.dot(w, c) == 0
-        assert abs(linalg.det(linalg.transpose(cols))) == 1
+        assert abs(linalg.det(cols)) == 1, w
+    with pytest.raises(IndexError):
+        linalg.row_kernel_transform(())
 
 
 def random_basis(rng, n, m, lo=-20, hi=20):

@@ -1,6 +1,7 @@
 """Height-ordered enumeration, chamber accretion and the pairing bounds."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,12 @@ def test_run_triangle(ex134):
 def test_run_budget_zero(ex134):
     rep = vinberg.run(ex134, H, NORMS2, max_key=HeightKey(1000, 1), max_roots=0)
     assert rep.accepted == () and rep.exhausted and not rep.terminated
+
+
+@pytest.mark.parametrize("bad", [-3, -1, 2.5, 1.0, True, False, "2", Fraction(2)], ids=repr)
+def test_run_rejects_bad_max_roots(ex134, bad):
+    with pytest.raises(DomainError, match=f"max_roots .* got {re.escape(repr(bad))}"):
+        vinberg.run(ex134, H, NORMS2, max_key=HeightKey(1000, 1), max_roots=bad)
 
 
 def test_run_prefix_stability_under_budget(ex134):
