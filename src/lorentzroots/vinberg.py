@@ -16,7 +16,8 @@ from math import lcm
 
 from . import cones, linalg
 from .errors import ControllerOnMirrorError, DomainError
-from .lattice import Lattice, gram_matrix, is_crystallographic, norm
+from .lattice import Lattice, gram_matrix, norm
+from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
 @dataclass(frozen=True, order=True)
@@ -54,7 +55,7 @@ class RootFilter:
             basis, residues = self.congruence
             if not residues:
                 raise DomainError("congruence condition needs at least one residue")
-            if linalg.det(basis) == 0:
+            if any(len(row) != len(basis) for row in basis) or linalg.det(basis) == 0:
                 raise DomainError("congruence sublattice must have finite index")
             object.__setattr__(
                 self, "congruence",
@@ -67,11 +68,8 @@ def _residue_ok(filt: RootFilter, delta) -> bool:
         return True
     basis, residues = filt.congruence
     cols = linalg.transpose(basis)
-    for r in residues:
-        sol = linalg.solve(cols, linalg.vec_sub(delta, r))
-        if sol is not None and all(c.denominator == 1 for c in sol):
-            return True
-    return False
+    return any(all(c.denominator == 1 for c in linalg.solve(cols, linalg.vec_sub(delta, r)))
+               for r in residues)
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,11 @@ class ChamberReport:
 
 
 def shells(lattice, h):
-    """roots(d, m): the sorted integer x with S(x,x) = d and S(h,x) = -m.
+    """roots(d, m): the sorted crystallographic x with S(x,x) = d and S(h,x) = -m.
+
+    x is crystallographic iff d | 2 S(e_j, x) for all j: shells with d not
+    dividing 2m or g = gcd(G h) not dividing m are skipped, and a point x = B u
+    (B unimodular, u = (-m/g, y)) is kept iff d | 2 G B u, then mapped back.
 
     Shell (d, m) lies on the slice S(h,x) = -m, centred at m h / |S(h,h)|,
     where the form on h^perp is fixed and the squared radius is
@@ -113,13 +115,15 @@ def shells(lattice, h):
             [kk * dets[i + 1] // dets[i] for i in range(r)])
     centre = [x * nn // hh for x in z]
     scale = kk * nn ** 4 // hh
+    gb = linalg.mat_mul(lattice.gram, basis)
 
     def roots(d, m):
-        if m % g != 0:
+        if m % g or 2 * m % d:
             return []
-        pts = linalg.quadric_integer_points(form, [m * x for x in centre],
-                                            (d * hh + m * m) * scale)
-        return sorted(linalg.mat_vec(basis, (-m // g,) + y) for y in pts)
+        us = [(-m // g,) + y for y in linalg.quadric_integer_points(
+            form, [m * x for x in centre], (d * hh + m * m) * scale)]
+        return sorted(linalg.mat_vec(basis, u) for u in us
+                      if all(2 * linalg.dot(row, u) % d == 0 for row in gb))
     return roots
 
 
@@ -128,10 +132,10 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
     broken by (norm, root).
 
     The key bound cuts the stream at the shell level, so the generator
-    terminates even when some norm admits no roots at all.  Roots are
-    primitive, crystallographic, congruence-admissible and satisfy
-    S(h, root) < 0.  The m = 0 shells come first, in increasing norm, and
-    an admissible root there raises ControllerOnMirrorError.
+    terminates even when some norm admits no roots at all.  Roots are the
+    primitive, congruence-admissible vectors of shells(), so crystallographic,
+    with S(h, root) < 0.  The m = 0 shells come first, in increasing norm,
+    and an admissible root there raises ControllerOnMirrorError.
     """
     if any(type(x) is not int for x in h):
         raise DomainError("controller must be integral")
@@ -149,11 +153,8 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
         if key > bound:
             continue
         heapq.heappush(heap, ((m + 1) ** 2 * (big // d), d, m + 1))
-        if (2 * m) % d:
-            continue     # d | 2 S(e_j, x) for all j, hence d | 2m
         for x in roots(d, m):
-            if linalg.content(x) == 1 and is_crystallographic(lattice, x) \
-                    and _residue_ok(filt, x):
+            if linalg.content(x) == 1 and _residue_ok(filt, x):
                 if m == 0:
                     raise ControllerOnMirrorError(x)
                 yield HeightKey(m * m, d), x

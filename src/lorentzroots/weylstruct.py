@@ -124,8 +124,8 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
     positive definite slice per norm).  For isotropic rho it is infinite
     in general (translation orbits realize unbounded families), so the
     search is cut by a controller height: roots with -S(h, a) <= max_pairing
-    for h = timelike_vector(lattice).  Results are crystallographic but not
-    necessarily primitive.
+    for h = timelike_vector(lattice).  Results come from vinberg.shells, so
+    they are crystallographic but not necessarily primitive.
     """
     rho = tuple(Fraction(x) for x in rho)
     rn = pair(lattice, rho, rho)
@@ -150,8 +150,7 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
         # timelike rho: its own shell m = t is the whole slice; isotropic rho:
         # m = 0 included, the controller only bounds the search
         for m in ([t] if rn < 0 else range(int(max_pairing) + 1)):
-            out += [x for x in roots(d, m)
-                    if pair(lattice, scaled_rho, x) == -t and is_crystallographic(lattice, x)]
+            out += [x for x in roots(d, m) if pair(lattice, scaled_rho, x) == -t]
     return sorted(set(out))
 
 

@@ -3,12 +3,13 @@
 import itertools
 import re
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from lorentzroots import cones, linalg, vinberg
 from lorentzroots.errors import ControllerOnMirrorError, DomainError
-from lorentzroots.lattice import Lattice, norm, pair, reflection
+from lorentzroots.lattice import Lattice, is_crystallographic, norm, pair, reflection
 from lorentzroots.vinberg import HeightKey, RootFilter
 
 
@@ -153,6 +154,46 @@ def test_shells_whose_norm_does_not_divide_twice_the_pairing_are_skipped(monkeyp
     assert len(scales) == 1
     assert {(22, 0), (22, 22), (2, 2), (2, 6)} <= set(seen)
     assert all(m % 11 == 0 for d, m in seen if d == 22)
+
+
+def test_shells_return_exactly_the_crystallographic_vectors(ex134, monkeypatch):
+    # roots(d, m) of every shell up to the key bound against a box, with the
+    # non-primitive 2 (1,0,0) of norm 8 kept; a shell with d not dividing 2m
+    # is empty and never descended
+    calls = []
+    quadric = linalg.quadric_integer_points
+    monkeypatch.setattr(linalg, "quadric_integer_points",
+                        lambda *a: calls.append(a) or quadric(*a))
+    u22 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
+    d6 = Lattice(gram=((-6, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3)))
+    cases = [(ex134, (4, 3, 2), {2, 8}, 32, 12), (u22, (22, 30, -1), {2, 22}, 22, 12),
+             (d6, (3, 1, 2, 2), {1, 2, 3, 6}, 12, 6)]
+    drops = []
+    for lat, h, norms, key, box in cases:
+        want, dropped = {}, 0
+        for x in itertools.product(range(-box, box + 1), repeat=lat.rank):
+            d, m = norm(lat, x), -pair(lat, h, x)
+            if d not in norms or m < 0 or m * m > key * d:
+                continue
+            if not is_crystallographic(lat, x):
+                dropped += 2 * m % d == 0     # left to the test in the shell
+                continue
+            assert max(map(abs, x)) < box, (lat.gram, x)
+            want.setdefault((d, m), []).append(x)     # product order is sorted
+        roots = vinberg.shells(lat, h)
+        skipped = 0
+        for d in sorted(norms):
+            for m in range(isqrt(key * d) + 1):
+                before = len(calls)
+                assert roots(d, m) == want.pop((d, m), []), (lat.gram, d, m)
+                if 2 * m % d:
+                    assert len(calls) == before
+                    skipped += 1
+        assert not want and skipped, lat.gram
+        drops.append(dropped)
+    # the even form of ex134 makes every vector of norm 2 or 8 crystallographic
+    assert drops[0] == 0 and drops[1] and drops[2]
+    assert (2, 0, 0) in vinberg.shells(ex134, (4, 3, 2))(8, 4)
 
 
 def brute_stream(lat, h, norms, max_key, box):
@@ -372,6 +413,35 @@ def test_congruence_filter(ex134):
     assert got[0] == (1, 0, 0)
     assert all((x[0] - 1) % 2 == 0 and x[1] % 2 == 0 and x[2] % 2 == 0 for x in got)
     assert (0, 1, 0) not in got
+
+
+def test_congruence_filter_with_two_residues_matches_a_box(ex134):
+    # M1 = {v : v0 + v1 + v2 even, v1 = v2 mod 3}, given by a non-diagonal
+    # basis of index 6; x is admissible iff x - r lies in M1 for some residue
+    basis, residues = ((1, 1, -2), (1, 0, 3), (0, 1, 1)), ((1, 0, 0), (0, 1, 0))
+    assert abs(linalg.det(basis)) == 6
+
+    def in_m1(v):
+        return sum(v) % 2 == 0 and (v[1] - v[2]) % 3 == 0
+    assert all(in_m1(row) for row in basis)
+    h, norms, max_key = (4, 3, 2), {2, 8}, HeightKey(256, 8)
+    filt = RootFilter(norms=frozenset(norms), congruence=(basis, residues))
+    got = list(vinberg.candidate_stream(ex134, h, filt, max_key))
+    everything = brute_stream(ex134, h, norms, max_key, 12)
+    want = [(k, d, x) for k, d, x in everything
+            if any(in_m1(linalg.vec_sub(x, r)) for r in residues)]
+    assert [(Fraction(k.numerator, k.denominator), norm(ex134, x), x) for k, x in got] == want
+    for r in residues:
+        assert any(in_m1(linalg.vec_sub(x, r)) for _, x in got)
+    assert len(everything) > len(want)
+
+
+def test_congruence_basis_of_infinite_index_rejected():
+    # a singular or non-square basis spans no finite-index sublattice
+    for basis in (((1, 0, 0), (0, 1, 0), (1, 1, 0)), ((1, 0, 0), (0, 1, 0)),
+                  ((1, 0), (0, 1), (1, 1))):
+        with pytest.raises(DomainError, match="finite index"):
+            RootFilter(norms=frozenset({2}), congruence=(basis, ((0, 0, 0),)))
 
 
 def test_congruence_filter_needs_a_residue():

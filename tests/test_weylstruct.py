@@ -9,7 +9,8 @@ from ex134_data import CUSP, F01, F02, PHI
 from lorentzroots import linalg, weylstruct as ws
 from lorentzroots.errors import (DomainError, IndeterminateFixedSpaceError,
                                  NonObtusePairError, UnderDeterminedError)
-from lorentzroots.lattice import is_crystallographic, is_isometry, norm, pair, reflection
+from lorentzroots.lattice import (is_crystallographic, is_isometry, norm, pair, reflection,
+                                  timelike_vector)
 
 
 PHI_D1 = (1, 2, 6)   # PHI applied to d1
@@ -109,6 +110,17 @@ def test_candidate_roots_parabolic(ex134):
     got = ws.candidate_roots_for_weyl_vector(ex134, rho, 64, max_pairing=14)
     for expected in [(1, 0, 0), F01, F02]:
         assert expected in got
+    # the whole result against a box oracle, cut by h = timelike_vector(ex134)
+    import itertools
+
+    h, box, brute = timelike_vector(ex134), 16, []
+    for x in itertools.product(range(-box, box + 1), repeat=3):
+        d = norm(ex134, x)
+        if 0 < d <= 64 and 2 * pair(ex134, rho, x) == -d \
+                and 0 <= -pair(ex134, h, x) <= 14 and is_crystallographic(ex134, x):
+            assert max(map(abs, x)) < box, x
+            brute.append(x)
+    assert got == brute
     with pytest.raises(DomainError):
         ws.candidate_roots_for_weyl_vector(ex134, rho, 64)   # needs a budget
     assert ws.candidate_roots_for_weyl_vector(ex134, rho, 0, max_pairing=5) == []
