@@ -234,16 +234,12 @@ class MultiplicityResult:
     residual_zero = True       # a nonzero residual raises DenominatorMismatchError
 
 
-def solve_multiplicities(datum: RootDatum, height_bound: int,
-                         assume_real_simple: bool = True,
-                         imaginary_candidates=None) -> MultiplicityResult:
+def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityResult:
     """Solve the denominator identity for root multiplicities up to height N.
 
     The product P over positive roots of (1 - x^root)^mult must reproduce
-    the Weyl sum W; unknown multiplicities sit at the real roots (forced
-    to 1 unless assume_real_simple is False, in which case they are
-    solved and must come out 1) and at the imaginary candidates (by
-    default the Weyl closure of the cone K).
+    the Weyl sum W.  Every positive real root has multiplicity 1, and the
+    unknowns are the Weyl closure of the cone K; there are no modes.
 
     Both sides are compared through their graded log-derivatives: with D
     the height derivation (D x^u = |u| x^u), G_W = DW/W obeys
@@ -259,21 +255,11 @@ def solve_multiplicities(datum: RootDatum, height_bound: int,
     """
     if type(height_bound) is not int or height_bound < 0:
         raise DomainError(f"height bound must be a nonnegative integer, got {height_bound!r}")
-    nvars = len(datum.simple_roots)
     series = sum_side(datum, height_bound)
     target = series.coeffs
-    zero = (0,) * nvars
+    zero = (0,) * len(datum.simple_roots)
     if target.get(zero, 0) != 1:
         raise DenominatorMismatchError(zero, 1, target.get(zero, 0))
-    reals = set(real_root_tuples(datum, height_bound))
-    if imaginary_candidates is None:
-        ims = imaginary_candidate_tuples(datum, height_bound)
-    else:
-        ims = {tuple(t) for t in imaginary_candidates}
-        for t in ims:
-            if len(t) != nvars or min(t) < 0 or not any(t):
-                raise DomainError(f"imaginary candidate {t} is not a nonzero "
-                                  f"nonnegative {nvars}-tuple")
     mults = {}
     g_prod = [{} for _ in range(height_bound + 1)]   # G_P by height
 
@@ -284,16 +270,12 @@ def solve_multiplicities(datum: RootDatum, height_bound: int,
             u = tuple(k * c for c in t)
             level[u] = level.get(u, 0) - h * m
 
-    if assume_real_simple:
-        for t in sorted(reals, key=lambda t: (sum(t), t)):
-            mults[t] = 1
-            factor(t, 1)
-    else:
-        ims = reals | set(ims)
+    for t in real_root_tuples(datum, height_bound):
+        mults[t] = 1
+        factor(t, 1)
     unknown_at = [[] for _ in range(height_bound + 1)]
-    for t in sorted(ims):
-        if sum(t) <= height_bound:
-            unknown_at[sum(t)].append(t)
+    for t in imaginary_candidate_tuples(datum, height_bound):
+        unknown_at[sum(t)].append(t)
     w_by_height = [[] for _ in range(height_bound + 1)]
     for v, c in target.items():
         w_by_height[sum(v)].append((v, c))
@@ -305,8 +287,6 @@ def solve_multiplicities(datum: RootDatum, height_bound: int,
             if m:
                 mults[t] = m
                 factor(t, m)
-            elif t in reals:
-                mults[t] = 0
         keys = set(gp) | set(sw) | {v for v, _ in w_by_height[h]}
         for u in sorted(keys):
             w = target.get(u, 0)

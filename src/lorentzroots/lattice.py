@@ -71,7 +71,7 @@ def load_lattice(path) -> Lattice:
         return lattice_from_dict(json.load(fh))
 
 
-def _check_dim(lattice, v):
+def check_dim(lattice, v):
     if len(v) != lattice.rank:
         raise DimensionError(
             f"vector of length {len(v)} against lattice of rank {lattice.rank}")
@@ -79,8 +79,8 @@ def _check_dim(lattice, v):
 
 def pair(lattice: Lattice, x, y):
     """The bilinear form S(x, y), exact (int or Fraction)."""
-    _check_dim(lattice, x)
-    _check_dim(lattice, y)
+    check_dim(lattice, x)
+    check_dim(lattice, y)
     return sum(xi * sum(g * yj for g, yj in zip(row, y))
                for xi, row in zip(x, lattice.gram))
 
@@ -93,7 +93,7 @@ def gram_matrix(lattice: Lattice, vectors):
     """The pairings S(v_i, v_j) of a vector list, exact, as a tuple of tuples;
     G v is formed once per vector."""
     for v in vectors:
-        _check_dim(lattice, v)
+        check_dim(lattice, v)
     gv = [linalg.mat_vec(lattice.gram, v) for v in vectors]
     return tuple(tuple(linalg.dot(u, w) for w in gv) for u in vectors)
 
@@ -126,7 +126,7 @@ def a_delta(lattice: Lattice, d) -> int:
     Equals the gcd of the pairings of d with the basis vectors; the input
     must be primitive (reduce with linalg.primitive first).
     """
-    _check_dim(lattice, d)
+    check_dim(lattice, d)
     if all(x == 0 for x in d):
         raise DomainError("zero vector")
     if linalg.content(d) != 1:
@@ -136,7 +136,7 @@ def a_delta(lattice: Lattice, d) -> int:
 
 def is_crystallographic(lattice: Lattice, d) -> bool:
     """True iff the reflection in d maps the lattice to itself."""
-    _check_dim(lattice, d)
+    check_dim(lattice, d)
     nd = norm(lattice, d)
     if nd <= 0:
         raise DomainError(f"reflection vector must have positive norm, got {nd}")

@@ -185,7 +185,9 @@ def inverse(m):
 
 
 def det(m) -> int:
-    """Exact determinant of an integer matrix."""
+    """Exact determinant of a square integer matrix."""
+    if any(len(row) != len(m) for row in m):
+        raise DimensionError(f"det of a non-square matrix, row lengths {[len(r) for r in m]}")
     _, pivots, d, sign = _rref(m)
     return sign * d if len(pivots) == len(m) else 0
 

@@ -12,11 +12,11 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from . import cones, linalg
 from .errors import ControllerOnMirrorError, DomainError
-from .lattice import Lattice, gram_matrix, norm
+from .lattice import Lattice, check_dim, gram_matrix, norm
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
@@ -88,7 +88,8 @@ def shells(lattice, h):
 
     x is crystallographic iff d | 2 S(e_j, x) for all j: shells with d not
     dividing 2m or g = gcd(G h) not dividing m are skipped, and a point x = B u
-    (B unimodular, u = (-m/g, y)) is kept iff d | 2 G B u, then mapped back.
+    (B unimodular, u = (-m/g, y)) is kept iff d | 2 G B u, then mapped back;
+    that is q = d/gcd(d, 2) | G B u, tested on the rows of G B not 0 mod q.
 
     Shell (d, m) lies on the slice S(h,x) = -m, centred at m h / |S(h,h)|,
     where the form on h^perp is fixed and the squared radius is
@@ -122,8 +123,10 @@ def shells(lattice, h):
             return []
         us = [(-m // g,) + y for y in linalg.quadric_integer_points(
             form, [m * x for x in centre], (d * hh + m * m) * scale)]
+        q = d // gcd(d, 2)
+        rows = [row for row in gb if any(x % q for x in row)] if us else []
         return sorted(linalg.mat_vec(basis, u) for u in us
-                      if all(2 * linalg.dot(row, u) % d == 0 for row in gb))
+                      if all(linalg.dot(row, u) % q == 0 for row in rows))
     return roots
 
 
@@ -141,6 +144,8 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
         raise DomainError("controller must be integral")
     if norm(lattice, h) >= 0:
         raise DomainError("controller must be timelike")
+    for v in sum(filt.congruence or (), ()):     # basis rows, then residues
+        check_dim(lattice, v)
     roots = shells(lattice, h)
     # keys scaled by L = lcm(norms): m^2 (L/d) <= floor(L max_key) is exactly
     # m^2/d <= max_key, with the same order and ties

@@ -162,11 +162,11 @@ def symmetry_group(lattice: Lattice, roots) -> tuple:
     lattice, and returns the tuple of them all (they form a group).
     """
     roots = [tuple(r) for r in roots]
-    if linalg.rank(roots) < lattice.rank:
-        raise DomainError("wall system must span to determine isometries")
     k = len(roots)
     gram = gram_matrix(lattice, roots)
     base = linalg.pivots(linalg.transpose(roots))
+    if len(base) < lattice.rank:
+        raise DomainError("wall system must span to determine isometries")
     base_cols = linalg.transpose([roots[i] for i in base])
     base_inv = linalg.inverse(base_cols)
     elements = []

@@ -304,11 +304,12 @@ def test_solve_multiplicities_norm8_family(ex134):
     assert km.anti_invariance_check(datum8, 4)
 
 
-def test_solve_multiplicities_mismatch_reports_first_exponent(datum):
+def test_solve_multiplicities_mismatch_reports_first_exponent(datum, monkeypatch):
     # withholding all imaginary candidates makes the identity unbalanceable;
     # the first failing exponent is the cusp direction at height 2
+    monkeypatch.setattr(km, "imaginary_candidate_tuples", lambda d, n: [])
     with pytest.raises(DenominatorMismatchError) as err:
-        km.solve_multiplicities(datum, 4, imaginary_candidates=[])
+        km.solve_multiplicities(datum, 4)
     assert sum(err.value.exponent) == 2
     assert err.value.lhs != err.value.rhs
 
@@ -319,9 +320,10 @@ def _i41_datum():
     return km.root_datum(i41, I41_WALLS)
 
 
-def test_solve_multiplicities_mismatch_triple_matches_oracle(datum, ex134):
+def test_solve_multiplicities_mismatch_triple_matches_oracle(datum, ex134, monkeypatch):
     # with no imaginary candidates the product is the real roots at
     # multiplicity one; the error is its first difference from the Weyl sum
+    monkeypatch.setattr(km, "imaginary_candidate_tuples", lambda d, n: [])
     raised = 0
     for d, heights in ((datum, range(2, 7)),
                        (km.root_datum(ex134, [F01, F02, PHI_D1]), range(2, 6)),
@@ -333,26 +335,22 @@ def test_solve_multiplicities_mismatch_triple_matches_oracle(datum, ex134):
             weyl = _matrix_action_sum_side(d, n)
             diffs = sorted((k for k in set(prod) | set(weyl) if prod.get(k, 0) != weyl.get(k, 0)),
                            key=lambda k: (sum(k), k))
-            for assume in (True, False):
-                if not diffs:       # no imaginary root up to height n
-                    res = km.solve_multiplicities(d, n, assume_real_simple=assume,
-                                                  imaginary_candidates=[])
-                    assert res.mults == reals
-                    continue
-                with pytest.raises(DenominatorMismatchError) as err:
-                    km.solve_multiplicities(d, n, assume_real_simple=assume,
-                                            imaginary_candidates=[])
-                first = diffs[0]
-                got = (err.value.exponent, err.value.lhs, err.value.rhs)
-                assert got == (first, prod.get(first, 0), weyl.get(first, 0)), (n, assume)
-                raised += 1
-    assert raised >= 20, raised
+            if not diffs:       # no imaginary root up to height n
+                assert km.solve_multiplicities(d, n).mults == reals
+                continue
+            with pytest.raises(DenominatorMismatchError) as err:
+                km.solve_multiplicities(d, n)
+            first = diffs[0]
+            got = (err.value.exponent, err.value.lhs, err.value.rhs)
+            assert got == (first, prod.get(first, 0), weyl.get(first, 0)), n
+            raised += 1
+    assert raised == 11, raised
 
 
 def test_solve_multiplicities_reproduce_weyl_sum_at_every_height(datum, ex134):
     # the product of the returned multiplicities is the Weyl sum, and the
-    # keys are the reals (when assumed) then the nonzero unknowns, each run
-    # in (height, tuple) order
+    # keys are the reals at multiplicity one then the nonzero unknowns, each
+    # run in (height, tuple) order
     by_height = lambda t: (sum(t), t)  # noqa: E731
     for d, top in ((datum, 8), (km.root_datum(ex134, [F01, F02, PHI_D1]), 5),
                    (_i41_datum(), 9)):
@@ -360,18 +358,14 @@ def test_solve_multiplicities_reproduce_weyl_sum_at_every_height(datum, ex134):
         for n in range(top + 1):
             weyl = _matrix_action_sum_side(d, n)
             reals = km.real_root_tuples(d, n)
-            for assume in (True, False):
-                res = km.solve_multiplicities(d, n, assume_real_simple=assume)
-                assert _naive_expand_product(res.mults, n, nvars) == weyl, (n, assume)
-                keys = list(res.mults)
-                if assume:
-                    assert keys[:len(reals)] == sorted(reals, key=by_height)
-                    rest = keys[len(reals):]
-                else:
-                    rest = keys
-                assert rest == sorted(rest, key=by_height)
-                assert all(res.mults[t] for t in rest)
-                assert all(res.mults[t] == 1 for t in reals)
+            res = km.solve_multiplicities(d, n)
+            assert _naive_expand_product(res.mults, n, nvars) == weyl, n
+            keys = list(res.mults)
+            assert keys[:len(reals)] == sorted(reals, key=by_height)
+            rest = keys[len(reals):]
+            assert rest == sorted(rest, key=by_height)
+            assert all(res.mults[t] for t in rest)
+            assert all(res.mults[t] == 1 for t in reals)
 
 
 def test_solve_multiplicities_rejects_bad_height_bound(datum):
@@ -381,18 +375,6 @@ def test_solve_multiplicities_rejects_bad_height_bound(datum):
         assert not isinstance(err.value, DenominatorMismatchError)
         assert repr(bad) in str(err.value)
     assert list(km.solve_multiplicities(datum, 0).mults) == []
-
-
-def test_solve_multiplicities_validates_imaginary_candidates(datum):
-    for bad in ((1, 1), (1, 1, 1, 0), (2, -1, 1), (0, 0, 0)):
-        with pytest.raises(DomainError) as err:
-            km.solve_multiplicities(datum, 4, imaginary_candidates=[(1, 1, 0), bad])
-        assert not isinstance(err.value, DenominatorMismatchError)
-        assert str(bad) in str(err.value)
-    # a candidate above the height bound is legal and ignored
-    cands = km.imaginary_candidate_tuples(datum, 4)
-    res = km.solve_multiplicities(datum, 4, imaginary_candidates=cands + [(3, 3, 3)])
-    assert res.mults == km.solve_multiplicities(datum, 4).mults
 
 
 def test_binomial_factor_against_naive_expansion():
@@ -411,13 +393,6 @@ def test_binomial_factor_rejects_bad_keys():
         with pytest.raises(DomainError):
             series.binomial_factor(key, 2)
         assert series.coeffs == {(0, 0, 0): 1}
-
-
-def test_solve_multiplicities_rederives_real_mults(datum):
-    res = km.solve_multiplicities(datum, 5, assume_real_simple=False)
-    assert res.residual_zero
-    for t in km.real_root_tuples(datum, 5):
-        assert res.mults[t] == 1
 
 
 def test_multiplicity_weyl_invariance(datum):

@@ -11,7 +11,7 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from lorentzroots import linalg, vinberg
-from lorentzroots.errors import DegenerateFormError
+from lorentzroots.errors import DegenerateFormError, DimensionError
 from lorentzroots.lattice import Lattice
 
 
@@ -61,6 +61,12 @@ def test_det_against_sympy():
         n = rng.randint(1, 5)
         m = random_int_matrix(rng, n, n)
         assert linalg.det(m) == int(sympy.Matrix(m).det())
+
+
+def test_det_rejects_non_square_matrices():
+    for m in (((2, 0, 0), (0, 2, 0)), ((2, 0), (0, 2), (1, 1))):
+        with pytest.raises(DimensionError, match="square"):
+            linalg.det(m)
 
 
 def test_signature_certificate():

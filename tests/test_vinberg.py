@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 
 from lorentzroots import cones, linalg, vinberg
-from lorentzroots.errors import ControllerOnMirrorError, DomainError
+from lorentzroots.errors import ControllerOnMirrorError, DimensionError, DomainError
 from lorentzroots.lattice import Lattice, is_crystallographic, norm, pair, reflection
 from lorentzroots.vinberg import HeightKey, RootFilter
 
@@ -159,15 +159,17 @@ def test_shells_whose_norm_does_not_divide_twice_the_pairing_are_skipped(monkeyp
 def test_shells_return_exactly_the_crystallographic_vectors(ex134, monkeypatch):
     # roots(d, m) of every shell up to the key bound against a box, with the
     # non-primitive 2 (1,0,0) of norm 8 kept; a shell with d not dividing 2m
-    # is empty and never descended
+    # is empty and never descended.  On U + <6> each of the two rows tested
+    # for norm 6 is the only one that rejects some vector of the box
     calls = []
     quadric = linalg.quadric_integer_points
     monkeypatch.setattr(linalg, "quadric_integer_points",
                         lambda *a: calls.append(a) or quadric(*a))
     u22 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
     d6 = Lattice(gram=((-6, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3)))
+    u6 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 6)))
     cases = [(ex134, (4, 3, 2), {2, 8}, 32, 12), (u22, (22, 30, -1), {2, 22}, 22, 12),
-             (d6, (3, 1, 2, 2), {1, 2, 3, 6}, 12, 6)]
+             (d6, (3, 1, 2, 2), {1, 2, 3, 6}, 12, 6), (u6, (3, 3, 1), {2, 6}, 12, 8)]
     drops = []
     for lat, h, norms, key, box in cases:
         want, dropped = {}, 0
@@ -192,7 +194,7 @@ def test_shells_return_exactly_the_crystallographic_vectors(ex134, monkeypatch):
         assert not want and skipped, lat.gram
         drops.append(dropped)
     # the even form of ex134 makes every vector of norm 2 or 8 crystallographic
-    assert drops[0] == 0 and drops[1] and drops[2]
+    assert drops[0] == 0 and drops[1] and drops[2] and drops[3]
     assert (2, 0, 0) in vinberg.shells(ex134, (4, 3, 2))(8, 4)
 
 
@@ -448,6 +450,18 @@ def test_congruence_filter_needs_a_residue():
     # an empty residue list would reject every root
     with pytest.raises(DomainError, match="residue"):
         RootFilter(norms=frozenset({2}), congruence=(((2, 0, 0), (0, 1, 0), (0, 0, 1)), ()))
+
+
+def test_congruence_vectors_must_have_the_lattice_rank(monkeypatch):
+    # a 3x3 basis, or a short residue, on the rank-4 I_{3,1} is rejected
+    # before any shell is built, naming both lengths
+    i31 = Lattice(gram=((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    monkeypatch.setattr(vinberg, "shells", lambda *a: pytest.fail("shell built"))
+    for congruence in ((linalg.identity(3), ((0, 0, 0),)),
+                       (linalg.identity(4), ((0, 0, 0, 0), (0, 0, 0)))):
+        filt = RootFilter(norms=frozenset({1, 2}), congruence=congruence)
+        with pytest.raises(DimensionError, match="length 3 against lattice of rank 4"):
+            vinberg.enumerate_roots(i31, (10, 3, 2, 1), filt, HeightKey(10 ** 4, 1))
 
 
 def test_gram_bound_check_triangle(ex134, triangle):

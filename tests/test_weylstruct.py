@@ -147,6 +147,12 @@ def test_symmetry_group_distinct_norms_trivial(ex134):
     assert sym == (linalg.identity(3),)
 
 
+def test_symmetry_group_rejects_walls_that_do_not_span(ex134, triangle):
+    for walls in ([], triangle[:2], [(1, 0, 0), (2, 0, 0), F01]):
+        with pytest.raises(DomainError, match="must span"):
+            ws.symmetry_group(ex134, walls)
+
+
 def test_fixed_isotropic(ex134, diag22m):
     assert ws.fixed_isotropic(ex134, [PHI]) == CUSP
     with pytest.raises(IndeterminateFixedSpaceError):
