@@ -176,8 +176,7 @@ def _cmd_denominator(args, lat, roots):
               "vector": kacmoody.tuple_to_vector(datum, t),
               "norm": kacmoody.tuple_norm(datum.cartan, t),
               "mult": m}
-             for t, m in sorted(result.mults.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-             if m != 0]
+             for t, m in sorted(result.mults.items(), key=lambda kv: (sum(kv[0]), kv[0]))]
     anti = (kacmoody.weyl_sum_anti_invariant(datum.cartan, result.sum_side)
             if datum.weyl_data.rho is not None else None)
     return {

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DomainError
-from .lattice import Lattice, gram_matrix, norm, pair, vector_of_sign
+from .lattice import Lattice, check_dim, gram_matrix, norm, pair, vector_of_sign
 
 
 @dataclass(frozen=True)
@@ -123,53 +123,39 @@ def _interior_point(lattice, roots):
     return None
 
 
-def q_plus_membership(lattice: Lattice, roots, x, budget=None):
+def q_plus_membership(lattice: Lattice, roots, x):
     """Nonnegative integer coefficients writing x over the wall vectors, or None.
 
-    With linearly independent walls this is a single exact solve;
-    otherwise a depth-first search bounded by pairing against an interior
-    point of the dual cone (or by an explicit coefficient budget).
+    Linearly independent walls take a single exact solve.  Dependent walls
+    need an interior point h of the dual cone: a depth-first search caps
+    each coefficient by the pairing against h of what is left of x.
     """
+    check_dim(lattice, x)
     roots = [tuple(a) for a in roots]
     if not roots:
         raise DomainError("empty wall system")
-    cols = linalg.transpose(roots)  # matrix with the roots as columns
     if linalg.rank(roots) == len(roots):
-        sol = linalg.solve(cols, x)
-        if sol is None:
+        sol = linalg.solve(linalg.transpose(roots), x)
+        if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
             return None
-        coeffs = tuple(sol)
-        if all(c.denominator == 1 and c >= 0 for c in coeffs):
-            return tuple(int(c) for c in coeffs)
-        return None
+        return tuple(int(c) for c in sol)
     h = _interior_point(lattice, roots)
-    if h is None and budget is None:
-        raise DomainError("dependent walls without interior point: pass a budget")
-    heights = [-pair(lattice, a, h) for a in roots] if h is not None else None
+    if h is None:
+        raise DomainError("dependent walls without interior point")
+    heights = [-pair(lattice, a, h) for a in roots]
 
-    target = list(x)
-
-    def search(i, remaining, acc):
-        if all(v == 0 for v in remaining):
-            return tuple(acc + [0] * (len(roots) - i))
+    def search(i, rest):
+        if not any(rest):
+            return (0,) * (len(roots) - i)
         if i == len(roots):
             return None
-        if heights is not None:
-            cap = (-pair(lattice, tuple(remaining), h)) // heights[i]
-        else:
-            cap = budget - sum(acc)
-        if cap < 0:
-            return None
-        for c in range(int(cap), -1, -1):
-            nxt = [r - c * a for r, a in zip(remaining, roots[i])]
-            if heights is not None and -pair(lattice, tuple(nxt), h) < 0:
-                continue
-            found = search(i + 1, nxt, acc + [c])
+        for c in range(-pair(lattice, rest, h) // heights[i], -1, -1):
+            found = search(i + 1, tuple(r - c * a for r, a in zip(rest, roots[i])))
             if found is not None:
-                return found
+                return (c,) + found
         return None
 
-    return search(0, target, [])
+    return search(0, tuple(x))
 
 
 def k_element_tuples(gram_of_roots, height_bound):

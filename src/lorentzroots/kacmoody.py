@@ -33,7 +33,7 @@ class RootDatum:
     lattice: Lattice
     simple_roots: tuple[tuple[int, ...], ...]
     cartan: GeneralizedCartanMatrix
-    weyl_data: weylstruct.WeylData | None
+    weyl_data: weylstruct.WeylData
 
 
 def cartan(lattice: Lattice, roots) -> GeneralizedCartanMatrix:
@@ -329,7 +329,7 @@ def weyl_sum_anti_invariant(gcm: GeneralizedCartanMatrix, series: GradedSeries) 
 def anti_invariance_check(datum: RootDatum, height_bound: int) -> bool:
     """Anti-invariance of the Weyl sum under every simple reflection,
     verified on the boundary-complete exponent set of height <= N."""
-    if datum.weyl_data is None or datum.weyl_data.rho is None:
+    if datum.weyl_data.rho is None:
         raise DomainError("anti-invariance is stated for data with a lattice Weyl vector")
     return weyl_sum_anti_invariant(datum.cartan, sum_side(datum, height_bound))
 
@@ -337,19 +337,18 @@ def anti_invariance_check(datum: RootDatum, height_bound: int) -> bool:
 # ---------------------------------------------------------------------------
 # imaginary membership and the cusp embedding
 
-def imaginary_membership(datum: RootDatum, x, n_max: int,
-                         allow_lightlike: bool = False):
+def imaginary_membership(datum: RootDatum, x, n_max: int):
     """Smallest n <= n_max with n*x in the Weyl orbit of the cone K, or None.
 
-    x is first driven into the fundamental chamber by simple reflections
-    (each step strictly drops the pairing against an interior point, so
-    the walk terminates), then tested for a nonnegative integral wall
-    combination.
+    x is a nonzero timelike or isotropic vector.  It is first driven into
+    the fundamental chamber by simple reflections (each step strictly
+    raises its pairing against an interior point h through negative
+    integers, so the walk terminates), then tested for a nonnegative
+    integral wall combination.
     """
     lattice = datum.lattice
-    nx = norm(lattice, x)
-    if nx > 0 or (nx == 0 and not allow_lightlike):
-        raise DomainError("imaginary membership needs a timelike vector")
+    if norm(lattice, x) > 0:
+        raise DomainError("imaginary membership needs a timelike or isotropic vector")
     if all(c == 0 for c in x):
         raise DomainError("zero vector")
     h = cones._interior_point(lattice, datum.simple_roots)

@@ -164,6 +164,8 @@ def kernel_basis(rows, ncols=None):
 
 def solve(rows, rhs):
     """One exact solution of rows @ x = rhs, or None if inconsistent."""
+    if len(rhs) != len(rows):
+        raise DimensionError(f"{len(rows)} equations, right-hand side of length {len(rhs)}")
     n = len(rows[0])
     m, pivots, d, _ = _rref([list(row) + [b] for row, b in zip(rows, rhs)])
     if n in pivots:  # pivot in the rhs column

@@ -52,15 +52,15 @@ class RootFilter:
         if not self.norms or any(d <= 0 for d in self.norms):
             raise DomainError("norm set must be a nonempty set of positive integers")
         if self.congruence is not None:
-            basis, residues = self.congruence
+            basis, residues = (tuple(map(tuple, part)) for part in self.congruence)
+            for x in sum(basis + residues, ()):
+                if type(x) is not int:
+                    raise DomainError(f"congruence entry {x!r} is not an integer")
             if not residues:
                 raise DomainError("congruence condition needs at least one residue")
             if any(len(row) != len(basis) for row in basis) or linalg.det(basis) == 0:
                 raise DomainError("congruence sublattice must have finite index")
-            object.__setattr__(
-                self, "congruence",
-                (tuple(tuple(int(x) for x in row) for row in basis),
-                 tuple(tuple(int(x) for x in r) for r in residues)))
+            object.__setattr__(self, "congruence", (basis, residues))
 
 
 def _residue_ok(filt: RootFilter, delta) -> bool:
@@ -206,21 +206,17 @@ class GramBoundReport:
     spanning_subset: tuple[int, ...] | None
 
 
-def _pair_within_bounds(s, ni, nj, strict):
-    # -2 <= -2 s / sqrt(ni nj)  and  (< or <=) 62, compared via squares
-    if s > 0 and s * s > ni * nj:
-        return False
-    if s < 0:
-        bound = 62 * 62 * ni * nj
-        if strict:
-            return 4 * s * s < bound
-        return 4 * s * s <= bound
-    return True
+def _pair_within_bounds(s, ni, nj):
+    # -2 <= -2 s / sqrt(ni nj) < 62, compared via squares
+    if s > 0:
+        return s * s <= ni * nj
+    return 4 * s * s < 62 * 62 * ni * nj
 
 
-def gram_bound_check(lattice: Lattice, roots, strict: bool = True) -> GramBoundReport:
-    """Check the normalized-pairing window [-2, 62) on all wall pairs, and
-    look for a connected spanning subset of size rank that stays inside it."""
+def gram_bound_check(lattice: Lattice, roots) -> GramBoundReport:
+    """Check the half-open normalized-pairing window [-2, 62) on all wall
+    pairs, and look for a connected spanning subset of size rank that stays
+    inside it."""
     roots = [tuple(a) for a in roots]
     gram = gram_matrix(lattice, roots)
     norms = [row[i] for i, row in enumerate(gram)]
@@ -229,7 +225,7 @@ def gram_bound_check(lattice: Lattice, roots, strict: bool = True) -> GramBoundR
     violations = [
         (i, j)
         for i in range(len(roots)) for j in range(i, len(roots))
-        if not _pair_within_bounds(gram[i][j], norms[i], norms[j], strict)
+        if not _pair_within_bounds(gram[i][j], norms[i], norms[j])
     ]
     n = lattice.rank
     subset = None

@@ -7,7 +7,7 @@ import pytest
 
 from ex134_data import CUSP
 from lorentzroots import cones, linalg
-from lorentzroots.errors import DomainError
+from lorentzroots.errors import DimensionError, DomainError
 from lorentzroots.lattice import Lattice, norm, pair, vector_of_sign
 
 
@@ -176,13 +176,16 @@ def test_q_plus_membership_dependent_walls(ex134, triangle):
     assert got is not None
     combo = tuple(sum(c * w[j] for c, w in zip(got, walls)) for j in range(3))
     assert combo == (2, 1, 0)
-    # budget fallback when no interior point exists
+    # dependent walls with no interior point are rejected
     pm = [(1, 0, 0), (-1, 0, 0)]
     with pytest.raises(DomainError):
         cones.q_plus_membership(ex134, pm, (1, 0, 0))
-    coeffs = cones.q_plus_membership(ex134, pm, (1, 0, 0), budget=4)
-    assert coeffs is not None and min(coeffs) >= 0
-    assert coeffs[0] - coeffs[1] == 1
+
+
+def test_q_plus_membership_checks_the_vector_length(ex134, triangle):
+    for x in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(DimensionError, match=f"length {len(x)} against lattice of rank 3"):
+            cones.q_plus_membership(ex134, triangle, x)
 
 
 def test_arithmetic_sampling_oracle(ex134, triangle):
@@ -192,10 +195,10 @@ def test_arithmetic_sampling_oracle(ex134, triangle):
     def admits(roots, x):
         for n in range(1, 13):
             nx = tuple(n * c for c in x)
-            if cones.q_plus_membership(ex134, roots, nx, budget=200) is not None:
+            if cones.q_plus_membership(ex134, roots, nx) is not None:
                 return True
             neg = tuple(-c for c in nx)
-            if cones.q_plus_membership(ex134, roots, neg, budget=200) is not None:
+            if cones.q_plus_membership(ex134, roots, neg) is not None:
                 return True
         return False
 

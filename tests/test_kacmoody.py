@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ex134_data import CUSP, F01, F02
-from lorentzroots import kacmoody as km, linalg
+from lorentzroots import kacmoody as km, linalg, weylstruct as ws
 from lorentzroots.errors import DenominatorMismatchError, DomainError, NonObtusePairError
 from lorentzroots.lattice import Lattice, norm
 
@@ -434,16 +434,17 @@ def test_anti_invariance_rank1_subcase(ex134):
 
 def test_anti_invariance_needs_weyl_vector(datum):
     stripped = km.RootDatum(lattice=datum.lattice, simple_roots=datum.simple_roots,
-                            cartan=datum.cartan, weyl_data=None)
+                            cartan=datum.cartan,
+                            weyl_data=ws.WeylData(rho=None, rho_norm=None, kind="none"))
     with pytest.raises(DomainError):
         km.anti_invariance_check(stripped, 3)
 
 
 def test_imaginary_membership(datum, ex134):
     assert km.imaginary_membership(datum, (1, 1, 1), 12) == 1
+    assert km.imaginary_membership(datum, CUSP, 12) == 1     # isotropic: the cusp
     with pytest.raises(DomainError):
-        km.imaginary_membership(datum, CUSP, 12)
-    assert km.imaginary_membership(datum, CUSP, 12, allow_lightlike=True) == 1
+        km.imaginary_membership(datum, (1, 0, 0), 12)         # spacelike
     # negated vectors drive through the opposite cone
     assert km.imaginary_membership(datum, (-1, -1, -1), 12) == 1
 
@@ -463,7 +464,7 @@ def test_imaginary_membership_fails_off_arithmetic_type(ex134):
     # negative direction of the equivalence: a truncated translation-orbit
     # chamber is not of arithmetic type (spacelike dual ray), and small
     # multiples of some timelike vectors never reach its root cone
-    from lorentzroots import cones, weylstruct as ws
+    from lorentzroots import cones
     from ex134_data import PHI
 
     sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)

@@ -155,6 +155,13 @@ def test_kernel_and_solve():
         assert linalg.mat_vec(a, sol) == tuple(map(Fraction, b))
 
 
+def test_solve_rejects_a_right_hand_side_of_another_length():
+    # neither an equation nor a right-hand side entry may be dropped
+    for rows, rhs in ((((1, 0), (0, 1), (1, 1)), (1, 2)), (linalg.identity(2), (1, 2, 3))):
+        with pytest.raises(DimensionError, match=f"{len(rows)} equations, .* length {len(rhs)}"):
+            linalg.solve(rows, rhs)
+
+
 def greedy_independent_rows(rows):
     """Reference for pivots: keep each row that raises the rank of those kept."""
     kept = []

@@ -452,6 +452,18 @@ def test_congruence_filter_needs_a_residue():
         RootFilter(norms=frozenset({2}), congruence=(((2, 0, 0), (0, 1, 0), (0, 0, 1)), ()))
 
 
+def test_congruence_entries_must_be_integers():
+    # a float or str entry, a fractional residue or a bool is named, not
+    # truncated or passed on to the elimination
+    basis = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+    for bad, congruence in ((1.5, (((1.5, 0, 0),) + basis[1:], ((0, 0, 0),))),
+                            ("a", ((("a", 0, 0),) + basis[1:], ((0, 0, 0),))),
+                            (0.5, (basis, ((0.5, 0, 0),))),
+                            (True, (basis, ((True, 0, 0),)))):
+        with pytest.raises(DomainError, match=re.escape(f"entry {bad!r} is not an integer")):
+            RootFilter(norms=frozenset({2}), congruence=congruence)
+
+
 def test_congruence_vectors_must_have_the_lattice_rank(monkeypatch):
     # a 3x3 basis, or a short residue, on the rank-4 I_{3,1} is rejected
     # before any shell is built, naming both lengths
@@ -472,21 +484,18 @@ def test_gram_bound_check_triangle(ex134, triangle):
 
 def test_gram_bound_check_diagonal_boundary():
     lat = Lattice(gram=((2, 0), (0, -2)))
-    rep = vinberg.gram_bound_check(lat, [(1, 0)], strict=True)
+    rep = vinberg.gram_bound_check(lat, [(1, 0)])
     assert rep.violations == ()          # -2S/2 = -2 at the lower boundary
 
 
 def test_gram_bound_check_synthetic_violation():
     lat = Lattice(gram=((2, -63), (-63, 2)))
-    rep = vinberg.gram_bound_check(lat, [(1, 0), (0, 1)], strict=True)
+    rep = vinberg.gram_bound_check(lat, [(1, 0), (0, 1)])
     assert rep.violations == ((0, 1),)
     assert rep.spanning_subset is None
-    loose = vinberg.gram_bound_check(lat, [(1, 0), (0, 1)], strict=False)
-    assert loose.violations == ((0, 1),)  # 63 exceeds even the closed bound
     edge = Lattice(gram=((2, -62), (-62, 2)))
-    assert vinberg.gram_bound_check(lat, [(1, 0)], strict=True).violations == ()
-    assert vinberg.gram_bound_check(edge, [(1, 0), (0, 1)], strict=True).violations == ((0, 1),)
-    assert vinberg.gram_bound_check(edge, [(1, 0), (0, 1)], strict=False).violations == ()
+    assert vinberg.gram_bound_check(lat, [(1, 0)]).violations == ()
+    assert vinberg.gram_bound_check(edge, [(1, 0), (0, 1)]).violations == ((0, 1),)
 
 
 def _wall_is_facet(lat, roots, wall):
