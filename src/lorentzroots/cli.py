@@ -15,14 +15,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import sys
 from fractions import Fraction
 from importlib import resources
 
 from . import kacmoody, qseries, vinberg, weylstruct
 from .errors import DomainError
-from .lattice import Lattice, invariants, load_lattice, pair
+from .lattice import Lattice, integer, invariants, load_lattice, pair
 
 
 def _rat(x):
@@ -67,7 +66,7 @@ def _congruence(text, rank):
     """--congruence as (basis rows, residues), each a vector of the lattice rank."""
     try:
         basis, residues = json.loads(text)
-        spec = tuple(tuple(tuple(operator.index(x) for x in row) for row in part)
+        spec = tuple(tuple(tuple(integer(x, "congruence entry") for x in row) for row in part)
                      for part in (basis, residues))
     except (ValueError, TypeError, RecursionError) as exc:
         raise UsageError(f"cannot parse --congruence {text!r}: {exc}")

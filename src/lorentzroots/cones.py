@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DomainError
-from .lattice import Lattice, check_dim, gram_matrix, norm, pair, vector_of_sign
+from .lattice import Lattice, check_dim, gram_matrix, integer, norm, pair, vector_of_sign
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def dual_extreme_rays(lattice: Lattice, roots) -> Cone:
     the rref pivot columns of the wall rows, so lin ends as
     kernel_basis(rows) and every ray vanishes on the free columns.
     """
-    roots = [tuple(a) for a in roots]
+    roots = [tuple(integer(x, "wall entry") for x in a) for a in roots]
     if not roots:
         raise DomainError("empty wall system")
     rows = [linalg.mat_vec(lattice.gram, a) for a in roots]
@@ -131,7 +131,8 @@ def q_plus_membership(lattice: Lattice, roots, x):
     each coefficient by the pairing against h of what is left of x.
     """
     check_dim(lattice, x)
-    roots = [tuple(a) for a in roots]
+    x = tuple(integer(c, "vector entry") for c in x)
+    roots = [tuple(integer(c, "wall entry") for c in a) for a in roots]
     if not roots:
         raise DomainError("empty wall system")
     if linalg.rank(roots) == len(roots):
@@ -155,7 +156,7 @@ def q_plus_membership(lattice: Lattice, roots, x):
                 return (c,) + found
         return None
 
-    return search(0, tuple(x))
+    return search(0, x)
 
 
 def k_element_tuples(gram_of_roots, height_bound):
@@ -191,7 +192,7 @@ def k_element_tuples(gram_of_roots, height_bound):
 def k_elements(lattice: Lattice, roots, height_bound):
     """Lattice points of the cone K: nonnegative wall combinations that lie
     behind every wall, up to the given coefficient-sum bound."""
-    roots = [tuple(a) for a in roots]
+    roots = [tuple(integer(x, "wall entry") for x in a) for a in roots]
     cols = linalg.transpose(roots)
     seen = {}
     for a in k_element_tuples(gram_matrix(lattice, roots), height_bound):

@@ -17,7 +17,7 @@ from math import comb
 
 from . import cones, linalg, weylstruct
 from .errors import DenominatorMismatchError, DomainError
-from .lattice import Lattice, gram_matrix, norm, pair, reflection
+from .lattice import Lattice, gram_matrix, integer, norm, pair, reflection
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
@@ -64,7 +64,7 @@ def cartan(lattice: Lattice, roots) -> GeneralizedCartanMatrix:
 
 
 def root_datum(lattice: Lattice, roots) -> RootDatum:
-    roots = tuple(tuple(r) for r in roots)
+    roots = tuple(tuple(integer(x, "wall entry") for x in a) for a in roots)
     gcm = cartan(lattice, roots)
     weyl = weylstruct.lattice_weyl_vector(lattice, roots)
     return RootDatum(lattice=lattice, simple_roots=roots, cartan=gcm, weyl_data=weyl)
@@ -253,7 +253,7 @@ def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityRes
     product ever expanded.  A mismatch raises DenominatorMismatchError
     carrying the first failing exponent in (height, tuple) order.
     """
-    if type(height_bound) is not int or height_bound < 0:
+    if integer(height_bound, "height_bound") < 0:
         raise DomainError(f"height bound must be a nonnegative integer, got {height_bound!r}")
     series = sum_side(datum, height_bound)
     target = series.coeffs

@@ -16,11 +16,14 @@ from . import linalg
 from .errors import DegenerateFormError, DimensionError, DomainError
 
 
-def _integer(x) -> int:
-    # operator.index takes True for 1, so booleans are refused first
-    if isinstance(x, bool):
-        raise TypeError(f"gram entry {x} is a boolean, not an integer")
-    return operator.index(x)
+def integer(x, what) -> int:
+    """x as an int; anything else raises a DomainError that names x, so nothing is truncated."""
+    if not isinstance(x, bool):      # operator.index takes True for 1
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise DomainError(f"{what} {x!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class Lattice:
     name: str = ""
 
     def __post_init__(self):
-        g = tuple(tuple(_integer(x) for x in row) for row in self.gram)
+        g = tuple(tuple(integer(x, "gram entry") for x in row) for row in self.gram)
         object.__setattr__(self, "gram", g)
         n = len(g)
         if n == 0:
@@ -59,11 +62,10 @@ class LatticeInvariants:
 
 
 def lattice_from_dict(data) -> Lattice:
-    gram = tuple(tuple(row) for row in data["gram"])
     name = data.get("name", "")
     if not isinstance(name, str):
         raise TypeError(f"lattice name must be a string, not {type(name).__name__}")
-    return Lattice(gram=gram, name=name)
+    return Lattice(gram=data["gram"], name=name)
 
 
 def load_lattice(path) -> Lattice:

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .lattice import integer
 
 
 @dataclass(frozen=True)
@@ -16,7 +17,7 @@ class PowerSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(integer(c, "coefficient") for c in self.coeffs))
 
     @property
     def truncation(self) -> int:
@@ -74,13 +75,12 @@ def eta_power(e: int, n: int) -> PowerSeries:
     """prod_{m >= 1} (1 - q^m)^e up to degree n, exact."""
     if n < 0:
         raise DomainError("truncation must be nonnegative")
-    return PowerSeries(tuple(_product_coeffs([e] * n, n)))
+    return PowerSeries(tuple(_product_coeffs([integer(e, "exponent")] * n, n)))
 
 
 def ramanujan_tau(n: int):
     """tau(1..n) from the 24th eta power shifted by one degree."""
-    series = eta_power(24, max(n - 1, 0))
-    return list(series.coeffs[:n])
+    return list(eta_power(24, n - 1 if n else 0).coeffs[:n])
 
 
 def cusp_identity(direction: str, coeffs, n: int):
@@ -91,7 +91,9 @@ def cusp_identity(direction: str, coeffs, n: int):
     m -> tau runs Euler's recurrence backwards: it recovers c(k) from the
     series, then tau(k) = (c(k) - sum_{d | k, d < k} d tau(d)) / k.
     """
-    coeffs = [int(c) for c in list(coeffs)[:n]] + [0] * max(0, n - len(coeffs))
+    if n < 0:
+        raise DomainError("truncation must be nonnegative")
+    coeffs = [integer(c, "coefficient") for c in list(coeffs)[:n]] + [0] * max(0, n - len(coeffs))
     if direction == "tau_to_m":
         return [-a for a in _product_coeffs(coeffs, n)[1:]]
     if direction == "m_to_tau":
@@ -119,12 +121,12 @@ def build_H_ray(tau, a0, n: int) -> RayMultiset:
     """Isotropic-ray slice of the corrected simple-root multiset:
     t*a0 carries multiplicity tau(t) for 1 <= t <= n (zero entries dropped).
     Multiplicities may be negative (superalgebra conventions pass through)."""
-    tau = list(tau)
-    entries = tuple((t, int(tau[t - 1])) for t in range(1, min(n, len(tau)) + 1)
-                    if tau[t - 1] != 0)
-    return RayMultiset(a0=tuple(a0), entries=entries)
+    tau = [integer(c, "multiplicity") for c in tau]
+    entries = tuple((t, tau[t - 1]) for t in range(1, min(n, len(tau)) + 1) if tau[t - 1] != 0)
+    return RayMultiset(a0=tuple(integer(x, "a0 entry") for x in a0), entries=entries)
 
 
 def corrected_denominator_ray_check(tau, m, n: int) -> bool:
     """Does the pair (tau, m) satisfy the one-variable cusp identity to degree n?"""
-    return cusp_identity("tau_to_m", tau, n) == [int(c) for c in list(m)[:n]] + [0] * max(0, n - len(m))
+    m = [integer(c, "coefficient") for c in list(m)[:n]]
+    return cusp_identity("tau_to_m", tau, n) == m + [0] * (n - len(m))

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from . import cones, linalg
 from .errors import ControllerOnMirrorError, DomainError
-from .lattice import Lattice, check_dim, gram_matrix, norm
+from .lattice import Lattice, check_dim, gram_matrix, integer, norm
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
@@ -28,12 +28,13 @@ class HeightKey:
     _value: Fraction = field(init=False, repr=False)
 
     def __post_init__(self):
-        if type(self.numerator) is not int or type(self.denominator) is not int:
-            raise DomainError(f"height key needs integers, got "
-                              f"{self.numerator!r}/{self.denominator!r}")
-        if self.numerator < 0 or self.denominator <= 0:
+        num = integer(self.numerator, "height key numerator")
+        den = integer(self.denominator, "height key denominator")
+        if num < 0 or den <= 0:
             raise DomainError("height key needs numerator >= 0, denominator > 0")
-        object.__setattr__(self, "_value", Fraction(self.numerator, self.denominator))
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "_value", Fraction(num, den))
 
     def value(self) -> Fraction:
         return self._value
@@ -45,17 +46,12 @@ class RootFilter:
     congruence: tuple | None = None  # (basis rows of M1, tuple of residues)
 
     def __post_init__(self):
-        object.__setattr__(self, "norms", frozenset(self.norms))
-        for d in self.norms:
-            if type(d) is not int:
-                raise DomainError(f"norm {d!r} is not an integer")
+        object.__setattr__(self, "norms", frozenset(integer(d, "norm") for d in self.norms))
         if not self.norms or any(d <= 0 for d in self.norms):
             raise DomainError("norm set must be a nonempty set of positive integers")
         if self.congruence is not None:
-            basis, residues = (tuple(map(tuple, part)) for part in self.congruence)
-            for x in sum(basis + residues, ()):
-                if type(x) is not int:
-                    raise DomainError(f"congruence entry {x!r} is not an integer")
+            basis, residues = (tuple(tuple(integer(x, "congruence entry") for x in row)
+                                     for row in part) for part in self.congruence)
             if not residues:
                 raise DomainError("congruence condition needs at least one residue")
             if any(len(row) != len(basis) for row in basis) or linalg.det(basis) == 0:
@@ -140,8 +136,7 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
     with S(h, root) < 0.  The m = 0 shells come first, in increasing norm,
     and an admissible root there raises ControllerOnMirrorError.
     """
-    if any(type(x) is not int for x in h):
-        raise DomainError("controller must be integral")
+    h = tuple(integer(x, "controller entry") for x in h)
     if norm(lattice, h) >= 0:
         raise DomainError("controller must be timelike")
     for v in sum(filt.congruence or (), ()):     # basis rows, then residues
@@ -180,7 +175,7 @@ def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
     is pointed and inside the light cone (the finite-volume certificate).
     Hitting either budget sets exhausted=True instead.
     """
-    if max_roots is not None and (type(max_roots) is not int or max_roots < 0):
+    if max_roots is not None and integer(max_roots, "max_roots") < 0:
         raise DomainError(f"max_roots must be None or an integer >= 0, got {max_roots!r}")
     accepted, rows = [], []
     lin, rays = linalg.identity(lattice.rank), []
@@ -217,7 +212,7 @@ def gram_bound_check(lattice: Lattice, roots) -> GramBoundReport:
     """Check the half-open normalized-pairing window [-2, 62) on all wall
     pairs, and look for a connected spanning subset of size rank that stays
     inside it."""
-    roots = [tuple(a) for a in roots]
+    roots = [tuple(integer(x, "wall entry") for x in a) for a in roots]
     gram = gram_matrix(lattice, roots)
     norms = [row[i] for i, row in enumerate(gram)]
     if any(n <= 0 for n in norms):

@@ -12,7 +12,7 @@ from . import cones, linalg, vinberg
 from .errors import (DomainError, IndeterminateFixedSpaceError, NonObtusePairError,
                      UnderDeterminedError)
 from .geometry import MirrorRelation, classify_mirrors
-from .lattice import (Lattice, a_delta, gram_matrix, int_inverse, invariants,
+from .lattice import (Lattice, a_delta, gram_matrix, int_inverse, integer, invariants,
                       is_crystallographic, is_isometry, norm, pair, reflection,
                       timelike_vector)
 
@@ -27,7 +27,7 @@ class WeylData:
 def check_walls(lattice: Lattice, roots):
     """The walls as int tuples, checked for the chamber invariants:
     spacelike crystallographic walls, pairwise nonobtuse, no two proportional."""
-    roots = tuple(tuple(int(x) for x in r) for r in roots)
+    roots = tuple(tuple(integer(x, "wall entry") for x in a) for a in roots)
     gram = gram_matrix(lattice, roots)
     for i, r in enumerate(roots):
         if gram[i][i] <= 0:
@@ -53,7 +53,7 @@ def lattice_weyl_vector(lattice: Lattice, roots) -> WeylData:
     parabolic-type, and "none" when no (timelike-or-isotropic) solution
     exists.
     """
-    roots = [tuple(r) for r in roots]
+    roots = [tuple(integer(x, "wall entry") for x in a) for a in roots]
     if not roots:
         raise DomainError("empty wall system")
     rows = [linalg.mat_vec(lattice.gram, a) for a in roots]
@@ -134,7 +134,7 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
     if all(x == 0 for x in rho):
         raise DomainError("zero vector")
     den = lcm(*(x.denominator for x in rho))
-    scaled_rho = tuple(int(x * den) for x in rho)
+    scaled_rho = tuple((x * den).numerator for x in rho)
     if rn < 0:
         roots = vinberg.shells(lattice, scaled_rho)
     else:
@@ -143,13 +143,13 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
                 "isotropic weyl vector: the candidate set is infinite, pass max_pairing")
         roots = vinberg.shells(lattice, timelike_vector(lattice))
     out = []
-    for d in range(1, int(norm_bound) + 1):
+    for d in range(1, integer(norm_bound, "norm_bound") + 1):
         if den * d % 2:
             continue
         t = den * d // 2
         # timelike rho: its own shell m = t is the whole slice; isotropic rho:
         # m = 0 included, the controller only bounds the search
-        for m in ([t] if rn < 0 else range(int(max_pairing) + 1)):
+        for m in ([t] if rn < 0 else range(integer(max_pairing, "max_pairing") + 1)):
             out += [x for x in roots(d, m) if pair(lattice, scaled_rho, x) == -t]
     return sorted(set(out))
 
@@ -161,7 +161,7 @@ def symmetry_group(lattice: Lattice, roots) -> tuple:
     entry by entry), keeps those inducing an integral isometry of the
     lattice, and returns the tuple of them all (they form a group).
     """
-    roots = [tuple(r) for r in roots]
+    roots = [tuple(integer(x, "wall entry") for x in a) for a in roots]
     k = len(roots)
     gram = gram_matrix(lattice, roots)
     base = linalg.pivots(linalg.transpose(roots))

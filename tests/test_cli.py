@@ -173,6 +173,17 @@ def test_vinberg_congruence_needs_a_residue():
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("spec", ['[[[true,0,0],[0,1,0],[0,0,1]],[[0,0,0]]]',
+                                  '[[[1,0,0],[0,1,0],[0,0,1]],[[0,false,0]]]'])
+def test_vinberg_congruence_booleans_are_usage_errors(spec):
+    # JSON true is not the integer 1, as in the library's RootFilter
+    res = run_cli("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1",
+                  "--norms", "2", "--congruence", spec)
+    assert res.returncode == 2
+    assert f"--congruence {spec!r}" in res.stderr and "is not an integer" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
 def test_deeply_nested_json_is_a_usage_error(tmp_path):
     path = tmp_path / "nested.json"
     path.write_text("[" * 100000 + "]" * 100000)

@@ -128,8 +128,12 @@ def test_cusp_identity_against_product_oracle():
     for n in sizes:
         for direction in ("tau_to_m", "m_to_tau"):
             coeffs = [rng.randint(-30, 30) for _ in range(rng.randint(0, 45))]
-            assert qs.cusp_identity(direction, coeffs, n) == \
-                naive_cusp_identity(direction, coeffs, n)
+            if n < 0:
+                with pytest.raises(DomainError, match="truncation must be nonnegative"):
+                    qs.cusp_identity(direction, coeffs, n)
+            else:
+                assert qs.cusp_identity(direction, coeffs, n) == \
+                    naive_cusp_identity(direction, coeffs, n)
 
 
 def test_cusp_identity_bad_direction():

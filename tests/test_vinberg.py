@@ -240,12 +240,12 @@ def test_non_integer_norms_keys_and_controllers_rejected(ex134):
     with pytest.raises(DomainError, match="2.5"):
         RootFilter(norms=frozenset({2.5}))
     for num, den in ((1.5, 1), (4, 2.0), (True, 1), (4, False), (Fraction(4), 1)):
-        with pytest.raises(DomainError, match="height key needs integers"):
+        with pytest.raises(DomainError, match="height key .* is not an integer"):
             HeightKey(num, den)
     for h in ((1.0, 1, 1), (True, 1, 1), (Fraction(1), 1, 1), (1, 1, 1.5)):
-        with pytest.raises(DomainError, match="controller must be integral"):
+        with pytest.raises(DomainError, match="controller entry .* is not an integer"):
             vinberg.run(ex134, h, NORMS2, max_key=HeightKey(100, 1))
-        with pytest.raises(DomainError, match="controller must be integral"):
+        with pytest.raises(DomainError, match="controller entry .* is not an integer"):
             vinberg.enumerate_roots(ex134, h, NORMS2, HeightKey(100, 1))
 
 
@@ -288,7 +288,7 @@ def test_run_budget_zero(ex134):
 
 @pytest.mark.parametrize("bad", [-3, -1, 2.5, 1.0, True, False, "2", Fraction(2)], ids=repr)
 def test_run_rejects_bad_max_roots(ex134, bad):
-    with pytest.raises(DomainError, match=f"max_roots .* got {re.escape(repr(bad))}"):
+    with pytest.raises(DomainError, match=f"max_roots.* {re.escape(repr(bad))}"):
         vinberg.run(ex134, H, NORMS2, max_key=HeightKey(1000, 1), max_roots=bad)
 
 
