@@ -280,17 +280,15 @@ def build_parser():
     return parser
 
 
-_VECTOR_OPTIONS = ("--controller", "--roots", "--mirror-a", "--mirror-b", "--e0", "--f01",
-                   "--f02", "--coeffs")
-
-
 def main(argv=None) -> int:
-    # argparse reads a separate value that starts with '-' as an option:
-    # "--controller -4,-3,-1" is passed on as "--controller=-4,-3,-1"
+    # argparse reads a separate value that starts with '-' as an option: "--controller
+    # -4,-3,-1" is passed on as "--controller=-4,-3,-1" (--help takes no value)
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in _VECTOR_OPTIONS and argv[i][:1] == "-" and argv[i][1:2].isdigit():
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        opt = argv[i - 1]
+        if opt[:2] == "--" and "=" not in opt and opt != "--help" and argv[i][:1] == "-" \
+                and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [f"{opt}={argv[i]}"]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DomainError
-from .lattice import Lattice, check_dim, gram_matrix, integer, norm, pair, vector_of_sign
+from .lattice import Lattice, gram_matrix, int_vectors, integer, norm, pair, vector_of_sign
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def dual_extreme_rays(lattice: Lattice, roots) -> Cone:
     the rref pivot columns of the wall rows, so lin ends as
     kernel_basis(rows) and every ray vanishes on the free columns.
     """
-    roots = [tuple(integer(x, "wall entry") for x in a) for a in roots]
+    roots = int_vectors(lattice, roots, "wall entry")
     if not roots:
         raise DomainError("empty wall system")
     rows = [linalg.mat_vec(lattice.gram, a) for a in roots]
@@ -130,9 +130,8 @@ def q_plus_membership(lattice: Lattice, roots, x):
     need an interior point h of the dual cone: a depth-first search caps
     each coefficient by the pairing against h of what is left of x.
     """
-    check_dim(lattice, x)
-    x = tuple(integer(c, "vector entry") for c in x)
-    roots = [tuple(integer(c, "wall entry") for c in a) for a in roots]
+    (x,) = int_vectors(lattice, [x], "vector entry")
+    roots = int_vectors(lattice, roots, "wall entry")
     if not roots:
         raise DomainError("empty wall system")
     if linalg.rank(roots) == len(roots):
@@ -185,14 +184,14 @@ def k_element_tuples(gram_of_roots, height_bound):
         for c in range(left + 1):
             rec(i + 1, left - c, acc + [c], [rj + c * bj for rj, bj in zip(r, col)])
 
-    rec(0, height_bound, [], [0] * k)
+    rec(0, integer(height_bound, "height_bound"), [], [0] * k)
     return out
 
 
 def k_elements(lattice: Lattice, roots, height_bound):
     """Lattice points of the cone K: nonnegative wall combinations that lie
     behind every wall, up to the given coefficient-sum bound."""
-    roots = [tuple(integer(x, "wall entry") for x in a) for a in roots]
+    roots = int_vectors(lattice, roots, "wall entry")
     cols = linalg.transpose(roots)
     seen = {}
     for a in k_element_tuples(gram_matrix(lattice, roots), height_bound):

@@ -17,7 +17,7 @@ from math import comb
 
 from . import cones, linalg, weylstruct
 from .errors import DenominatorMismatchError, DomainError
-from .lattice import Lattice, gram_matrix, integer, norm, pair, reflection
+from .lattice import Lattice, gram_matrix, int_vectors, integer, norm, pair, reflection
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
@@ -64,7 +64,7 @@ def cartan(lattice: Lattice, roots) -> GeneralizedCartanMatrix:
 
 
 def root_datum(lattice: Lattice, roots) -> RootDatum:
-    roots = tuple(tuple(integer(x, "wall entry") for x in a) for a in roots)
+    roots = int_vectors(lattice, roots, "wall entry")
     gcm = cartan(lattice, roots)
     weyl = weylstruct.lattice_weyl_vector(lattice, roots)
     return RootDatum(lattice=lattice, simple_roots=roots, cartan=gcm, weyl_data=weyl)
@@ -114,10 +114,9 @@ def real_root_tuples(datum: RootDatum, height_bound: int):
     reflections; every positive real root of height <= N is reachable
     without leaving the height bound.
     """
-    k = len(datum.simple_roots)
-    simple = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-    return _weyl_closure(datum.cartan, [t for t in simple if sum(t) <= height_bound],
-                         height_bound)
+    bound = integer(height_bound, "height_bound")
+    simple = linalg.identity(len(datum.simple_roots)) if bound > 0 else ()
+    return _weyl_closure(datum.cartan, simple, bound)
 
 
 def real_roots(datum: RootDatum, height_bound: int):
@@ -149,7 +148,7 @@ def weyl_elements(datum: RootDatum, height_bound: int):
     """
     gcm = datum.cartan
     k = len(datum.simple_roots)
-    if height_bound < 0:
+    if integer(height_bound, "height_bound") < 0:
         return []
     frontier = [WeylElement(word=(), exponent=(0,) * k, sign=1)]
     elements = []
@@ -347,6 +346,7 @@ def imaginary_membership(datum: RootDatum, x, n_max: int):
     integral wall combination.
     """
     lattice = datum.lattice
+    (x,) = int_vectors(lattice, [x], "vector entry")
     if norm(lattice, x) > 0:
         raise DomainError("imaginary membership needs a timelike or isotropic vector")
     if all(c == 0 for c in x):
@@ -364,7 +364,7 @@ def imaginary_membership(datum: RootDatum, x, n_max: int):
         if j is None:
             break
         y = linalg.mat_vec(refl[j], y)
-    for n in range(1, n_max + 1):
+    for n in range(1, integer(n_max, "n_max") + 1):
         scaled = tuple(n * c for c in y)
         if cones.q_plus_membership(lattice, datum.simple_roots, scaled) is not None:
             return n

@@ -26,6 +26,14 @@ def integer(x, what) -> int:
     raise DomainError(f"{what} {x!r} is not an integer")
 
 
+def int_vectors(lattice, vs, what) -> tuple:
+    """vs as int tuples: each entry read through integer, each length through check_dim."""
+    vs = tuple(tuple(integer(x, what) for x in v) for v in vs)
+    for v in vs:
+        check_dim(lattice, v)
+    return vs
+
+
 @dataclass(frozen=True)
 class Lattice:
     gram: tuple[tuple[int, ...], ...]
@@ -138,7 +146,6 @@ def a_delta(lattice: Lattice, d) -> int:
 
 def is_crystallographic(lattice: Lattice, d) -> bool:
     """True iff the reflection in d maps the lattice to itself."""
-    check_dim(lattice, d)
     nd = norm(lattice, d)
     if nd <= 0:
         raise DomainError(f"reflection vector must have positive norm, got {nd}")

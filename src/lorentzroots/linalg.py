@@ -238,8 +238,6 @@ def diagonalizing_basis(sym):
                 for k in range(n):
                     a[k][i] += a[k][j]
         piv = a[i][i]
-        if piv == 0:
-            continue
         for r in range(i + 1, n):
             f = a[r][i] / piv
             if f == 0:

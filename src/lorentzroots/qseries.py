@@ -25,7 +25,7 @@ class PowerSeries:
 
     @classmethod
     def one(cls, n):
-        return cls((1,) + (0,) * n)
+        return cls((1,) + (0,) * integer(n, "truncation"))
 
     def __mul__(self, other):
         self._match(other)
@@ -73,14 +73,14 @@ def _product_coeffs(tau, n):
 
 def eta_power(e: int, n: int) -> PowerSeries:
     """prod_{m >= 1} (1 - q^m)^e up to degree n, exact."""
-    if n < 0:
+    if integer(n, "truncation") < 0:
         raise DomainError("truncation must be nonnegative")
     return PowerSeries(tuple(_product_coeffs([integer(e, "exponent")] * n, n)))
 
 
 def ramanujan_tau(n: int):
     """tau(1..n) from the 24th eta power shifted by one degree."""
-    return list(eta_power(24, n - 1 if n else 0).coeffs[:n])
+    return list(eta_power(24, n).coeffs[:n])
 
 
 def cusp_identity(direction: str, coeffs, n: int):
@@ -91,7 +91,7 @@ def cusp_identity(direction: str, coeffs, n: int):
     m -> tau runs Euler's recurrence backwards: it recovers c(k) from the
     series, then tau(k) = (c(k) - sum_{d | k, d < k} d tau(d)) / k.
     """
-    if n < 0:
+    if integer(n, "truncation") < 0:
         raise DomainError("truncation must be nonnegative")
     coeffs = [integer(c, "coefficient") for c in list(coeffs)[:n]] + [0] * max(0, n - len(coeffs))
     if direction == "tau_to_m":
@@ -122,11 +122,12 @@ def build_H_ray(tau, a0, n: int) -> RayMultiset:
     t*a0 carries multiplicity tau(t) for 1 <= t <= n (zero entries dropped).
     Multiplicities may be negative (superalgebra conventions pass through)."""
     tau = [integer(c, "multiplicity") for c in tau]
-    entries = tuple((t, tau[t - 1]) for t in range(1, min(n, len(tau)) + 1) if tau[t - 1] != 0)
+    entries = tuple((t, tau[t - 1]) for t in range(1, min(integer(n, "truncation"), len(tau)) + 1)
+                    if tau[t - 1] != 0)
     return RayMultiset(a0=tuple(integer(x, "a0 entry") for x in a0), entries=entries)
 
 
 def corrected_denominator_ray_check(tau, m, n: int) -> bool:
     """Does the pair (tau, m) satisfy the one-variable cusp identity to degree n?"""
-    m = [integer(c, "coefficient") for c in list(m)[:n]]
+    m = [integer(c, "coefficient") for c in list(m)[:integer(n, "truncation")]]
     return cusp_identity("tau_to_m", tau, n) == m + [0] * (n - len(m))

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from . import cones, linalg
 from .errors import ControllerOnMirrorError, DomainError
-from .lattice import Lattice, check_dim, gram_matrix, integer, norm
+from .lattice import Lattice, gram_matrix, int_vectors, integer, norm
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
@@ -136,11 +136,10 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
     with S(h, root) < 0.  The m = 0 shells come first, in increasing norm,
     and an admissible root there raises ControllerOnMirrorError.
     """
-    h = tuple(integer(x, "controller entry") for x in h)
+    (h,) = int_vectors(lattice, [h], "controller entry")
     if norm(lattice, h) >= 0:
         raise DomainError("controller must be timelike")
-    for v in sum(filt.congruence or (), ()):     # basis rows, then residues
-        check_dim(lattice, v)
+    int_vectors(lattice, sum(filt.congruence or (), ()), "congruence entry")  # basis, residues
     roots = shells(lattice, h)
     # keys scaled by L = lcm(norms): m^2 (L/d) <= floor(L max_key) is exactly
     # m^2/d <= max_key, with the same order and ties
@@ -212,7 +211,7 @@ def gram_bound_check(lattice: Lattice, roots) -> GramBoundReport:
     """Check the half-open normalized-pairing window [-2, 62) on all wall
     pairs, and look for a connected spanning subset of size rank that stays
     inside it."""
-    roots = [tuple(integer(x, "wall entry") for x in a) for a in roots]
+    roots = int_vectors(lattice, roots, "wall entry")
     gram = gram_matrix(lattice, roots)
     norms = [row[i] for i, row in enumerate(gram)]
     if any(n <= 0 for n in norms):

@@ -12,8 +12,8 @@ from . import cones, linalg, vinberg
 from .errors import (DomainError, IndeterminateFixedSpaceError, NonObtusePairError,
                      UnderDeterminedError)
 from .geometry import MirrorRelation, classify_mirrors
-from .lattice import (Lattice, a_delta, gram_matrix, int_inverse, integer, invariants,
-                      is_crystallographic, is_isometry, norm, pair, reflection,
+from .lattice import (Lattice, a_delta, gram_matrix, int_inverse, int_vectors, integer,
+                      invariants, is_crystallographic, is_isometry, norm, pair, reflection,
                       timelike_vector)
 
 
@@ -27,7 +27,7 @@ class WeylData:
 def check_walls(lattice: Lattice, roots):
     """The walls as int tuples, checked for the chamber invariants:
     spacelike crystallographic walls, pairwise nonobtuse, no two proportional."""
-    roots = tuple(tuple(integer(x, "wall entry") for x in a) for a in roots)
+    roots = int_vectors(lattice, roots, "wall entry")
     gram = gram_matrix(lattice, roots)
     for i, r in enumerate(roots):
         if gram[i][i] <= 0:
@@ -53,7 +53,7 @@ def lattice_weyl_vector(lattice: Lattice, roots) -> WeylData:
     parabolic-type, and "none" when no (timelike-or-isotropic) solution
     exists.
     """
-    roots = [tuple(integer(x, "wall entry") for x in a) for a in roots]
+    roots = int_vectors(lattice, roots, "wall entry")
     if not roots:
         raise DomainError("empty wall system")
     rows = [linalg.mat_vec(lattice.gram, a) for a in roots]
@@ -73,7 +73,7 @@ def generalized_weyl_check(lattice: Lattice, roots, rho, bound) -> bool:
     """0 <= -S(rho, a) <= bound for every wall in the (finite) system."""
     if all(x == 0 for x in rho):
         raise DomainError("zero vector cannot be a generalized Weyl vector")
-    bound = Fraction(bound)
+    roots, bound = int_vectors(lattice, roots, "wall entry"), Fraction(bound)
     return all(0 <= -pair(lattice, rho, a) <= bound for a in roots)
 
 
@@ -83,6 +83,7 @@ def admissible_twists(lattice: Lattice, d):
     lam qualifies iff lam * S(d,d) divides 2 a(d); every twisted vector is
     re-checked to be crystallographic and to obey S(a,a) | 4 a(S)^2.
     """
+    (d,) = int_vectors(lattice, [d], "wall entry")
     if linalg.content(d) != 1:
         raise DomainError("twists are defined for primitive vectors")
     nd = norm(lattice, d)
@@ -104,16 +105,11 @@ def admissible_twists(lattice: Lattice, d):
 
 def m_star_p_membership(lattice: Lattice, roots, x) -> bool:
     """x lies in the dual lattice and every wall norm divides twice its pairing."""
+    roots = int_vectors(lattice, roots, "wall entry")
     for row in lattice.gram:
         if Fraction(linalg.dot(row, x)).denominator != 1:
             return False
-    for a in roots:
-        twice = 2 * pair(lattice, x, a)
-        if Fraction(twice).denominator != 1:
-            return False
-        if int(twice) % norm(lattice, a) != 0:
-            return False
-    return True
+    return all(Fraction(2 * pair(lattice, x, a)) % norm(lattice, a) == 0 for a in roots)
 
 
 def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
@@ -161,7 +157,7 @@ def symmetry_group(lattice: Lattice, roots) -> tuple:
     entry by entry), keeps those inducing an integral isometry of the
     lattice, and returns the tuple of them all (they form a group).
     """
-    roots = [tuple(integer(x, "wall entry") for x in a) for a in roots]
+    roots = int_vectors(lattice, roots, "wall entry")
     k = len(roots)
     gram = gram_matrix(lattice, roots)
     base = linalg.pivots(linalg.transpose(roots))
@@ -268,7 +264,7 @@ def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
     pairwise nonobtuseness and the Weyl property against the cusp-scaled
     vector are all verified exactly.
     """
-    if k < 2:
+    if integer(k, "k") < 2:
         raise DomainError("k must be at least 2")
     if not is_isometry(lattice, phi) or not is_unipotent(phi) \
             or linalg.is_zero_matrix(_minus_identity_shift(phi)):
@@ -291,7 +287,7 @@ def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
 
     images = {0: seeds}
     phi_inv = int_inverse(phi)
-    for t in range(1, window + 1):
+    for t in range(1, integer(window, "window") + 1):
         images[t] = [linalg.mat_vec(phi, s) for s in images[t - 1]]
         images[-t] = [linalg.mat_vec(phi_inv, s) for s in images[1 - t]]
     roots = []

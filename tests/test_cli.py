@@ -303,6 +303,9 @@ def test_bad_inputs_are_usage_errors(args, option):
     (("family", "--lattice", "ex134.json", "--k", "2", "--window", "2"), "--f02", "-4,0,-2", 1),
     (("qseries", "--cusp-identity", "tau2m", "--n", "3"), "--coeffs", "-24,24,24", 0),
     (("qseries", "--n", "3"), "--eta-power", "-24", 0),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1"), "--norms", "-2,3", 2),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2"),
+     "--max-height-sq", "-1/2", 2),
 ])
 def test_negative_vector_after_a_space(capsys, args, option, value, code):
     from lorentzroots import cli
@@ -312,3 +315,11 @@ def test_negative_vector_after_a_space(capsys, args, option, value, code):
         outcomes.append((cli.main(argv), *capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == code, outcomes[0]
+
+
+def test_help_takes_no_value(capsys):
+    # a negative number after --help is not joined to it: help still prints
+    from lorentzroots import cli
+
+    assert cli.main(["vinberg", "--help", "-1"]) == 0
+    assert capsys.readouterr().out.startswith("usage: lorentz-roots vinberg")

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from lorentzroots import cones, kacmoody, lattice, qseries, vinberg, weylstruct
-from lorentzroots.errors import DomainError
+from ex134_data import F01, F02, PHI
+from lorentzroots import cones, kacmoody, lattice, linalg, qseries, vinberg, weylstruct
+from lorentzroots.errors import DimensionError, DomainError
 from lorentzroots.lattice import Lattice
 from lorentzroots.vinberg import HeightKey, RootFilter
 
@@ -20,6 +21,7 @@ TRIANGLE = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 RHO = (Fraction(0), Fraction(1, 4), Fraction(1, 4))       # isotropic Weyl vector of TRIANGLE
 NORMS2 = RootFilter(norms=frozenset({2}))
 BAD = [1.5, Fraction(3, 2), True, "2"]
+DATUM = kacmoody.root_datum(EX134, TRIANGLE)
 
 
 def walls(x):
@@ -64,6 +66,31 @@ SITES = {
     "build_H_ray a0": lambda x: qseries.build_H_ray([24], (0, x, 1), 1),
     "corrected_denominator_ray_check": lambda x: qseries.corrected_denominator_ray_check(
         [24], [x], 1),
+    "generalized_weyl_check": lambda x: weylstruct.generalized_weyl_check(
+        EX134, walls(x), RHO, 10),
+    "m_star_p_membership": lambda x: weylstruct.m_star_p_membership(EX134, walls(x), RHO),
+    "admissible_twists": lambda x: weylstruct.admissible_twists(EX134, (1, x, 0)),
+    "imaginary_membership vector": lambda x: kacmoody.imaginary_membership(DATUM, (0, x, x), 2),
+    # sizes, height bounds and truncations
+    "real_root_tuples": lambda x: kacmoody.real_root_tuples(DATUM, x),
+    "weyl_elements": lambda x: kacmoody.weyl_elements(DATUM, x),
+    "sum_side": lambda x: kacmoody.sum_side(DATUM, x),
+    "anti_invariance_check": lambda x: kacmoody.anti_invariance_check(DATUM, x),
+    "imaginary_candidate_tuples": lambda x: kacmoody.imaginary_candidate_tuples(DATUM, x),
+    "imaginary_membership n_max": lambda x: kacmoody.imaginary_membership(DATUM, (0, 1, 1), x),
+    "k_element_tuples": lambda x: cones.k_element_tuples(DATUM.cartan.b, x),
+    "k_elements height_bound": lambda x: cones.k_elements(EX134, TRIANGLE, x),
+    "build_Pk_sample k": lambda x: weylstruct.build_Pk_sample(
+        EX134, PHI, (1, 0, 0), F01, F02, x, 2),
+    "build_Pk_sample window": lambda x: weylstruct.build_Pk_sample(
+        EX134, PHI, (1, 0, 0), F01, F02, 2, x),
+    "eta_power truncation": lambda x: qseries.eta_power(24, x),
+    "ramanujan_tau": lambda x: qseries.ramanujan_tau(x),
+    "cusp_identity truncation": lambda x: qseries.cusp_identity("tau_to_m", [24, 24], x),
+    "build_H_ray truncation": lambda x: qseries.build_H_ray([24, 1], (0, 1, 1), x),
+    "corrected_denominator_ray_check truncation":
+        lambda x: qseries.corrected_denominator_ray_check([24], [24], x),
+    "PowerSeries.one": lambda x: qseries.PowerSeries.one(x),
 }
 
 
@@ -119,10 +146,22 @@ def test_numpy_entries_are_stored_as_python_ints():
     lambda: cones.q_plus_membership(EX134, [(1.5, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 1, 1)),
     lambda: cones.k_elements(EX134, [(1.5, 0, 0), (0, 1, 0), (0, 0, 1)], 2),
     lambda: qseries.eta_power(2.5, 3),
+    lambda: weylstruct.generalized_weyl_check(EX134, [(1.5, 0, 0)] + TRIANGLE[1:], RHO, 10),
+    lambda: weylstruct.m_star_p_membership(EX134, [(1.5, 0, 0)] + TRIANGLE[1:], (0, 0, 0)),
+    lambda: weylstruct.admissible_twists(EX134, (1.5, 0, 0)),
+    lambda: kacmoody.real_root_tuples(DATUM, 2.5),
+    lambda: kacmoody.weyl_elements(DATUM, 2.5),
+    lambda: kacmoody.sum_side(DATUM, 2.5),
+    lambda: kacmoody.anti_invariance_check(DATUM, 2.5),
+    lambda: weylstruct.build_Pk_sample(EX134, PHI, (1, 0, 0), F01, F02, 2.5, 6),
+    lambda: weylstruct.build_Pk_sample(EX134, PHI, (1, 0, 0), F01, F02, 2.0, 6),
 ], ids=["check_walls 1.5", "check_walls 3/2", "cartan 1.5", "cartan 3/2",
         "norm_bound 2.9", "max_pairing 2.9", "PowerSeries 0.5", "cusp_identity 24.7",
         "build_H_ray 2.5", "ray_check 24.4", "lattice_weyl_vector", "symmetry_group",
-        "gram_bound_check", "q_plus_membership", "k_elements", "eta_power 2.5"])
+        "gram_bound_check", "q_plus_membership", "k_elements", "eta_power 2.5",
+        "generalized_weyl_check 1.5", "m_star_p_membership 1.5", "admissible_twists 1.5",
+        "real_root_tuples 2.5", "weyl_elements 2.5", "sum_side 2.5", "anti_invariance 2.5",
+        "build_Pk_sample k 2.5", "build_Pk_sample k 2.0"])
 def test_non_integers_that_were_truncated_or_crashed_now_raise(call):
     with pytest.raises(DomainError, match="is not an integer"):
         call()
@@ -134,3 +173,46 @@ def test_negative_truncations_raise_everywhere():
                  lambda: qseries.ramanujan_tau(-3)):
         with pytest.raises(DomainError, match="truncation must be nonnegative"):
             call()
+
+
+def in_third_wall(v):
+    """TRIANGLE with its last wall replaced by v."""
+    return TRIANGLE[:2] + [v]
+
+
+READERS = {
+    "check_walls": lambda v: weylstruct.check_walls(EX134, in_third_wall(v)),
+    "cartan": lambda v: kacmoody.cartan(EX134, in_third_wall(v)),
+    "root_datum": lambda v: kacmoody.root_datum(EX134, in_third_wall(v)),
+    "lattice_weyl_vector": lambda v: weylstruct.lattice_weyl_vector(EX134, in_third_wall(v)),
+    "symmetry_group": lambda v: weylstruct.symmetry_group(EX134, in_third_wall(v)),
+    "generalized_weyl_check": lambda v: weylstruct.generalized_weyl_check(
+        EX134, in_third_wall(v), RHO, 10),
+    "m_star_p_membership": lambda v: weylstruct.m_star_p_membership(
+        EX134, in_third_wall(v), (0, 0, 0)),
+    "admissible_twists": lambda v: weylstruct.admissible_twists(EX134, v),
+    "gram_bound_check": lambda v: vinberg.gram_bound_check(EX134, in_third_wall(v)),
+    "controller": lambda v: vinberg.enumerate_roots(EX134, v, NORMS2, HeightKey(100, 1)),
+    "congruence": lambda v: vinberg.enumerate_roots(
+        EX134, (1, 1, 1), RootFilter(norms=frozenset({2}),
+                                     congruence=(linalg.identity(len(v)), [v])),
+        HeightKey(100, 1)),
+    "dual_extreme_rays": lambda v: cones.dual_extreme_rays(EX134, in_third_wall(v)),
+    "is_arithmetic_type": lambda v: cones.is_arithmetic_type(EX134, in_third_wall(v)),
+    "q_plus_membership walls": lambda v: cones.q_plus_membership(
+        EX134, in_third_wall(v), (1, 1, 0)),
+    "q_plus_membership vector": lambda v: cones.q_plus_membership(EX134, TRIANGLE, v),
+    "k_elements": lambda v: cones.k_elements(EX134, in_third_wall(v), 2),
+    "imaginary_membership": lambda v: kacmoody.imaginary_membership(DATUM, v, 2),
+    "is_crystallographic": lambda v: lattice.is_crystallographic(EX134, v),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_every_vector_reader_checks_the_lattice_rank(reader):
+    # (0, 0, 1, 5) was read as (0, 0, 1) by q_plus_membership, and a length-2
+    # wall raised IndexError there or "length mismatch" from linalg.dot elsewhere
+    for v in ((0, 1), (0, 0, 1, 5)):
+        with pytest.raises(DimensionError,
+                           match=f"^vector of length {len(v)} against lattice of rank 3$"):
+            READERS[reader](v)

@@ -72,10 +72,13 @@ def test_det_rejects_non_square_matrices():
 def test_signature_certificate():
     # diagonalizing_basis is a congruence certificate for signature()
     rng = random.Random(15)
-    for _ in range(60):
-        n = rng.randint(1, 4)
+    for draw in range(90):
+        n = rng.randint(1, 4) if draw < 60 else rng.randint(2, 5)
         a = random_int_matrix(rng, n, n)
         sym = tuple(tuple(a[i][j] + a[j][i] for j in range(n)) for i in range(n))
+        if draw >= 60:      # hollow: every diagonal entry 0, so the zero-pivot repair runs
+            sym = tuple(tuple(0 if i == j else x for j, x in enumerate(row))
+                        for i, row in enumerate(sym))
         basis, diag = linalg.diagonalizing_basis(sym)
         # certificate: T sym T^T is the claimed diagonal
         t = [[Fraction(x) for x in row] for row in basis]

@@ -1,5 +1,6 @@
 """Weyl vectors, twists, symmetry groups, cusps and the wall families."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from ex134_data import CUSP, F01, F02, PHI
 from lorentzroots import linalg, weylstruct as ws
 from lorentzroots.errors import (DomainError, IndeterminateFixedSpaceError,
                                  NonObtusePairError, UnderDeterminedError)
-from lorentzroots.lattice import (is_crystallographic, is_isometry, norm, pair, reflection,
-                                  timelike_vector)
+from lorentzroots.lattice import (Lattice, is_crystallographic, is_isometry, norm, pair,
+                                  reflection, timelike_vector)
 
 
 PHI_D1 = (1, 2, 6)   # PHI applied to d1
@@ -85,6 +86,8 @@ def test_m_star_p_membership(ex134):
     assert ws.m_star_p_membership(ex134, [], (0, 0, 0))
     assert ws.m_star_p_membership(ex134, [(1, 0, 0), F01, F02], rho)
     assert not ws.m_star_p_membership(ex134, [], (Fraction(1, 3), 0, 0))
+    # (0, 1/2, 0) is in the dual lattice, but 2 S(x, F01) = -4 is not a multiple of 8
+    assert not ws.m_star_p_membership(ex134, [F01], (0, Fraction(1, 2), 0))
 
 
 def test_candidate_roots_elliptic(ex134, triangle):
@@ -165,6 +168,33 @@ def test_fixed_isotropic(ex134, diag22m):
     # rational isotropic vector: exact negative decision
     s_wall = reflection(diag22m, (1, 1, 0))
     assert ws.fixed_isotropic(diag22m, [s_wall]) is None
+
+
+def _fixed_box(lattice, gens, radius=3):
+    """The nonzero vectors of the box |x_i| <= radius fixed by every generator."""
+    box = itertools.product(range(-radius, radius + 1), repeat=lattice.rank)
+    return [x for x in box if any(x) and all(linalg.mat_vec(g, x) == x for g in gens)]
+
+
+@pytest.mark.parametrize("gram, gens, expected", [
+    # I_{2,1}, the reflection in (0, 1, 0): the fixed plane carries a square discriminant
+    (((-1, 0, 0), (0, 1, 0), (0, 0, 1)), [((1, 0, 0), (0, -1, 0), (0, 0, 1))], (1, 0, -1)),
+    # I_{3,1} and diag(-1, -1, 1, 1): a definite fixed plane, negative discriminant
+    (((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+     [((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))], None),
+    # no generators: the whole rank-2 lattice, whose second basis vector is isotropic
+    (((1, 1), (1, 0)), [], (0, 1)),
+    (((0, 1), (1, 0)), [], (1, 0)),
+])
+def test_fixed_isotropic_in_a_fixed_plane(gram, gens, expected):
+    lat = Lattice(gram=gram)
+    got = ws.fixed_isotropic(lat, gens)
+    assert got == expected
+    isotropic_in_box = [x for x in _fixed_box(lat, gens) if norm(lat, x) == 0]
+    assert (got is None) == (not isotropic_in_box)
+    if got is not None:
+        assert linalg.content(got) == 1 and norm(lat, got) == 0
+        assert all(linalg.mat_vec(g, got) == got for g in gens)
 
 
 def test_parabolic_translation(ex134):
