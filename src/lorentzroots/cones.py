@@ -32,33 +32,26 @@ def clip(lin, rays, rows, row):
     row . k < 0, becomes a ray and all else is projected along k onto
     row . y = 0.  Otherwise the rays with row . y > 0 are dropped and each
     adjacent pair across the hyperplane adds its combination on it;
-    adjacency is the exact rank test on the processed rows tight on both.
+    adjacency is the exact rank test on the processed rows tight on both,
+    whose indices are found once per ray.  Both cases use one cut rule.
     """
+    def cut(p, vp, q, vq):  # on row . y = 0 for vp = row . p, vq = row . q
+        return linalg.primitive(linalg.vec_sub(linalg.vec_scale(vp, q),
+                                               linalg.vec_scale(vq, p)))
+
     j = next((i for i, l in enumerate(lin) if linalg.dot(row, l)), None)
     if j is not None:
         k = lin[j] if linalg.dot(row, lin[j]) < 0 else linalg.vec_scale(-1, lin[j])
         vk = linalg.dot(row, k)
-
-        def project(y):     # a positive multiple of y - (row . y / row . k) k
-            return linalg.primitive(linalg.vec_sub(linalg.vec_scale(linalg.dot(row, y), k),
-                                                   linalg.vec_scale(vk, y)))
-        return ([project(l) for i, l in enumerate(lin) if i != j],
-                [project(r) for r in rays] + [k])
+        return ([cut(l, linalg.dot(row, l), k, vk) for i, l in enumerate(lin) if i != j],
+                [cut(r, linalg.dot(row, r), k, vk) for r in rays] + [k])
     vals = [linalg.dot(row, r) for r in rays]
     edge_rank = len(row) - len(lin) - 2    # tight rank on a 2-face modulo lin
-
-    def adjacent(p, q):
-        tight = [r for r in rows if linalg.dot(r, p) == 0 and linalg.dot(r, q) == 0]
-        return linalg.rank(tight) == edge_rank
-
-    new = []
-    for (p, vp), (q, vq) in combinations(zip(rays, vals), 2):
-        if vp * vq >= 0 or not adjacent(p, q):
-            continue
-        if vp < 0:
-            p, q, vp, vq = q, p, vq, vp
-        new.append(linalg.primitive(linalg.vec_sub(linalg.vec_scale(vp, q),
-                                                   linalg.vec_scale(vq, p))))
+    tight = [{i for i, r in enumerate(rows) if not linalg.dot(r, p)} if v else None
+             for p, v in zip(rays, vals)]
+    new = [cut(p, vp, q, vq) if vp > 0 else cut(q, vq, p, vp)
+           for (p, vp, tp), (q, vq, tq) in combinations(zip(rays, vals, tight), 2)
+           if vp * vq < 0 and linalg.rank([rows[i] for i in tp & tq]) == edge_rank]
     return lin, [r for r, v in zip(rays, vals) if v <= 0] + new
 
 

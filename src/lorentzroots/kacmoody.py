@@ -179,6 +179,9 @@ class GradedSeries:
     truncation: int
     coeffs: dict
 
+    def __post_init__(self):
+        self.truncation = integer(self.truncation, "truncation")
+
     @classmethod
     def one(cls, nvars, truncation):
         return cls(nvars=nvars, truncation=truncation,
@@ -373,14 +376,10 @@ def imaginary_membership(datum: RootDatum, x, n_max: int):
 
 def extended_gram(lattice: Lattice, k: int) -> Lattice:
     """The lattice extended by a scaled hyperbolic plane with U(e1,e2) = -k."""
-    if k <= 0:
+    if integer(k, "k") <= 0:
         raise DomainError("the scaling of the hyperbolic plane must be positive")
-    n = lattice.rank
-    rows = []
-    for i in range(n):
-        rows.append(tuple(lattice.gram[i]) + (0, 0))
-    rows.append(tuple(0 for _ in range(n)) + (0, -k))
-    rows.append(tuple(0 for _ in range(n)) + (-k, 0))
+    zero = (0,) * lattice.rank
+    rows = [row + (0, 0) for row in lattice.gram] + [zero + (0, -k), zero + (-k, 0)]
     return Lattice(gram=tuple(rows),
                    name=f"{lattice.name}+U({k})" if lattice.name else f"U({k})-extension")
 

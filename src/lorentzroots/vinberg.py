@@ -127,8 +127,8 @@ def shells(lattice, h):
 
 
 def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
-    """Yield (HeightKey, root) in increasing height up to max_key, ties
-    broken by (norm, root).
+    """Yield the roots x with m^2/d <= max_key in (m^2/d, d, x) order, where
+    m = -S(h, x) and d = S(x, x).
 
     The key bound cuts the stream at the shell level, so the generator
     terminates even when some norm admits no roots at all.  Roots are the
@@ -156,12 +156,7 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
             if linalg.content(x) == 1 and _residue_ok(filt, x):
                 if m == 0:
                     raise ControllerOnMirrorError(x)
-                yield HeightKey(m * m, d), x
-
-
-def enumerate_roots(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
-    """All admissible roots with height key <= max_key, in processing order."""
-    return [x for _, x in candidate_stream(lattice, h, filt, max_key)]
+                yield x
 
 
 def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
@@ -180,7 +175,7 @@ def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
     lin, rays = linalg.identity(lattice.rank), []
     terminated = False
     if max_roots != 0:
-        for _, x in candidate_stream(lattice, h, filt, max_key):
+        for x in candidate_stream(lattice, h, filt, max_key):
             if any(linalg.dot(row, x) > 0 for row in rows):
                 continue
             row = linalg.mat_vec(lattice.gram, x)

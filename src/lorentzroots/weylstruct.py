@@ -12,9 +12,9 @@ from . import cones, linalg, vinberg
 from .errors import (DomainError, IndeterminateFixedSpaceError, NonObtusePairError,
                      UnderDeterminedError)
 from .geometry import MirrorRelation, classify_mirrors
-from .lattice import (Lattice, a_delta, gram_matrix, int_inverse, int_vectors, integer,
-                      invariants, is_crystallographic, is_isometry, norm, pair, reflection,
-                      timelike_vector)
+from .lattice import (Lattice, a_delta, check_dim, gram_matrix, int_inverse, int_vectors,
+                      integer, invariants, is_crystallographic, is_isometry, norm, pair,
+                      reflection, timelike_vector)
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,7 @@ def lattice_weyl_vector(lattice: Lattice, roots) -> WeylData:
 
 def generalized_weyl_check(lattice: Lattice, roots, rho, bound) -> bool:
     """0 <= -S(rho, a) <= bound for every wall in the (finite) system."""
+    check_dim(lattice, rho)
     if all(x == 0 for x in rho):
         raise DomainError("zero vector cannot be a generalized Weyl vector")
     roots, bound = int_vectors(lattice, roots, "wall entry"), Fraction(bound)
@@ -105,6 +106,7 @@ def admissible_twists(lattice: Lattice, d):
 
 def m_star_p_membership(lattice: Lattice, roots, x) -> bool:
     """x lies in the dual lattice and every wall norm divides twice its pairing."""
+    check_dim(lattice, x)
     roots = int_vectors(lattice, roots, "wall entry")
     for row in lattice.gram:
         if Fraction(linalg.dot(row, x)).denominator != 1:

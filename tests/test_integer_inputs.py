@@ -38,8 +38,8 @@ SITES = {
                                              congruence=(walls(x), [(0, 0, 0)])),
     "congruence residue": lambda x: RootFilter(norms=frozenset({2}),
                                                congruence=(walls(2), [(x, 0, 0)])),
-    "controller": lambda x: vinberg.enumerate_roots(EX134, (3, x, 2), NORMS2,
-                                                    HeightKey(100, 1)),
+    "controller": lambda x: list(vinberg.candidate_stream(EX134, (3, x, 2), NORMS2,
+                                                          HeightKey(100, 1))),
     "max_roots": lambda x: vinberg.run(EX134, (1, 1, 1), NORMS2,
                                        max_key=HeightKey(1000, 1), max_roots=x),
     "height_bound": lambda x: kacmoody.solve_multiplicities(
@@ -91,6 +91,9 @@ SITES = {
     "corrected_denominator_ray_check truncation":
         lambda x: qseries.corrected_denominator_ray_check([24], [24], x),
     "PowerSeries.one": lambda x: qseries.PowerSeries.one(x),
+    "GradedSeries truncation": lambda x: kacmoody.GradedSeries.one(3, x).truncation,
+    "extended_gram k": lambda x: kacmoody.extended_gram(EX134, x),
+    "cusp_embedding k": lambda x: kacmoody.cusp_embedding(EX134, x, (1, 0, 0)),
 }
 
 
@@ -121,7 +124,9 @@ def test_numpy_entries_are_stored_as_python_ints():
               weylstruct.check_walls(EX134, walls(two)),
               kacmoody.root_datum(EX134, walls(two)).simple_roots,
               qseries.PowerSeries((1, two)).coeffs,
-              (HeightKey(two * two, two).numerator, HeightKey(4, two).denominator)]
+              (HeightKey(two * two, two).numerator, HeightKey(4, two).denominator),
+              (kacmoody.sum_side(DATUM, two).truncation,
+               kacmoody.solve_multiplicities(DATUM, two).sum_side.truncation)]
 
     def leaves(x):
         return [y for z in x for y in leaves(z)] if isinstance(x, (tuple, frozenset)) else [x]
@@ -155,16 +160,25 @@ def test_numpy_entries_are_stored_as_python_ints():
     lambda: kacmoody.anti_invariance_check(DATUM, 2.5),
     lambda: weylstruct.build_Pk_sample(EX134, PHI, (1, 0, 0), F01, F02, 2.5, 6),
     lambda: weylstruct.build_Pk_sample(EX134, PHI, (1, 0, 0), F01, F02, 2.0, 6),
+    lambda: kacmoody.GradedSeries.one(3, 2.5),
 ], ids=["check_walls 1.5", "check_walls 3/2", "cartan 1.5", "cartan 3/2",
         "norm_bound 2.9", "max_pairing 2.9", "PowerSeries 0.5", "cusp_identity 24.7",
         "build_H_ray 2.5", "ray_check 24.4", "lattice_weyl_vector", "symmetry_group",
         "gram_bound_check", "q_plus_membership", "k_elements", "eta_power 2.5",
         "generalized_weyl_check 1.5", "m_star_p_membership 1.5", "admissible_twists 1.5",
         "real_root_tuples 2.5", "weyl_elements 2.5", "sum_side 2.5", "anti_invariance 2.5",
-        "build_Pk_sample k 2.5", "build_Pk_sample k 2.0"])
+        "build_Pk_sample k 2.5", "build_Pk_sample k 2.0", "GradedSeries.one 2.5"])
 def test_non_integers_that_were_truncated_or_crashed_now_raise(call):
     with pytest.raises(DomainError, match="is not an integer"):
         call()
+
+
+def test_the_scaling_k_is_named_not_the_gram_entry_it_makes():
+    # k is read before -k enters the Gram matrix, so the error names k
+    for call in (lambda: kacmoody.extended_gram(EX134, 2.5),
+                 lambda: kacmoody.cusp_embedding(EX134, 2.5, (1, 0, 0))):
+        with pytest.raises(DomainError, match="^k 2.5 is not an integer$"):
+            call()
 
 
 def test_negative_truncations_raise_everywhere():
@@ -190,13 +204,15 @@ READERS = {
         EX134, in_third_wall(v), RHO, 10),
     "m_star_p_membership": lambda v: weylstruct.m_star_p_membership(
         EX134, in_third_wall(v), (0, 0, 0)),
+    "m_star_p_membership vector": lambda v: weylstruct.m_star_p_membership(EX134, [], v),
+    "generalized_weyl_check rho": lambda v: weylstruct.generalized_weyl_check(EX134, [], v, 5),
     "admissible_twists": lambda v: weylstruct.admissible_twists(EX134, v),
     "gram_bound_check": lambda v: vinberg.gram_bound_check(EX134, in_third_wall(v)),
-    "controller": lambda v: vinberg.enumerate_roots(EX134, v, NORMS2, HeightKey(100, 1)),
-    "congruence": lambda v: vinberg.enumerate_roots(
+    "controller": lambda v: list(vinberg.candidate_stream(EX134, v, NORMS2, HeightKey(100, 1))),
+    "congruence": lambda v: list(vinberg.candidate_stream(
         EX134, (1, 1, 1), RootFilter(norms=frozenset({2}),
                                      congruence=(linalg.identity(len(v)), [v])),
-        HeightKey(100, 1)),
+        HeightKey(100, 1))),
     "dual_extreme_rays": lambda v: cones.dual_extreme_rays(EX134, in_third_wall(v)),
     "is_arithmetic_type": lambda v: cones.is_arithmetic_type(EX134, in_third_wall(v)),
     "q_plus_membership walls": lambda v: cones.q_plus_membership(

@@ -9,7 +9,8 @@ import pytest
 
 from lorentzroots import cones, linalg, vinberg
 from lorentzroots.errors import ControllerOnMirrorError, DimensionError, DomainError
-from lorentzroots.lattice import Lattice, is_crystallographic, norm, pair, reflection
+from lorentzroots.lattice import (Lattice, gram_matrix, is_crystallographic, norm, pair,
+                                  reflection)
 from lorentzroots.vinberg import HeightKey, RootFilter
 
 
@@ -53,7 +54,7 @@ def brute_first_shell(lat, h, d, max_key, box=10):
 
 
 def test_first_shell_matches_bruteforce(ex134):
-    got = vinberg.enumerate_roots(ex134, H, NORMS2, HeightKey(4, 2))
+    got = list(vinberg.candidate_stream(ex134, H, NORMS2, HeightKey(4, 2)))
     assert got == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert sorted(got) == brute_first_shell(ex134, H, 2, HeightKey(4, 2))
 
@@ -69,7 +70,7 @@ def test_enumeration_matches_bruteforce_broadly(ex134, u_plus_2, u_plus_a2, diag
     ]
     for lat, h, norms, max_key in configs:
         filt = RootFilter(norms=frozenset(norms))
-        got = sorted(vinberg.enumerate_roots(lat, h, filt, max_key))
+        got = sorted(vinberg.candidate_stream(lat, h, filt, max_key))
         brute = []
         for d in norms:
             brute.extend(brute_first_shell(lat, h, d, max_key, box=12))
@@ -147,7 +148,7 @@ def test_shells_whose_norm_does_not_divide_twice_the_pairing_are_skipped(monkeyp
     monkeypatch.setattr(vinberg, "shells", spy_shells)
     monkeypatch.setattr(linalg, "quadric_integer_points", spy)
     max_key = HeightKey(22 * 22, 22)
-    got = vinberg.enumerate_roots(lat, h, RootFilter(norms=frozenset({2, 22})), max_key)
+    got = list(vinberg.candidate_stream(lat, h, RootFilter(norms=frozenset({2, 22})), max_key))
     assert sorted(got) == sorted(brute_first_shell(lat, h, 2, max_key)
                                  + brute_first_shell(lat, h, 22, max_key))
     assert any(norm(lat, x) == 22 for x in got)
@@ -222,13 +223,10 @@ def test_stream_keys_and_order_match_a_fraction_sort(ex134):
     for lat, h, norms, max_key, box, on_bound in configs:
         got = list(vinberg.candidate_stream(lat, h, RootFilter(norms=frozenset(norms)),
                                             max_key))
-        for key, x in got:
-            m = -pair(lat, h, x)
-            assert (key.numerator, key.denominator) == (m * m, norm(lat, x))
         want = brute_stream(lat, h, norms, max_key, box)
-        assert [(Fraction(k.numerator, k.denominator), norm(lat, x), x) for k, x in got] \
+        assert [(Fraction(pair(lat, h, x) ** 2, norm(lat, x)), norm(lat, x), x) for x in got] \
             == want
-        assert all(max(map(abs, x)) < box for _, x in got)
+        assert all(max(map(abs, x)) < box for x in got)
         assert {d for _, d, _ in want} == norms
         assert sum(k == max_key.value() for k, _, _ in want) == on_bound
 
@@ -246,18 +244,18 @@ def test_non_integer_norms_keys_and_controllers_rejected(ex134):
         with pytest.raises(DomainError, match="controller entry .* is not an integer"):
             vinberg.run(ex134, h, NORMS2, max_key=HeightKey(100, 1))
         with pytest.raises(DomainError, match="controller entry .* is not an integer"):
-            vinberg.enumerate_roots(ex134, h, NORMS2, HeightKey(100, 1))
+            list(vinberg.candidate_stream(ex134, h, NORMS2, HeightKey(100, 1)))
 
 
 def test_zero_key_is_empty(ex134):
-    assert vinberg.enumerate_roots(ex134, H, NORMS2, HeightKey(0, 2)) == []
+    assert list(vinberg.candidate_stream(ex134, H, NORMS2, HeightKey(0, 2))) == []
 
 
 def test_rootless_norm_set_terminates():
     # 3x^2 - y^2 = 1 has no solutions mod 3, so diag(6,-2) has no norm-2
     # roots at any height; the stream must still stop at the key budget
     lat = Lattice(gram=((6, 0), (0, -2)))
-    assert vinberg.enumerate_roots(lat, (0, 1), NORMS2, HeightKey(400, 1)) == []
+    assert list(vinberg.candidate_stream(lat, (0, 1), NORMS2, HeightKey(400, 1))) == []
     rep = vinberg.run(lat, (0, 1), NORMS2, max_key=HeightKey(400, 1))
     assert rep.accepted == () and rep.exhausted and not rep.terminated
 
@@ -268,8 +266,8 @@ def test_empty_norms_rejected():
 
 
 def test_enumerate_prefix_stability(ex134):
-    small = vinberg.enumerate_roots(ex134, H, NORMS2, HeightKey(36, 2))
-    big = vinberg.enumerate_roots(ex134, H, NORMS2, HeightKey(100, 2))
+    small = list(vinberg.candidate_stream(ex134, H, NORMS2, HeightKey(36, 2)))
+    big = list(vinberg.candidate_stream(ex134, H, NORMS2, HeightKey(100, 2)))
     assert big[:len(small)] == small
     assert len(big) > len(small)
 
@@ -332,10 +330,26 @@ def test_runs_and_enumerations_do_not_depend_on_the_basis(ex134):
         rep2 = vinberg.run(moved, h2, filt, max_key=HeightKey(key, 1))
         assert rep.terminated and rep2.terminated, lat.gram
         assert sorted(linalg.mat_vec(u, x) for x in rep2.accepted) == sorted(rep.accepted)
-        got = vinberg.enumerate_roots(moved, h2, filt, HeightKey(enum_key, 1))
-        want = vinberg.enumerate_roots(lat, h, filt, HeightKey(enum_key, 1))
+        got = list(vinberg.candidate_stream(moved, h2, filt, HeightKey(enum_key, 1)))
+        want = list(vinberg.candidate_stream(lat, h, filt, HeightKey(enum_key, 1)))
         assert len(want) > len(rep.accepted)
         assert sorted(linalg.mat_vec(u, x) for x in got) == sorted(want)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_odd_unimodular_chamber_is_the_classical_simple_system(n):
+    # Vinberg 1972: for 3 <= n <= 9 the chamber of I_{n,1} has the n + 1
+    # walls e0 - e1 - e2 - e3, e_i - e_{i+1} (1 <= i < n) and e_n
+    lat = Lattice(gram=tuple(tuple((-1 if i == 0 else 1) * (i == j) for j in range(n + 1))
+                             for i in range(n + 1)))
+    rep = vinberg.run(lat, (400,) + tuple(range(n, 0, -1)), RootFilter(norms=frozenset({1, 2})),
+                      max_key=HeightKey(10 ** 7, 1))
+    e = linalg.identity(n + 1)
+    classical = [(1, -1, -1, -1) + (0,) * (n - 3)] \
+        + [linalg.vec_sub(e[i], e[i + 1]) for i in range(1, n)] + [e[n]]
+    assert rep.terminated and len(rep.accepted) == n + 1
+    assert sorted(sorted(row) for row in rep.gram) \
+        == sorted(sorted(row) for row in gram_matrix(lat, classical))
 
 
 def _certificate_by_prefix(lat, accepted):
@@ -379,15 +393,15 @@ def test_controller_on_mirror_cases(ex134, diag22m, monkeypatch):
     # (0,0,1) is orthogonal to the norm-2 root (1,0,0) of diag(2,2,-2); the
     # first admissible root of the sorted m = 0 shell is reported
     with pytest.raises(ControllerOnMirrorError) as exc:
-        vinberg.enumerate_roots(diag22m, (0, 0, 1), NORMS2, HeightKey(4, 1))
+        list(vinberg.candidate_stream(diag22m, (0, 0, 1), NORMS2, HeightKey(4, 1)))
     assert exc.value.root == (-1, 0, 0)
     assert len(calls) == 1
     # with norms {2,8} the center (1,1,1) of the ex134 triangle lies on the
     # norm-8 mirror of (-1,0,1), found after the empty norm-2 shell at m = 0
     calls.clear()
     with pytest.raises(ControllerOnMirrorError) as exc:
-        vinberg.enumerate_roots(ex134, H, RootFilter(norms=frozenset({2, 8})),
-                                HeightKey(4, 2))
+        list(vinberg.candidate_stream(ex134, H, RootFilter(norms=frozenset({2, 8})),
+                                      HeightKey(4, 2)))
     assert exc.value.root == (-1, 0, 1)
     assert len(calls) == 2
 
@@ -402,7 +416,7 @@ def test_run_norms_2_8_with_generic_controller(ex134):
     art = cones.is_arithmetic_type(ex134, rep.accepted)
     assert sorted(norm(ex134, r) for r in art.cone.rays) == [-8, -6, 0]
     # the direction of f01 appears later in the stream (squared height 50 here)
-    found = vinberg.enumerate_roots(ex134, (4, 3, 2), filt, HeightKey(100, 2))
+    found = list(vinberg.candidate_stream(ex134, (4, 3, 2), filt, HeightKey(100, 2)))
     assert (2, 1, 0) in found
     assert pair(ex134, (2, 1, 0), (1, 0, 0)) > 0   # would be rejected against d1
 
@@ -411,7 +425,7 @@ def test_congruence_filter(ex134):
     # roots congruent to d1 modulo 2M
     filt = RootFilter(norms=frozenset({2}),
                       congruence=(((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((1, 0, 0),)))
-    got = vinberg.enumerate_roots(ex134, H, filt, HeightKey(36, 2))
+    got = list(vinberg.candidate_stream(ex134, H, filt, HeightKey(36, 2)))
     assert got[0] == (1, 0, 0)
     assert all((x[0] - 1) % 2 == 0 and x[1] % 2 == 0 and x[2] % 2 == 0 for x in got)
     assert (0, 1, 0) not in got
@@ -432,9 +446,10 @@ def test_congruence_filter_with_two_residues_matches_a_box(ex134):
     everything = brute_stream(ex134, h, norms, max_key, 12)
     want = [(k, d, x) for k, d, x in everything
             if any(in_m1(linalg.vec_sub(x, r)) for r in residues)]
-    assert [(Fraction(k.numerator, k.denominator), norm(ex134, x), x) for k, x in got] == want
+    assert [(Fraction(pair(ex134, h, x) ** 2, norm(ex134, x)), norm(ex134, x), x)
+            for x in got] == want
     for r in residues:
-        assert any(in_m1(linalg.vec_sub(x, r)) for _, x in got)
+        assert any(in_m1(linalg.vec_sub(x, r)) for x in got)
     assert len(everything) > len(want)
 
 
@@ -473,7 +488,7 @@ def test_congruence_vectors_must_have_the_lattice_rank(monkeypatch):
                        (linalg.identity(4), ((0, 0, 0, 0), (0, 0, 0)))):
         filt = RootFilter(norms=frozenset({1, 2}), congruence=congruence)
         with pytest.raises(DimensionError, match="length 3 against lattice of rank 4"):
-            vinberg.enumerate_roots(i31, (10, 3, 2, 1), filt, HeightKey(10 ** 4, 1))
+            list(vinberg.candidate_stream(i31, (10, 3, 2, 1), filt, HeightKey(10 ** 4, 1)))
 
 
 def test_gram_bound_check_triangle(ex134, triangle):
