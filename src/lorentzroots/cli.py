@@ -137,8 +137,8 @@ def _cmd_vinberg(args, lat, roots):
 def _cmd_weyl(args, lat, roots):
     data = weylstruct.lattice_weyl_vector(lat, roots)
     candidates = None      # isotropic rho: searched only with a --max-pairing budget
-    if data.rho is not None and args.norm_bound and (
-            data.rho_norm < 0 or data.rho_norm == 0 and args.max_pairing):
+    if args.norm_bound and (data.kind == "elliptic-type"
+                            or data.kind == "parabolic-type" and args.max_pairing):
         candidates = weylstruct.candidate_roots_for_weyl_vector(
             lat, data.rho, args.norm_bound, max_pairing=args.max_pairing)
     return {

@@ -70,6 +70,9 @@ class LatticeInvariants:
 
 
 def lattice_from_dict(data) -> Lattice:
+    if not isinstance(data, dict):
+        kind = {list: "array", str: "string", bool: "boolean", type(None): "null"}
+        raise TypeError(f"lattice must be a JSON object, not {kind.get(type(data), 'number')}")
     name = data.get("name", "")
     if not isinstance(name, str):
         raise TypeError(f"lattice name must be a string, not {type(name).__name__}")

@@ -34,12 +34,12 @@ def check_walls(lattice: Lattice, roots):
             raise DomainError(f"wall {r} is not spacelike")
         if not is_crystallographic(lattice, r):
             raise DomainError(f"wall {r} is not crystallographic")
-    prims = [linalg.primitive(r) for r in roots]
+    lines = [_canonical_sign(linalg.primitive(r)) for r in roots]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if gram[i][j] > 0:
                 raise NonObtusePairError(roots[i], roots[j], gram[i][j])
-            if prims[j] in (prims[i], linalg.vec_scale(-1, prims[i])):
+            if lines[j] == lines[i]:
                 raise DomainError(f"proportional walls {roots[i]}, {roots[j]}")
     return roots
 
@@ -50,8 +50,8 @@ def lattice_weyl_vector(lattice: Lattice, roots) -> WeylData:
     The wall system must span; with more walls than the rank the
     overdetermined system is checked for consistency.  The kind records
     the sign of S(rho, rho): negative for elliptic-type, zero for
-    parabolic-type, and "none" when no (timelike-or-isotropic) solution
-    exists.
+    parabolic-type (rho nonzero), and "none" when no timelike or nonzero
+    isotropic solution exists.
     """
     roots = int_vectors(lattice, roots, "wall entry")
     if not roots:
@@ -60,12 +60,11 @@ def lattice_weyl_vector(lattice: Lattice, roots) -> WeylData:
     if linalg.rank(rows) < lattice.rank:
         raise UnderDeterminedError("wall system does not span; Weyl vector not unique")
     rhs = [Fraction(-norm(lattice, a), 2) for a in roots]
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
+    rho = linalg.solve(rows, rhs)
+    if rho is None:
         return WeylData(rho=None, rho_norm=None, kind="none")
-    rho = tuple(Fraction(x) for x in sol)
     rn = pair(lattice, rho, rho)
-    kind = "elliptic-type" if rn < 0 else ("parabolic-type" if rn == 0 else "none")
+    kind = "elliptic-type" if rn < 0 else ("parabolic-type" if rn == 0 and any(rho) else "none")
     return WeylData(rho=rho, rho_norm=Fraction(rn), kind=kind)
 
 
@@ -153,11 +152,13 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
 
 
 def symmetry_group(lattice: Lattice, roots) -> tuple:
-    """Integral isometries permuting the wall system.
+    """Integral isometries permuting the wall system, as a tuple (a group).
 
-    Backtracks over Gram-preserving permutations of the walls (pruned
-    entry by entry), keeps those inducing an integral isometry of the
-    lattice, and returns the tuple of them all (they form a group).
+    Backtracks over Gram-preserving permutations sigma of the walls (pruned
+    entry by entry).  g = B'.adj(B)/det(B) on the spanning base columns B is
+    kept, once, iff it is integral and maps every wall r to sigma(r): then g
+    preserves the Gram matrix of a spanning set and permutes it, so it is an
+    isometry of finite order and det +-1.
     """
     roots = int_vectors(lattice, roots, "wall entry")
     k = len(roots)
@@ -166,20 +167,19 @@ def symmetry_group(lattice: Lattice, roots) -> tuple:
     if len(base) < lattice.rank:
         raise DomainError("wall system must span to determine isometries")
     base_cols = linalg.transpose([roots[i] for i in base])
-    base_inv = linalg.inverse(base_cols)
+    det = linalg.det(base_cols)
+    adj = tuple(tuple(int(det * x) for x in row) for row in linalg.inverse(base_cols))
     elements = []
     sigma = [None] * k
 
     def extend(i, used):
         if i == k:
-            image_cols = linalg.transpose([roots[sigma[b]] for b in base])
-            g = linalg.mat_mul(image_cols, base_inv)
-            if any(Fraction(x).denominator != 1 for row in g for x in row):
-                return
-            g = tuple(tuple(int(x) for x in row) for row in g)
-            if is_isometry(lattice, g) and \
-                    all(linalg.mat_vec(g, roots[r]) == roots[sigma[r]] for r in range(k)):
-                elements.append(g)
+            g = linalg.mat_mul(linalg.transpose([roots[sigma[b]] for b in base]), adj)
+            if all(x % det == 0 for row in g for x in row):
+                g = tuple(tuple(x // det for x in row) for row in g)
+                if g not in elements and all(
+                        linalg.mat_vec(g, r) == roots[s] for r, s in zip(roots, sigma)):
+                    elements.append(g)
             return
         for j in range(k):
             if j in used or gram[j][j] != gram[i][i]:
@@ -262,9 +262,11 @@ def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
     """Finite sample of the translation-orbit wall family.
 
     Walls are phi^t(e0) for t not divisible by k and phi^t(f01),
-    phi^t(f02) for t divisible by k, with |t| <= window.  Acceptability,
-    pairwise nonobtuseness and the Weyl property against the cusp-scaled
-    vector are all verified exactly.
+    phi^t(f02) for t divisible by k, with |t| <= window.  The seeds s are
+    checked for the Weyl property 2 S(rho, s) = -S(s, s) of the cusp-scaled
+    rho = S(e0, e0) c / (-2 S(c, e0)), as S(e0, e0) S(c, s) = S(c, e0) S(s, s);
+    phi is an isometry fixing the cusp c, so every phi^t(s) keeps it.  The
+    sample passes `check_walls`.
     """
     if integer(k, "k") < 2:
         raise DomainError("k must be at least 2")
@@ -274,17 +276,14 @@ def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
     c = fixed_isotropic(lattice, [phi])
     if c is None:
         raise DomainError("phi has no fixed isotropic vector")
-    if pair(lattice, c, e0) > 0:
-        c = tuple(-x for x in c)
     sce = pair(lattice, c, e0)
     if sce == 0:
         raise DomainError("the seed wall passes through the cusp")
-    rho = tuple(Fraction(norm(lattice, e0) * ci, -2 * sce) for ci in c)
     seeds = [tuple(e0), tuple(f01), tuple(f02)]
     for s in seeds:
         if not is_crystallographic(lattice, s):
             raise DomainError(f"seed {s} is not crystallographic")
-        if 2 * pair(lattice, rho, s) != -norm(lattice, s):
+        if norm(lattice, e0) * pair(lattice, c, s) != sce * norm(lattice, s):
             raise DomainError(f"seed {s} violates the Weyl property")
 
     images = {0: seeds}
@@ -296,9 +295,6 @@ def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
     for t in range(-window, window + 1):
         e, f1, f2 = images[t]
         roots += [f1, f2] if t % k == 0 else [e]
-    for r in roots:
-        if 2 * pair(lattice, rho, r) != -norm(lattice, r):
-            raise DomainError(f"sample wall {r} violates the Weyl property")
     return check_walls(lattice, roots)
 
 

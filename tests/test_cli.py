@@ -151,6 +151,18 @@ def test_exit_codes(tmp_path):
     assert run_cli("vinberg", "--lattice", "ex134.json").returncode == 2
 
 
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "array"), ('"abc"', "string"),
+                                        ("null", "null"), ("7", "number"), ("true", "boolean")])
+def test_lattice_file_that_is_not_an_object_is_a_usage_error(tmp_path, text, kind):
+    path = tmp_path / "lattice.json"
+    path.write_text(text)
+    res = run_cli("info", "--lattice", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: cannot parse lattice file {path}: ")
+    assert f"JSON object, not {kind}" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_vinberg_congruence_option():
     spec = '[[[2,0,0],[0,2,0],[0,0,2]], [[1,0,0]]]'
     res = run_cli("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1",
@@ -228,6 +240,16 @@ def test_weyl_parabolic_candidates_need_budget():
     report = json.loads(res.stdout)
     assert [1, 0, 0] in report["candidates"]
     assert [4, 2, 0] in report["candidates"]
+
+
+def test_weyl_zero_rho_is_not_parabolic():
+    # the isotropic walls of U solve to rho = 0: kind "none", and no search with a budget
+    for budget in ((), ("--norm-bound", "3", "--max-pairing", "3")):
+        res = run_cli("weyl", "--lattice", "u.json", "--roots", "1,0;0,1", *budget)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["rho"] == ["0", "0"] and report["rho_norm"] == "0"
+        assert report["kind"] == "none" and report["candidates"] is None
 
 
 def test_weyl_max_pairing_ignored_for_spacelike_rho():

@@ -42,6 +42,13 @@ def test_weyl_vector_spacelike_solution_is_none_kind(ex134):
     assert data.kind == "none"
 
 
+def test_zero_weyl_vector_is_not_parabolic(u):
+    # the isotropic walls of U solve to rho = 0, which is no Weyl vector
+    data = ws.lattice_weyl_vector(u, [(1, 0), (0, 1)])
+    assert data.rho == (0, 0) and data.rho_norm == 0
+    assert data.kind == "none"
+
+
 def test_weyl_vector_inconsistent(ex134, triangle):
     data = ws.lattice_weyl_vector(ex134, list(triangle) + [F01])
     assert data.rho is None and data.kind == "none"
@@ -156,6 +163,44 @@ def test_symmetry_group_rejects_walls_that_do_not_span(ex134, triangle):
             ws.symmetry_group(ex134, walls)
 
 
+def _symmetry_group_by_brute_force(lattice, roots):
+    """Every permutation of the walls, kept iff its map g on the base walls is
+    integral, passes is_isometry and maps every wall; each g once."""
+    base = linalg.pivots(linalg.transpose(roots))
+    base_inv = linalg.inverse(linalg.transpose([roots[i] for i in base]))
+    out = []
+    for perm in itertools.permutations(range(len(roots))):
+        g = linalg.mat_mul(linalg.transpose([roots[perm[b]] for b in base]), base_inv)
+        if any(Fraction(x).denominator != 1 for row in g for x in row):
+            continue
+        g = tuple(tuple(int(x) for x in row) for row in g)
+        if is_isometry(lattice, g) and g not in out and all(
+                linalg.mat_vec(g, r) == roots[p] for r, p in zip(roots, perm)):
+            out.append(g)
+    return tuple(out)
+
+
+def test_symmetry_group_matches_a_brute_force_reference(ex134, u_plus_a2, triangle):
+    cases = [
+        (ex134, triangle, 6),
+        # the chamber vinberg.run finds on U + A_2 from (-4, -3, -1, -1), norms {2}
+        (u_plus_a2, [(-1, 0, -1, -1), (0, 0, 0, 1), (0, 0, 1, 0), (1, -1, 0, 0)], 2),
+        (ex134, ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 1), None),
+        # a zero form: every unimodular g is an isometry, so only the wall map
+        # rejects the four permutations that move (1, 1); 6 without it
+        (Lattice(gram=((0, 0), (0, 0))), [(1, 0), (0, 1), (1, 1)], 2),
+    ]
+    for lattice, walls, order in cases:
+        sym = ws.symmetry_group(lattice, walls)
+        assert sym == _symmetry_group_by_brute_force(lattice, walls)
+        assert order is None or len(sym) == order
+
+
+def test_symmetry_group_keeps_each_isometry_once(ex134):
+    sym = ws.symmetry_group(ex134, [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert sym == (linalg.identity(3), ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+
+
 def test_fixed_isotropic(ex134, diag22m):
     assert ws.fixed_isotropic(ex134, [PHI]) == CUSP
     with pytest.raises(IndeterminateFixedSpaceError):
@@ -247,6 +292,16 @@ def test_build_Pk_sample_rejects_bad_phi(ex134):
     s1 = reflection(ex134, (1, 0, 0))
     with pytest.raises(DomainError):
         ws.build_Pk_sample(ex134, s1, (1, 0, 0), F01, F02, 2, 2)
+
+
+def test_build_Pk_sample_checks_the_weyl_property_on_the_seeds(ex134):
+    # (-2, -1, 0) is crystallographic of norm 2, but with rho = c/4 and S(c, f) = 8,
+    # 2 S(rho, f) = 4 is not -S(f, f) = -2
+    f = (-2, -1, 0)
+    assert is_crystallographic(ex134, f) and norm(ex134, f) == 2 and pair(ex134, CUSP, f) == 8
+    with pytest.raises(DomainError, match=r"^seed \(-2, -1, 0\) violates the Weyl property$"):
+        ws.build_Pk_sample(ex134, PHI, (1, 0, 0), f, F02, 2, 1)
+    assert ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 0) == (F01, F02)
 
 
 def test_rootset_checked_rejects_obtuse(ex134):
