@@ -250,27 +250,30 @@ def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityRes
     at every u of height 1..N, and at the first height where they differ
     |u| (P(u) - W(u)) = G_P(u) - G_W(u).  So, height by height, each
     unknown t is m_t = (G_P(t) - G_W(t)) / |t| with the division exact,
-    and the sum over v is pushed forward over the support of W only: the
-    cost is about |supp W| * |supp G| dict operations, with no truncated
+    and the sum over v is pushed forward over the support of W only.
+    Every exponent is a nonnegative tuple of height <= N, keyed by its
+    base-(N+1) digits (Kronecker substitution): u + v packs to the sum of
+    the keys, and within one height the keys sort like the tuples.  The
+    cost is about |supp W| * |supp G| integer additions, with no truncated
     product ever expanded.  A mismatch raises DenominatorMismatchError
     carrying the first failing exponent in (height, tuple) order.
     """
     if integer(height_bound, "height_bound") < 0:
         raise DomainError(f"height bound must be a nonnegative integer, got {height_bound!r}")
     series = sum_side(datum, height_bound)
-    target = series.coeffs
-    zero = (0,) * len(datum.simple_roots)
-    if target.get(zero, 0) != 1:
-        raise DenominatorMismatchError(zero, 1, target.get(zero, 0))
+    base = height_bound + 1         # every digit is <= N, so sums never carry
+    place = [base ** i for i in reversed(range(len(datum.simple_roots)))]
+    target = {linalg.dot(place, v): c for v, c in series.coeffs.items()}
+    if target.get(0, 0) != 1:
+        raise DenominatorMismatchError((0,) * len(place), 1, target.get(0, 0))
     mults = {}
     g_prod = [{} for _ in range(height_bound + 1)]   # G_P by height
 
     def factor(t, m):
-        h = sum(t)
+        h, p = sum(t), linalg.dot(place, t)
         for k in range(1, height_bound // h + 1):
             level = g_prod[k * h]
-            u = tuple(k * c for c in t)
-            level[u] = level.get(u, 0) - h * m
+            level[k * p] = level.get(k * p, 0) - h * m
 
     for t in real_root_tuples(datum, height_bound):
         mults[t] = 1
@@ -279,13 +282,14 @@ def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityRes
     for t in imaginary_candidate_tuples(datum, height_bound):
         unknown_at[sum(t)].append(t)
     w_by_height = [[] for _ in range(height_bound + 1)]
-    for v, c in target.items():
-        w_by_height[sum(v)].append((v, c))
+    for v, c in series.coeffs.items():
+        w_by_height[sum(v)].append((linalg.dot(place, v), c))
     pushed = [{} for _ in range(height_bound + 1)]   # sum_{0<v<u} W(v) G_W(u - v)
     for h in range(1, height_bound + 1):
         gp, sw = g_prod[h], pushed[h]
         for t in unknown_at[h]:
-            m = (gp.get(t, 0) - h * target.get(t, 0) + sw.get(t, 0)) // h
+            p = linalg.dot(place, t)
+            m = (gp.get(p, 0) - h * target.get(p, 0) + sw.get(p, 0)) // h
             if m:
                 mults[t] = m
                 factor(t, m)
@@ -294,15 +298,15 @@ def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityRes
             w = target.get(u, 0)
             diff = gp.get(u, 0) - h * w + sw.get(u, 0)
             if diff:
-                raise DenominatorMismatchError(u, w + diff // h, w)
+                exponent = tuple(u // b % base for b in place)
+                raise DenominatorMismatchError(exponent, w + diff // h, w)
         for u, g in gp.items():
             if not g:
                 continue
             for dh in range(1, height_bound - h + 1):
                 level = pushed[h + dh]
                 for v, c in w_by_height[dh]:
-                    uv = tuple(a + b for a, b in zip(u, v))
-                    level[uv] = level.get(uv, 0) + c * g
+                    level[u + v] = level.get(u + v, 0) + c * g
     return MultiplicityResult(mults=mults, sum_side=series)
 
 

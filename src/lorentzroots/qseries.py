@@ -72,10 +72,22 @@ def _product_coeffs(tau, n):
 
 
 def eta_power(e: int, n: int) -> PowerSeries:
-    """prod_{m >= 1} (1 - q^m)^e up to degree n, exact."""
+    """prod_{m >= 1} (1 - q^m)^e up to degree n, exact, in O(n^1.5).
+
+    J.C.P. Miller's recurrence for a power of a series (Knuth, TAOCP 2,
+    4.7), k a_k = sum_{j=1..k} ((e + 1) j - k) f_j a_{k-j}, runs over the
+    nonzero coefficients f_j of prod (1 - q^m) only: by Euler's pentagonal
+    theorem f_j = (-1)^i at j = i (3i -+ 1) / 2, so O(sqrt n) terms each.
+    """
     if integer(n, "truncation") < 0:
         raise DomainError("truncation must be nonnegative")
-    return PowerSeries(tuple(_product_coeffs([integer(e, "exponent")] * n, n)))
+    e = integer(e, "exponent")
+    pentagonal = [(j, (-1) ** i) for i in range(1, n + 1)
+                  for j in (i * (3 * i - 1) // 2, i * (3 * i + 1) // 2) if j <= n]
+    a = [1] + [0] * n
+    for k in range(1, n + 1):
+        a[k] = sum(((e + 1) * j - k) * f * a[k - j] for j, f in pentagonal if j <= k) // k
+    return PowerSeries(tuple(a))
 
 
 def ramanujan_tau(n: int):

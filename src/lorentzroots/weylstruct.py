@@ -203,13 +203,16 @@ def fixed_isotropic(lattice: Lattice, gens):
     isotropic vector.  The sign is canonical (first nonzero coordinate
     positive), not oriented toward any half-cone.
     """
-    n = lattice.rank
-    rows = []
-    for g in gens:
-        if not is_isometry(lattice, g):
-            raise DomainError("fixed_isotropic expects verified isometries")
-        rows += _minus_identity_shift(g)
-    basis = linalg.kernel_basis(rows, ncols=n)
+    gens = list(gens)
+    if not all(is_isometry(lattice, g) for g in gens):
+        raise DomainError("fixed_isotropic expects verified isometries")
+    return _fixed_isotropic(lattice, gens)
+
+
+def _fixed_isotropic(lattice: Lattice, gens):
+    """`fixed_isotropic` of isometries the caller has already checked."""
+    rows = [row for g in gens for row in _minus_identity_shift(g)]
+    basis = linalg.kernel_basis(rows, ncols=lattice.rank)
     if len(basis) > 2:
         raise IndeterminateFixedSpaceError(
             f"fixed space has dimension {len(basis)} > 2")
@@ -268,12 +271,18 @@ def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
     phi is an isometry fixing the cusp c, so every phi^t(s) keeps it.  The
     sample passes `check_walls`.
     """
+    return _cusp_and_Pk_sample(lattice, phi, e0, f01, f02, k, window)[1]
+
+
+def _cusp_and_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
+    """The cusp c of phi and `build_Pk_sample`, with phi checked once and
+    its fixed space solved once."""
     if integer(k, "k") < 2:
         raise DomainError("k must be at least 2")
     if not is_isometry(lattice, phi) or not is_unipotent(phi) \
             or linalg.is_zero_matrix(_minus_identity_shift(phi)):
         raise DomainError("phi must be a nontrivial unipotent isometry")
-    c = fixed_isotropic(lattice, [phi])
+    c = _fixed_isotropic(lattice, [phi])
     if c is None:
         raise DomainError("phi has no fixed isotropic vector")
     sce = pair(lattice, c, e0)
@@ -295,7 +304,7 @@ def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
     for t in range(-window, window + 1):
         e, f1, f2 = images[t]
         roots += [f1, f2] if t % k == 0 else [e]
-    return check_walls(lattice, roots)
+    return c, check_walls(lattice, roots)
 
 
 def classify_chamber(lattice: Lattice, roots, symmetries) -> str:

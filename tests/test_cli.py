@@ -93,6 +93,22 @@ def test_family_subcommand():
     assert sorted(report["wall_norms"]) == [2, 2, 8, 8, 8, 8, 8, 8]
 
 
+def test_family_checks_the_translation_once(monkeypatch, capsys):
+    # one is_isometry check of phi and one fixed-space solve for its cusp,
+    # shared by the wall sample and the report's "cusp" field
+    from lorentzroots import cli, linalg, weylstruct
+
+    calls = {"is_isometry": 0, "kernel_basis": 0}
+    for owner, name in ((weylstruct, "is_isometry"), (linalg, "kernel_basis")):
+        def spy(*a, _f=getattr(owner, name), _name=name, **kw):
+            calls[_name] += 1
+            return _f(*a, **kw)
+        monkeypatch.setattr(owner, name, spy)
+    assert cli.main(["family", "--lattice", "ex134.json", "--k", "2", "--window", "6"]) == 0
+    assert calls == {"is_isometry": 1, "kernel_basis": 1}
+    assert json.loads(capsys.readouterr().out)["cusp"] == [0, 1, 1]
+
+
 def test_determinism_double_run():
     import hashlib
 

@@ -368,6 +368,17 @@ def test_solve_multiplicities_reproduce_weyl_sum_at_every_height(datum, ex134):
             assert all(res.mults[t] == 1 for t in reals)
 
 
+def test_solve_multiplicities_truncations_agree(datum, ex134):
+    # each height bound N keys the solve in its own base N + 1, so a carry
+    # or a wrong digit order would make two truncations disagree
+    for d in (datum, km.root_datum(ex134, [F01, F02, PHI_D1]), _i41_datum()):
+        solved = [km.solve_multiplicities(d, n).mults for n in range(11)]
+        for big in range(1, 11):
+            for small in range(big):
+                cut = {t: m for t, m in solved[big].items() if sum(t) <= small}
+                assert list(cut.items()) == list(solved[small].items()), (big, small)
+
+
 def test_solve_multiplicities_rejects_bad_height_bound(datum):
     for bad in (-1, -5, True, False, 2.0, "3", None):
         with pytest.raises(DomainError) as err:

@@ -98,6 +98,34 @@ def test_eta_homomorphism():
         assert lhs.coeffs == qs.eta_power(a + b, n).coeffs
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 60, 300])
+def test_eta_power_matches_the_general_product_recurrence(n):
+    # the pentagonal (Miller) path against the O(n^2) Euler recurrence that
+    # cusp_identity runs on the constant exponent list [e] * n
+    for e in (-24, -3, -1, 0, 1, 2, 24, 25):
+        coeffs = qs.eta_power(e, n).coeffs
+        assert coeffs[0] == 1 and len(coeffs) == n + 1
+        assert list(coeffs[1:]) == [-m for m in qs.cusp_identity("tau_to_m", [e] * n, n)], e
+
+
+def test_eta_inverse_counts_partitions():
+    p = qs.eta_power(-1, 200).coeffs
+    assert list(p[:11]) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert p[100] == 190_569_292
+    assert p[200] == 3_972_999_029_388
+
+
+def test_eta_power_one_is_eulers_pentagonal_series():
+    n = 300
+    expected = [0] * (n + 1)
+    for k in range(15):          # k (3k + 1) / 2 <= 300 stops at k = 13
+        for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if j <= n:
+                expected[j] = (-1) ** k
+    assert list(qs.eta_power(1, n).coeffs) == expected
+    assert sum(map(abs, expected)) == 28
+
+
 def test_cusp_identity_zero():
     assert qs.cusp_identity("tau_to_m", [0, 0, 0], 3) == [0, 0, 0]
     assert qs.cusp_identity("m_to_tau", [0, 0, 0], 3) == [0, 0, 0]
