@@ -94,8 +94,7 @@ def pair(lattice: Lattice, x, y):
     """The bilinear form S(x, y), exact (int or Fraction)."""
     check_dim(lattice, x)
     check_dim(lattice, y)
-    return sum(xi * sum(g * yj for g, yj in zip(row, y))
-               for xi, row in zip(x, lattice.gram))
+    return linalg.dot(x, linalg.mat_vec(lattice.gram, y))
 
 
 def norm(lattice: Lattice, x):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul, sub
 
 from .errors import DegenerateFormError, DimensionError
 
@@ -19,11 +20,11 @@ from .errors import DegenerateFormError, DimensionError
 def dot(u, v):
     if len(u) != len(v):
         raise DimensionError(f"length mismatch {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_scale(c, v):
@@ -436,11 +437,11 @@ def quadric_integer_points(form, centre, radius):
                 y[i] = yi
                 z[i] = nn * yi - centre[i]
                 left = rem - kd[i] * t * t
-                c1 = nn * centre[i - 1] - sum(a * b for a, b in zip(nu[i - 1], z[i:]))
+                c1 = nn * centre[i - 1] - sum(map(mul, nu[i - 1], z[i:]))
                 descend(i - 1, left, c1, isqrt(left // kd[i - 1]))
             return
         k0, k1, slope = kd[0], kd[1], nn * nu[0][0]                   # N^2 t_0 = c0 - slope y_1
-        c0 = nn * centre[0] + nu[0][0] * centre[1] - sum(a * b for a, b in zip(nu[0][1:], z[2:]))
+        c0 = nn * centre[0] + nu[0][0] * centre[1] - sum(map(mul, nu[0][1:], z[2:]))
         t = n2 * lo - c
         for y1 in range(lo, hi):
             left = rem - k1 * t * t

@@ -17,7 +17,8 @@ class PowerSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(integer(c, "coefficient") for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(c if type(c) is int else integer(c, "coefficient")
+                                                 for c in self.coeffs))
 
     @property
     def truncation(self) -> int:

@@ -83,9 +83,11 @@ def shells(lattice, h):
     """roots(d, m): the sorted crystallographic x with S(x,x) = d and S(h,x) = -m.
 
     x is crystallographic iff d | 2 S(e_j, x) for all j: shells with d not
-    dividing 2m or g = gcd(G h) not dividing m are skipped, and a point x = B u
-    (B unimodular, u = (-m/g, y)) is kept iff d | 2 G B u, then mapped back;
-    that is q = d/gcd(d, 2) | G B u, tested on the rows of G B not 0 mod q.
+    dividing 2m or g = gcd(G h) not dividing m return [] at once (the stream
+    never asks for them; the skip stays for direct callers), as does a shell
+    with no lattice point.  A point x = B u (B unimodular, u = (-m/g, y)) is
+    kept iff d | 2 G B u, then mapped back; that is q = d/gcd(d, 2) | G B u,
+    tested on the rows of G B not 0 mod q.
 
     Shell (d, m) lies on the slice S(h,x) = -m, centred at m h / |S(h,h)|,
     where the form on h^perp is fixed and the squared radius is
@@ -117,11 +119,13 @@ def shells(lattice, h):
     def roots(d, m):
         if m % g or 2 * m % d:
             return []
-        us = [(-m // g,) + y for y in linalg.quadric_integer_points(
-            form, [m * x for x in centre], (d * hh + m * m) * scale)]
+        ys = linalg.quadric_integer_points(form, [m * x for x in centre],
+                                           (d * hh + m * m) * scale)
+        if not ys:
+            return []
         q = d // gcd(d, 2)
-        rows = [row for row in gb if any(x % q for x in row)] if us else []
-        return sorted(linalg.mat_vec(basis, u) for u in us
+        rows = [row for row in gb if any(x % q for x in row)]
+        return sorted(linalg.mat_vec(basis, u) for u in ((-m // g,) + y for y in ys)
                       if all(linalg.dot(row, u) % q == 0 for row in rows))
     return roots
 
@@ -131,16 +135,23 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
     m = -S(h, x) and d = S(x, x).
 
     The key bound cuts the stream at the shell level, so the generator
-    terminates even when some norm admits no roots at all.  Roots are the
-    primitive, congruence-admissible vectors of shells(), so crystallographic,
-    with S(h, root) < 0.  The m = 0 shells come first, in increasing norm,
-    and an admissible root there raises ControllerOnMirrorError.
+    terminates even when some norm admits no roots at all.  Each norm d
+    steps m by lcm(g, d/gcd(d, 2)), g = gcd(G h): the pairings in between
+    hold no crystallographic vector, so their shells are never visited.
+    Roots are the primitive, congruence-admissible vectors of shells(), so
+    crystallographic, with S(h, root) < 0.  The m = 0 shells come first, in
+    increasing norm, and an admissible root there raises
+    ControllerOnMirrorError.
     """
     (h,) = int_vectors(lattice, [h], "controller entry")
     if norm(lattice, h) >= 0:
         raise DomainError("controller must be timelike")
     int_vectors(lattice, sum(filt.congruence or (), ()), "congruence entry")  # basis, residues
     roots = shells(lattice, h)
+    # roots(d, m) is empty unless g | m and d | 2m, that is unless
+    # lcm(g, d/gcd(d, 2)) | m: each norm walks only those m
+    g = linalg.content(linalg.mat_vec(lattice.gram, h))
+    step = {d: lcm(g, d // gcd(d, 2)) for d in filt.norms}
     # keys scaled by L = lcm(norms): m^2 (L/d) <= floor(L max_key) is exactly
     # m^2/d <= max_key, with the same order and ties
     big = lcm(*filt.norms)
@@ -151,7 +162,8 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
         key, d, m = heapq.heappop(heap)
         if key > bound:
             continue
-        heapq.heappush(heap, ((m + 1) ** 2 * (big // d), d, m + 1))
+        m1 = m + step[d]
+        heapq.heappush(heap, (m1 * m1 * (big // d), d, m1))
         for x in roots(d, m):
             if linalg.content(x) == 1 and _residue_ok(filt, x):
                 if m == 0:

@@ -19,6 +19,16 @@ def random_int_matrix(rng, n, m, lo=-6, hi=6):
     return tuple(tuple(rng.randint(lo, hi) for _ in range(m)) for _ in range(n))
 
 
+def test_dot_is_exact_on_fractions_and_checks_lengths():
+    u, v = (Fraction(1, 2), 3, Fraction(-2, 3)), (Fraction(4, 5), Fraction(1, 7), 6)
+    assert linalg.dot(u, v) == sum(a * b for a, b in zip(u, v)) == Fraction(-111, 35)
+    assert type(linalg.dot((2, 3), (4, 5))) is int and linalg.dot((2, 3), (4, 5)) == 23
+    assert linalg.dot((), ()) == 0
+    for u, v in (((1, 2), (1, 2, 3)), ((), (1,)), ((1, 2, 3), (1,))):
+        with pytest.raises(DimensionError, match="length mismatch"):
+            linalg.dot(u, v)
+
+
 def test_smith_divisors_against_sympy():
     rng = random.Random(12)
     for _ in range(60):

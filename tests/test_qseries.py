@@ -191,3 +191,20 @@ def test_powerseries_inverse_requires_unit():
     s = qs.PowerSeries((1, 5, -3, 2))
     prod = s * s.inverse()
     assert prod.coeffs == (1, 0, 0, 0)
+
+
+def test_powerseries_reads_only_non_int_coefficients(monkeypatch):
+    # exact ints are stored as they are; anything else goes through
+    # lattice.integer, so bools, floats and strings still raise and numpy
+    # integers are stored as Python ints
+    seen = []
+    integer = qs.integer
+    monkeypatch.setattr(qs, "integer", lambda x, what: seen.append(what) or integer(x, what))
+    assert qs.eta_power(24, 250).coeffs == tuple(qs._product_coeffs([24] * 250, 250))
+    assert "coefficient" not in seen
+    for bad in (True, 2.5, "3"):
+        with pytest.raises(DomainError, match=f"coefficient {bad!r} is not an integer"):
+            qs.PowerSeries((1, bad))
+    np = pytest.importorskip("numpy")
+    coeffs = qs.PowerSeries((1, np.int64(-3), 2)).coeffs
+    assert coeffs == (1, -3, 2) and all(type(c) is int for c in coeffs)

@@ -3,7 +3,7 @@
 import itertools
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -229,6 +229,75 @@ def test_stream_keys_and_order_match_a_fraction_sort(ex134):
         assert all(max(map(abs, x)) < box for x in got)
         assert {d for _, d, _ in want} == norms
         assert sum(k == max_key.value() for k, _, _ in want) == on_bound
+
+
+def every_m_stream(lat, h, filt, max_key):
+    """What candidate_stream yields, rebuilt from roots(d, m) at every
+    m = 0..M of every norm: the primitive, congruence-admissible roots
+    sorted by (m^2/d, d, x) and cut at the key bound."""
+    roots = vinberg.shells(lat, h)
+    out = []
+    for d in filt.norms:
+        for m in range(isqrt(max_key.numerator * d // max_key.denominator) + 1):
+            out.extend((Fraction(m * m, d), d, x) for x in roots(d, m)
+                       if linalg.content(x) == 1 and vinberg._residue_ok(filt, x))
+    return [x for _, _, x in sorted(out)]
+
+
+def test_stepped_stream_equals_a_stream_over_every_pairing(ex134, u_plus_a2):
+    # the stream steps m by lcm(g, d/gcd(d, 2)), g = gcd(G h); the skipped
+    # pairings hold no root, so nothing is lost, reordered or added
+    u22 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
+    i41 = Lattice(gram=tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(5))
+                             for i in range(5)))
+    m1 = (((1, 1, -2), (1, 0, 3), (0, 1, 1)), ((1, 0, 0), (0, 1, 0)))
+    cases = [(u22, (22, 30, -1), {2, 22}, None, HeightKey(10 ** 5, 1)),   # g = 2, q = 11
+             (ex134, (4, 3, 2), {2, 8}, None, HeightKey(2000, 1)),        # g = 2, q = 4
+             (u_plus_a2, (-4, -3, -1, -1), {2}, None, HeightKey(400, 1)),
+             (i41, (400, 4, 3, 2, 1), {1, 2}, None, HeightKey(10 ** 5, 1)),
+             (ex134, (4, 3, 2), {2, 8}, m1, HeightKey(2000, 1))]
+    assert linalg.content(linalg.mat_vec(u22.gram, (22, 30, -1))) == 2
+    for lat, h, norms, congruence, max_key in cases:
+        filt = RootFilter(norms=frozenset(norms), congruence=congruence)
+        got = list(vinberg.candidate_stream(lat, h, filt, max_key))
+        assert got and got == every_m_stream(lat, h, filt, max_key), (lat.gram, congruence)
+    # the m = 0 shells still come first: the classical controller (1, 0, ..., 0)
+    # of I_{5,1} lies on the mirrors of e_1, ..., e_5
+    i51 = Lattice(gram=tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(6))
+                             for i in range(6)))
+    with pytest.raises(ControllerOnMirrorError):
+        list(vinberg.candidate_stream(i51, (1, 0, 0, 0, 0, 0),
+                                      RootFilter(norms=frozenset({1, 2})), HeightKey(100, 1)))
+
+
+def test_deep_runs_descend_only_admissible_pairings(monkeypatch):
+    # the three full-size runs of the `deep` benchmark workload: every shell
+    # the stream asks for has m = 0 mod lcm(g, d/gcd(d, 2)), so each
+    # roots(d, m) call descends (3,501 calls; 10,098 with m stepped by 1)
+    calls, descents = [], []
+    quadric, shells = linalg.quadric_integer_points, vinberg.shells
+
+    def spy_shells(lattice, h):
+        roots = shells(lattice, h)
+        g = linalg.content(linalg.mat_vec(lattice.gram, h))
+
+        def spy_roots(d, m):
+            calls.append((g, d, m))
+            return roots(d, m)
+        return spy_roots
+
+    monkeypatch.setattr(vinberg, "shells", spy_shells)
+    monkeypatch.setattr(linalg, "quadric_integer_points",
+                        lambda *a: descents.append(a) or quadric(*a))
+    u22 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
+    u26 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 26)))
+    for lat, h, norms, max_roots in ((u22, (22, 30, -1), {2}, 24),
+                                     (u22, (22, 30, -1), {2, 22}, None),
+                                     (u26, (-12, -28, -3), {2}, 40)):
+        vinberg.run(lat, h, RootFilter(norms=frozenset(norms)),
+                    max_key=HeightKey(4 * 10 ** 6, 1), max_roots=max_roots)
+    assert all(m % lcm(g, d // gcd(d, 2)) == 0 for g, d, m in calls)
+    assert len(calls) == len(descents) == 3501
 
 
 def test_non_integer_norms_keys_and_controllers_rejected(ex134):
