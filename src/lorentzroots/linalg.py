@@ -406,9 +406,11 @@ def quadric_integer_points(form, centre, radius):
     is an integer: each level takes exactly the y_i with
     |N^2 y_i - N^2 t_i| <= isqrt(budget // (K D_i)), and the first
     coordinate solves its square exactly.  A last slab with no integer in
-    it returns before any set-up, and levels 1 and 0 are one loop over y_1
-    with no call per leaf: N^2 t_0 is affine in y_1 with slope -N nu[0][0],
-    and each leaf is one floor division and an isqrt square test.
+    it leaves the top level's range empty, so it returns [] (vinberg's
+    shell walk makes that test before it asks for a shell).  Levels 1 and
+    0 are one loop over y_1 with no call per leaf: N^2 t_0 is affine in y_1
+    with slope -N nu[0][0], and each leaf is one floor division and an
+    isqrt square test.
     """
     nn, nu, kd = form
     n = len(kd)
@@ -419,8 +421,6 @@ def quadric_integer_points(form, centre, radius):
     n2 = nn * nn
     c = nn * centre[-1]
     r = isqrt(radius // kd[-1])
-    if -((r - c) // n2) > (c + r) // n2:
-        return []                                           # the last slab holds no integer
     if n == 1:
         return sorted({(t // n2,) for t in (c - r, c + r) if t % n2 == 0}) \
             if r * r * kd[0] == radius else []

@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from . import cones, linalg
 from .errors import ControllerOnMirrorError, DomainError
@@ -80,14 +80,22 @@ class ChamberReport:
 
 
 def shells(lattice, h):
-    """roots(d, m): the sorted crystallographic x with S(x,x) = d and S(h,x) = -m.
+    """(roots, walk) for the shells (d, m) of the controller h.
 
-    x is crystallographic iff d | 2 S(e_j, x) for all j: shells with d not
-    dividing 2m or g = gcd(G h) not dividing m return [] at once (the stream
-    never asks for them; the skip stays for direct callers), as does a shell
-    with no lattice point.  A point x = B u (B unimodular, u = (-m/g, y)) is
-    kept iff d | 2 G B u, then mapped back; that is q = d/gcd(d, 2) | G B u,
-    tested on the rows of G B not 0 mod q.
+    roots(d, m): the sorted crystallographic x with S(x,x) = d and
+    S(h,x) = -m.  x is crystallographic iff d | 2 S(e_j, x) for all j:
+    shells with d not dividing 2m or g = gcd(G h) not dividing m return []
+    at once (the stream never asks for them; the skip stays for direct
+    callers).  A point x = B u (B unimodular, u = (-m/g, y)) is kept iff
+    d | 2 G B u, then mapped back; that is q = d/gcd(d, 2) | G B u, tested
+    on the rows of G B not 0 mod q.
+
+    walk(d, big, bound): the (m^2 (big/d), d, m) with m^2 (big/d) <= bound,
+    in increasing m, of the shells of norm d that can hold a root: m steps
+    by lcm(g, d/gcd(d, 2)), and m is kept only if the last slab of the
+    shell's descent holds an integer, so an empty shell never reaches roots.
+    The m = 0 slab holds 0.  With no kernel (a rank-1 lattice) there is no
+    slab, and the positive radius leaves every shell empty.
 
     Shell (d, m) lies on the slice S(h,x) = -m, centred at m h / |S(h,h)|,
     where the form on h^perp is fixed and the squared radius is
@@ -127,7 +135,26 @@ def shells(lattice, h):
         rows = [row for row in gb if any(x % q for x in row)]
         return sorted(linalg.mat_vec(basis, u) for u in ((-m // g,) + y for y in ys)
                       if all(linalg.dot(row, u) % q == 0 for row in rows))
-    return roots
+
+    def walk(d, big, bound):
+        if not r:
+            return
+        # quadric_integer_points' top level: |N^2 y - m N centre| <= s with
+        # s = isqrt(radius // K D), which grows with m; once 2 s >= N^2 - 1
+        # every later slab holds an integer, and the walk only steps
+        step, per = lcm(g, d // gcd(d, 2)), big // d
+        n2, c1, kd = nn * nn, nn * centre[-1], form[2][-1]
+        m = key = 0
+        wide = False
+        while key <= bound:
+            if not wide:
+                c, s = m * c1, isqrt((d * hh + m * m) * scale // kd)
+                wide = 2 * s + 1 >= n2
+            if wide or -((s - c) // n2) <= (c + s) // n2:
+                yield key, d, m
+            m += step
+            key = m * m * per
+    return roots, walk
 
 
 def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
@@ -135,35 +162,25 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
     m = -S(h, x) and d = S(x, x).
 
     The key bound cuts the stream at the shell level, so the generator
-    terminates even when some norm admits no roots at all.  Each norm d
-    steps m by lcm(g, d/gcd(d, 2)), g = gcd(G h): the pairings in between
-    hold no crystallographic vector, so their shells are never visited.
-    Roots are the primitive, congruence-admissible vectors of shells(), so
-    crystallographic, with S(h, root) < 0.  The m = 0 shells come first, in
-    increasing norm, and an admissible root there raises
+    terminates even when some norm admits no roots at all.  Each norm runs
+    one walk of shells(), which keeps only the pairings whose shell can hold
+    a root, and heapq.merge orders the walks by the int key m^2 (L/d),
+    L = lcm(norms), ties broken by d: the keys compare exactly as m^2/d.
+    roots(d, m) is called only on a merged shell, once the consumer asks for
+    it.  Roots are the primitive, congruence-admissible vectors of shells(),
+    so crystallographic, with S(h, root) < 0.  The m = 0 shells come first,
+    in increasing norm, and an admissible root there raises
     ControllerOnMirrorError.
     """
     (h,) = int_vectors(lattice, [h], "controller entry")
     if norm(lattice, h) >= 0:
         raise DomainError("controller must be timelike")
     int_vectors(lattice, sum(filt.congruence or (), ()), "congruence entry")  # basis, residues
-    roots = shells(lattice, h)
-    # roots(d, m) is empty unless g | m and d | 2m, that is unless
-    # lcm(g, d/gcd(d, 2)) | m: each norm walks only those m
-    g = linalg.content(linalg.mat_vec(lattice.gram, h))
-    step = {d: lcm(g, d // gcd(d, 2)) for d in filt.norms}
-    # keys scaled by L = lcm(norms): m^2 (L/d) <= floor(L max_key) is exactly
-    # m^2/d <= max_key, with the same order and ties
+    roots, walk = shells(lattice, h)
+    # m^2 (L/d) <= floor(L max_key) is exactly m^2/d <= max_key
     big = lcm(*filt.norms)
     bound = max_key.numerator * big // max_key.denominator
-    heap = [(0, d, 0) for d in filt.norms]
-    heapq.heapify(heap)
-    while heap:
-        key, d, m = heapq.heappop(heap)
-        if key > bound:
-            continue
-        m1 = m + step[d]
-        heapq.heappush(heap, (m1 * m1 * (big // d), d, m1))
+    for _, d, m in heapq.merge(*(walk(d, big, bound) for d in filt.norms)):
         for x in roots(d, m):
             if linalg.content(x) == 1 and _residue_ok(filt, x):
                 if m == 0:

@@ -133,12 +133,12 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
     den = lcm(*(x.denominator for x in rho))
     scaled_rho = tuple((x * den).numerator for x in rho)
     if rn < 0:
-        roots = vinberg.shells(lattice, scaled_rho)
+        roots, _ = vinberg.shells(lattice, scaled_rho)
     else:
         if max_pairing is None:
             raise DomainError(
                 "isotropic weyl vector: the candidate set is infinite, pass max_pairing")
-        roots = vinberg.shells(lattice, timelike_vector(lattice))
+        roots, _ = vinberg.shells(lattice, timelike_vector(lattice))
     out = []
     for d in range(1, integer(norm_bound, "norm_bound") + 1):
         if den * d % 2:

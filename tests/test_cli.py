@@ -190,6 +190,18 @@ def test_vinberg_congruence_option():
     assert all((r[0] % 2, r[1] % 2, r[2] % 2) == (1, 0, 0) for r in report["accepted"])
 
 
+def test_vinberg_on_a_rank_one_lattice(tmp_path):
+    # h^perp is 0: there is no slab to walk, and every shell is empty
+    path = tmp_path / "rank1.json"
+    path.write_text('{"name": "rank1", "gram": [[-2]]}')
+    res = run_cli("vinberg", "--lattice", str(path), "--controller", "1", "--norms", "2")
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout == (
+        '{"accepted":[],"bound_check":null,"command":"vinberg","controller":[1],'
+        '"exhausted":true,"gram":[],"lattice":"rank1","max_height_sq":"1000",'
+        '"max_roots":null,"norms":[2],"terminated":false}\n')
+
+
 def test_vinberg_congruence_needs_a_residue():
     # with no residue every root would be rejected and the run would look exhausted
     spec = '[[[2,0,0],[0,1,0],[0,0,1]],[]]'

@@ -561,15 +561,31 @@ def last_slab(form, centre, radius):
 
 def test_vinberg_shells_match_fraction_descent(monkeypatch):
     # the big ints of real shells: I_{5,1} to its certificate and U+<22>
-    # for five walls, every call checked against the Fraction descent
-    seen = []
-    quadric = linalg.quadric_integer_points
+    # for five walls, every call checked against the Fraction descent.  The
+    # walk skips the admissible pairings whose last slab holds no integer:
+    # each of them, up to the last pairing the run reached, is passed to the
+    # descent too, and must be empty in both
+    seen, walks = [], []
+    quadric, shells = linalg.quadric_integer_points, vinberg.shells
 
     def spy(form, centre, radius):
         seen.append((form, tuple(centre), radius))
         return quadric(form, centre, radius)
 
+    def spy_shells(lattice, h):
+        roots, walk = shells(lattice, h)
+        g = linalg.content(linalg.mat_vec(lattice.gram, h))
+
+        def spy_walk(d, big, bound):
+            ms = []
+            walks.append((roots, d, lcm(g, d // gcd(d, 2)), ms))
+            for shell in walk(d, big, bound):
+                ms.append(shell[2])
+                yield shell
+        return roots, spy_walk
+
     monkeypatch.setattr(linalg, "quadric_integer_points", spy)
+    monkeypatch.setattr(vinberg, "shells", spy_shells)
     i51 = Lattice(gram=tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(6))
                              for i in range(6)))
     rep = vinberg.run(i51, (400, 5, 4, 3, 2, 1), vinberg.RootFilter(norms=frozenset({1, 2})),
@@ -579,16 +595,21 @@ def test_vinberg_shells_match_fraction_descent(monkeypatch):
     rep = vinberg.run(u22, (22, 30, -1), vinberg.RootFilter(norms=frozenset({2})),
                       max_key=vinberg.HeightKey(4 * 10 ** 6, 1), max_roots=5)
     assert len(rep.accepted) == 5
+    descended = len(seen)
+    for roots, d, step, ms in walks:
+        for m in sorted(set(range(0, ms[-1], step)) - set(ms)):
+            assert roots(d, m) == []
     monkeypatch.undo()
-    slab = nonempty = 0
-    for args in seen:
+    skipped, nonempty = seen[descended:], 0
+    for i, args in enumerate(seen):
         got = linalg.quadric_integer_points(*args)
         assert got == fraction_quadric_points(*scaled_ldl(*args)), args
         lo, hi = last_slab(*args)
-        slab += lo > hi
+        assert (lo > hi) == (i >= descended), args
         nonempty += bool(got)
-    assert {len(form[2]) for form, _, _ in seen} == {2, 5}
-    assert 0 < slab < len(seen) and nonempty > 0
+    assert {len(form[2]) for form, _, _ in seen[:descended]} == {2, 5}
+    assert {len(form[2]) for form, _, _ in skipped} == {2, 5}
+    assert nonempty > 0
 
 
 def test_quadric_points_edge_cases():
@@ -608,8 +629,10 @@ def test_quadric_points_edge_cases():
     assert check(q, centre, radius) == [(0, 0)]
     assert last_slab(*integer_form(*fraction_ldl(q), centre, radius)) == (0, 0)
     # a fractional centre whose slab is empty: |y_0 - 1/2| <= 1/3 on rank 1,
-    # |y_1 - 1/2| <= 1/3 on rank 2
-    for q, centre in ((((9,),), (Fraction(1, 2),)), (((5, 0), (0, 9)), (0, Fraction(1, 2)))):
+    # |y_1 - 1/2| <= 1/3 on rank 2 and |y_2 - 1/2| <= 1/3 on rank 3, where
+    # the top level's range is empty
+    for q, centre in ((((9,),), (Fraction(1, 2),)), (((5, 0), (0, 9)), (0, Fraction(1, 2))),
+                      (((5, 0, 0), (0, 5, 0), (0, 0, 9)), (0, 0, Fraction(1, 2)))):
         lo, hi = last_slab(*integer_form(*fraction_ldl(q), centre, 1))
         assert lo > hi
         assert check(q, centre, 1) == []

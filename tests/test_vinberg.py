@@ -12,6 +12,7 @@ from lorentzroots.errors import ControllerOnMirrorError, DimensionError, DomainE
 from lorentzroots.lattice import (Lattice, gram_matrix, is_crystallographic, norm, pair,
                                   reflection)
 from lorentzroots.vinberg import HeightKey, RootFilter
+from test_linalg import last_slab
 
 
 H = (1, 1, 1)
@@ -93,14 +94,14 @@ def test_shell_arithmetic_is_exact(monkeypatch):
         return quadric(form, centre, radius)
 
     def spy_shells(lattice, h):
-        roots = shells(lattice, h)
+        roots, walk = shells(lattice, h)
 
         def spy_roots(d, m):
             before = len(made)
             out = roots(d, m)
             assert len(made) == before, made[before:]
             return out
-        return spy_roots
+        return spy_roots, walk
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     monkeypatch.setattr(vinberg, "shells", spy_shells)
@@ -130,12 +131,12 @@ def test_shells_whose_norm_does_not_divide_twice_the_pairing_are_skipped(monkeyp
     quadric, shells = linalg.quadric_integer_points, vinberg.shells
 
     def spy_shells(lattice, h):
-        roots = shells(lattice, h)
+        roots, walk = shells(lattice, h)
 
         def spy_roots(d, m):
             shell[:] = [(d, m)]
             return roots(d, m)
-        return spy_roots
+        return spy_roots, walk
 
     def spy(form, centre, radius):
         # the scaled radius is (d hh + m^2) times one constant per controller
@@ -153,8 +154,13 @@ def test_shells_whose_norm_does_not_divide_twice_the_pairing_are_skipped(monkeyp
                                  + brute_first_shell(lat, h, 22, max_key))
     assert any(norm(lat, x) == 22 for x in got)
     assert len(scales) == 1
-    assert {(22, 0), (22, 22), (2, 2), (2, 6)} <= set(seen)
+    # the admissible norm-2 shells m = 2, 4, 6 hold no integer in their last
+    # slab, so the stream descends none of them; they are empty
+    assert set(seen) == {(22, 0), (22, 22), (2, 0)}
     assert all(m % 11 == 0 for d, m in seen if d == 22)
+    monkeypatch.undo()
+    roots, _ = vinberg.shells(lat, h)
+    assert roots(2, 2) == roots(2, 4) == roots(2, 6) == []
 
 
 def test_shells_return_exactly_the_crystallographic_vectors(ex134, monkeypatch):
@@ -183,7 +189,7 @@ def test_shells_return_exactly_the_crystallographic_vectors(ex134, monkeypatch):
                 continue
             assert max(map(abs, x)) < box, (lat.gram, x)
             want.setdefault((d, m), []).append(x)     # product order is sorted
-        roots = vinberg.shells(lat, h)
+        roots, _ = vinberg.shells(lat, h)
         skipped = 0
         for d in sorted(norms):
             for m in range(isqrt(key * d) + 1):
@@ -196,7 +202,7 @@ def test_shells_return_exactly_the_crystallographic_vectors(ex134, monkeypatch):
         drops.append(dropped)
     # the even form of ex134 makes every vector of norm 2 or 8 crystallographic
     assert drops[0] == 0 and drops[1] and drops[2] and drops[3]
-    assert (2, 0, 0) in vinberg.shells(ex134, (4, 3, 2))(8, 4)
+    assert (2, 0, 0) in vinberg.shells(ex134, (4, 3, 2))[0](8, 4)
 
 
 def brute_stream(lat, h, norms, max_key, box):
@@ -235,7 +241,7 @@ def every_m_stream(lat, h, filt, max_key):
     """What candidate_stream yields, rebuilt from roots(d, m) at every
     m = 0..M of every norm: the primitive, congruence-admissible roots
     sorted by (m^2/d, d, x) and cut at the key bound."""
-    roots = vinberg.shells(lat, h)
+    roots, _ = vinberg.shells(lat, h)
     out = []
     for d in filt.norms:
         for m in range(isqrt(max_key.numerator * d // max_key.denominator) + 1):
@@ -272,19 +278,26 @@ def test_stepped_stream_equals_a_stream_over_every_pairing(ex134, u_plus_a2):
 
 def test_deep_runs_descend_only_admissible_pairings(monkeypatch):
     # the three full-size runs of the `deep` benchmark workload: every shell
-    # the stream asks for has m = 0 mod lcm(g, d/gcd(d, 2)), so each
-    # roots(d, m) call descends (3,501 calls; 10,098 with m stepped by 1)
-    calls, descents = [], []
+    # the stream asks for has m = 0 mod lcm(g, d/gcd(d, 2)) and an integer in
+    # its last slab, so each roots(d, m) call descends (3,351 calls; 3,501
+    # without the slab test, 10,098 with m stepped by 1).  Up to the key
+    # bound, each walk keeps exactly the admissible pairings whose last slab
+    # holds an integer
+    calls, descents, walks = [], [], []
     quadric, shells = linalg.quadric_integer_points, vinberg.shells
 
     def spy_shells(lattice, h):
-        roots = shells(lattice, h)
+        roots, walk = shells(lattice, h)
         g = linalg.content(linalg.mat_vec(lattice.gram, h))
 
         def spy_roots(d, m):
             calls.append((g, d, m))
             return roots(d, m)
-        return spy_roots
+
+        def spy_walk(d, big, bound):
+            walks.append((roots, walk, g, d, big, bound))
+            return walk(d, big, bound)
+        return spy_roots, spy_walk
 
     monkeypatch.setattr(vinberg, "shells", spy_shells)
     monkeypatch.setattr(linalg, "quadric_integer_points",
@@ -297,7 +310,22 @@ def test_deep_runs_descend_only_admissible_pairings(monkeypatch):
         vinberg.run(lat, h, RootFilter(norms=frozenset(norms)),
                     max_key=HeightKey(4 * 10 ** 6, 1), max_roots=max_roots)
     assert all(m % lcm(g, d // gcd(d, 2)) == 0 for g, d, m in calls)
-    assert len(calls) == len(descents) == 3501
+    assert len(calls) == len(descents) == 3351
+    assert all(lo <= hi for lo, hi in (last_slab(*a) for a in descents))
+    # every admissible pairing up to the bound, its slab read off the
+    # arguments roots(d, m) passes the descent
+    slabs = []
+    monkeypatch.setattr(linalg, "quadric_integer_points", lambda *a: slabs.append(a) or [])
+    skipped = 0
+    for roots, walk, g, d, big, bound in walks:
+        walked = {m for _, _, m in walk(d, big, bound)}
+        step = lcm(g, d // gcd(d, 2))
+        for m in range(0, isqrt(bound // (big // d)) + 1, step):
+            assert roots(d, m) == []
+            lo, hi = last_slab(*slabs[-1])
+            assert (lo <= hi) == (m in walked), (d, m)
+            skipped += m not in walked
+    assert skipped == 150
 
 
 def test_non_integer_norms_keys_and_controllers_rejected(ex134):
@@ -318,6 +346,16 @@ def test_non_integer_norms_keys_and_controllers_rejected(ex134):
 
 def test_zero_key_is_empty(ex134):
     assert list(vinberg.candidate_stream(ex134, H, NORMS2, HeightKey(0, 2))) == []
+
+
+def test_rank_one_lattice_has_no_roots():
+    # the kernel of S(h, .) is 0, so no shell has a slab, and the radius
+    # (d |S(h,h)| + m^2) / |S(h,h)| > 0 leaves every shell empty
+    lat = Lattice(gram=((-2,),))
+    rep = vinberg.run(lat, (1,), NORMS2, max_key=HeightKey(1000, 1))
+    assert rep == vinberg.ChamberReport(accepted=(), terminated=False, gram=())
+    assert list(vinberg.candidate_stream(lat, (3,), RootFilter(norms=frozenset({1, 2, 8})),
+                                         HeightKey(10 ** 6, 1))) == []
 
 
 def test_rootless_norm_set_terminates():
