@@ -47,10 +47,8 @@ class Lattice:
             raise DimensionError("gram matrix is empty")
         if any(len(row) != n for row in g):
             raise DimensionError("gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise DegenerateFormError("gram matrix must be symmetric")
+        if g != linalg.transpose(g):
+            raise DegenerateFormError("gram matrix must be symmetric")
 
     @property
     def rank(self) -> int:
@@ -167,16 +165,18 @@ def reflection(lattice: Lattice, d):
     )
 
 
+def int_matrix(lattice: Lattice, g) -> tuple:
+    """The isometry g as int rows: rank rows, each read through int_vectors."""
+    if len(g) != lattice.rank:
+        raise DimensionError("isometry matrix size must match the lattice rank")
+    return int_vectors(lattice, g, "isometry entry")
+
+
 def is_isometry(lattice: Lattice, g) -> bool:
     """True iff g^T gram g = gram and det g = +-1."""
-    n = lattice.rank
-    if len(g) != n or any(len(row) != n for row in g):
-        raise DimensionError("isometry matrix size must match the lattice rank")
-    gt = linalg.transpose(g)
-    if linalg.mat_mul(gt, linalg.mat_mul(lattice.gram, g)) != tuple(
-            tuple(row) for row in lattice.gram):
-        return False
-    return linalg.det(g) in (1, -1)
+    g = int_matrix(lattice, g)
+    gtg = linalg.mat_mul(linalg.transpose(g), linalg.mat_mul(lattice.gram, g))
+    return gtg == lattice.gram and linalg.det(g) in (1, -1)
 
 
 def int_inverse(g):

@@ -214,12 +214,10 @@ def diagonalizing_basis(sym):
     repaired with the standard add-row-and-column trick, so no square
     roots are ever needed.
     """
+    if tuple(map(tuple, sym)) != transpose(sym):
+        raise DegenerateFormError("matrix is not symmetric")
     n = len(sym)
     a = [[Fraction(x) for x in row] for row in sym]
-    for i, row in enumerate(a):
-        for j in range(i):
-            if row[j] != a[j][i]:
-                raise DegenerateFormError("matrix is not symmetric")
     t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for i in range(n):
         if a[i][i] == 0:

@@ -9,8 +9,7 @@ hyperplane S(h, x) = -m), enumerated exactly.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
@@ -20,12 +19,12 @@ from .lattice import Lattice, gram_matrix, int_vectors, integer, norm
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HeightKey:
-    """Squared Vinberg height S(h,d)^2 / S(d,d), compared as an exact fraction."""
-    numerator: int = field(compare=False)
-    denominator: int = field(compare=False)
-    _value: Fraction = field(init=False, repr=False)
+    """A budget on the squared Vinberg height S(h,d)^2 / S(d,d): the ints
+    numerator >= 0 and denominator > 0.  Keys are not ordered."""
+    numerator: int
+    denominator: int
 
     def __post_init__(self):
         num = integer(self.numerator, "height key numerator")
@@ -34,10 +33,6 @@ class HeightKey:
             raise DomainError("height key needs numerator >= 0, denominator > 0")
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "_value", Fraction(num, den))
-
-    def value(self) -> Fraction:
-        return self._value
 
 
 @dataclass(frozen=True)
@@ -85,10 +80,10 @@ def shells(lattice, h):
     roots(d, m): the sorted crystallographic x with S(x,x) = d and
     S(h,x) = -m.  x is crystallographic iff d | 2 S(e_j, x) for all j:
     shells with d not dividing 2m or g = gcd(G h) not dividing m return []
-    at once (the stream never asks for them; the skip stays for direct
-    callers).  A point x = B u (B unimodular, u = (-m/g, y)) is kept iff
-    d | 2 G B u, then mapped back; that is q = d/gcd(d, 2) | G B u, tested
-    on the rows of G B not 0 mod q.
+    at once (walk never yields them; the skip stays for the timelike rho of
+    weylstruct.candidate_roots_for_weyl_vector).  A point x = B u (B
+    unimodular, u = (-m/g, y)) is kept iff d | 2 G B u, then mapped back;
+    that is q = d/gcd(d, 2) | G B u, tested on the rows of G B not 0 mod q.
 
     walk(d, big, bound): the (m^2 (big/d), d, m) with m^2 (big/d) <= bound,
     in increasing m, of the shells of norm d that can hold a root: m steps
@@ -158,19 +153,20 @@ def shells(lattice, h):
 
 
 def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
-    """Yield the roots x with m^2/d <= max_key in (m^2/d, d, x) order, where
-    m = -S(h, x) and d = S(x, x).
+    """The roots x with m^2/d <= max_key in (m^2/d, d, x) order, where
+    m = -S(h, x) and d = S(x, x), as a generator.
 
-    The key bound cuts the stream at the shell level, so the generator
-    terminates even when some norm admits no roots at all.  Each norm runs
-    one walk of shells(), which keeps only the pairings whose shell can hold
-    a root, and heapq.merge orders the walks by the int key m^2 (L/d),
-    L = lcm(norms), ties broken by d: the keys compare exactly as m^2/d.
-    roots(d, m) is called only on a merged shell, once the consumer asks for
-    it.  Roots are the primitive, congruence-admissible vectors of shells(),
-    so crystallographic, with S(h, root) < 0.  The m = 0 shells come first,
-    in increasing norm, and an admissible root there raises
-    ControllerOnMirrorError.
+    The inputs are checked and shells() is set up at the call; the shells
+    are read as the generator is consumed.  The key bound cuts the stream
+    at the shell level, so the generator terminates even when some norm
+    admits no roots at all.  Each norm runs one walk of shells(), which
+    keeps only the pairings whose shell can hold a root, and heapq.merge
+    orders the walks by the int key m^2 (L/d), L = lcm(norms), ties broken
+    by d: the keys compare exactly as m^2/d.  roots(d, m) is called only on
+    a merged shell, once the consumer asks for it.  Roots are the primitive,
+    congruence-admissible vectors of shells(), so crystallographic, with
+    S(h, root) < 0.  The m = 0 shells come first, in increasing norm, and
+    an admissible root there raises ControllerOnMirrorError.
     """
     (h,) = int_vectors(lattice, [h], "controller entry")
     if norm(lattice, h) >= 0:
@@ -180,12 +176,15 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
     # m^2 (L/d) <= floor(L max_key) is exactly m^2/d <= max_key
     big = lcm(*filt.norms)
     bound = max_key.numerator * big // max_key.denominator
-    for _, d, m in heapq.merge(*(walk(d, big, bound) for d in filt.norms)):
-        for x in roots(d, m):
-            if linalg.content(x) == 1 and _residue_ok(filt, x):
-                if m == 0:
-                    raise ControllerOnMirrorError(x)
-                yield x
+
+    def stream():
+        for _, d, m in heapq.merge(*(walk(d, big, bound) for d in filt.norms)):
+            for x in roots(d, m):
+                if linalg.content(x) == 1 and _residue_ok(filt, x):
+                    if m == 0:
+                        raise ControllerOnMirrorError(x)
+                    yield x
+    return stream()
 
 
 def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
@@ -200,11 +199,12 @@ def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
     """
     if max_roots is not None and integer(max_roots, "max_roots") < 0:
         raise DomainError(f"max_roots must be None or an integer >= 0, got {max_roots!r}")
+    stream = candidate_stream(lattice, h, filt, max_key)
     accepted, rows = [], []
     lin, rays = linalg.identity(lattice.rank), []
     terminated = False
     if max_roots != 0:
-        for x in candidate_stream(lattice, h, filt, max_key):
+        for x in stream:
             if any(linalg.dot(row, x) > 0 for row in rows):
                 continue
             row = linalg.mat_vec(lattice.gram, x)

@@ -12,9 +12,9 @@ from . import cones, linalg, vinberg
 from .errors import (DomainError, IndeterminateFixedSpaceError, NonObtusePairError,
                      UnderDeterminedError)
 from .geometry import MirrorRelation, classify_mirrors
-from .lattice import (Lattice, a_delta, check_dim, gram_matrix, int_inverse, int_vectors,
-                      integer, invariants, is_crystallographic, is_isometry, norm, pair,
-                      reflection, timelike_vector)
+from .lattice import (Lattice, a_delta, check_dim, gram_matrix, int_inverse, int_matrix,
+                      int_vectors, integer, invariants, is_crystallographic, is_isometry, norm,
+                      pair, reflection, timelike_vector)
 
 
 @dataclass(frozen=True)
@@ -117,37 +117,37 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
                                     *, max_pairing=None):
     """Roots a with 0 < S(a,a) <= norm_bound and S(rho, a) = -S(a,a)/2.
 
-    For timelike rho the set is finite and enumerated completely (one
-    positive definite slice per norm).  For isotropic rho it is infinite
-    in general (translation orbits realize unbounded families), so the
-    search is cut by a controller height: roots with -S(h, a) <= max_pairing
-    for h = timelike_vector(lattice).  Results come from vinberg.shells, so
-    they are crystallographic but not necessarily primitive.
+    For timelike rho the set is finite and enumerated completely: rho,
+    scaled to integers, is the controller, and norm d has one shell.  For
+    isotropic rho it is infinite in general (translation orbits realize
+    unbounded families), so the search is cut by a controller height: the
+    walked shells of h = timelike_vector(lattice), -S(h, a) <= max_pairing.
+    Results come from vinberg.shells, so they are crystallographic but not
+    necessarily primitive.  Negative budgets raise.
     """
+    norm_bound = integer(norm_bound, "norm_bound")
+    max_pairing = None if max_pairing is None else integer(max_pairing, "max_pairing")
+    if min(norm_bound, max_pairing or 0) < 0:
+        raise DomainError("norm_bound and max_pairing must be >= 0, "
+                          f"got {norm_bound} and {max_pairing}")
     rho = tuple(Fraction(x) for x in rho)
     rn = pair(lattice, rho, rho)
     if rn > 0:
         raise DomainError("weyl vector must be timelike or isotropic")
     if all(x == 0 for x in rho):
         raise DomainError("zero vector")
+    if rn == 0 and max_pairing is None:
+        raise DomainError("isotropic weyl vector: the candidate set is infinite, pass max_pairing")
     den = lcm(*(x.denominator for x in rho))
     scaled_rho = tuple((x * den).numerator for x in rho)
-    if rn < 0:
-        roots, _ = vinberg.shells(lattice, scaled_rho)
-    else:
-        if max_pairing is None:
-            raise DomainError(
-                "isotropic weyl vector: the candidate set is infinite, pass max_pairing")
-        roots, _ = vinberg.shells(lattice, timelike_vector(lattice))
+    roots, walk = vinberg.shells(lattice, scaled_rho if rn < 0 else timelike_vector(lattice))
     out = []
-    for d in range(1, integer(norm_bound, "norm_bound") + 1):
+    for d in range(1, norm_bound + 1):
         if den * d % 2:
             continue
         t = den * d // 2
-        # timelike rho: its own shell m = t is the whole slice; isotropic rho:
-        # m = 0 included, the controller only bounds the search
-        for m in ([t] if rn < 0 else range(integer(max_pairing, "max_pairing") + 1)):
-            out += [x for x in roots(d, m) if pair(lattice, scaled_rho, x) == -t]
+        pairings = [t] if rn < 0 else [m for _, _, m in walk(d, d, max_pairing ** 2)]
+        out += [x for m in pairings for x in roots(d, m) if pair(lattice, scaled_rho, x) == -t]
     return sorted(set(out))
 
 
@@ -200,10 +200,12 @@ def fixed_isotropic(lattice: Lattice, gens):
     Only fixed spaces of dimension <= 2 are decided (a line is checked for
     isotropy, a plane is an exact binary quadratic problem); larger fixed
     spaces raise.  Returns None when the fixed space has no rational
-    isotropic vector.  The sign is canonical (first nonzero coordinate
-    positive), not oriented toward any half-cone.
+    isotropic vector, never for a unipotent g != 1: for N = g - 1 and N^k
+    its last nonzero power, N^k x is fixed and in the image of N, which is
+    orthogonal to the fixed space.  The sign is canonical (first nonzero
+    coordinate positive), not oriented toward any half-cone.
     """
-    gens = list(gens)
+    gens = [int_matrix(lattice, g) for g in gens]
     if not all(is_isometry(lattice, g) for g in gens):
         raise DomainError("fixed_isotropic expects verified isometries")
     return _fixed_isotropic(lattice, gens)
@@ -279,12 +281,11 @@ def _cusp_and_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int
     its fixed space solved once."""
     if integer(k, "k") < 2:
         raise DomainError("k must be at least 2")
+    phi = int_matrix(lattice, phi)
     if not is_isometry(lattice, phi) or not is_unipotent(phi) \
             or linalg.is_zero_matrix(_minus_identity_shift(phi)):
         raise DomainError("phi must be a nontrivial unipotent isometry")
-    c = _fixed_isotropic(lattice, [phi])
-    if c is None:
-        raise DomainError("phi has no fixed isotropic vector")
+    c = _fixed_isotropic(lattice, [phi])       # not None: phi is unipotent
     sce = pair(lattice, c, e0)
     if sce == 0:
         raise DomainError("the seed wall passes through the cusp")
@@ -322,6 +323,7 @@ def classify_chamber(lattice: Lattice, roots, symmetries) -> str:
     The walls must pass `check_walls`.
     """
     roots = check_walls(lattice, roots)
+    symmetries = [int_matrix(lattice, g) for g in symmetries]
     if cones.is_arithmetic_type(lattice, roots).finite_volume:
         return "elliptic"
     n = lattice.rank
@@ -329,10 +331,8 @@ def classify_chamber(lattice: Lattice, roots, symmetries) -> str:
         if g == linalg.identity(n) or not is_unipotent(g):
             continue
         try:
-            c = fixed_isotropic(lattice, [g])
+            c = fixed_isotropic(lattice, [g])     # not None: g is unipotent, g != 1
         except IndeterminateFixedSpaceError:
-            continue
-        if c is None:
             continue
         for cand in (c, tuple(-x for x in c)):
             if all(pair(lattice, cand, a) <= 0 for a in roots):

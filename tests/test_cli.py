@@ -159,6 +159,10 @@ def test_exit_codes(tmp_path):
                   "--controller", "0,1,1", "--norms", "2")
     assert res.returncode == 1
     assert res.stdout == ""          # no partial JSON on error paths
+    # the same with no root budget: the controller is still checked
+    res = run_cli("vinberg", "--lattice", "ex134.json", "--controller", "1,0,0",
+                  "--norms", "2", "--max-roots", "0")
+    assert res.returncode == 1 and "timelike" in res.stderr and res.stdout == ""
     # the same mirror twice
     res = run_cli("family", "--lattice", "ex134.json", "--k", "2", "--window", "2",
                   "--mirror-a", "0,1,0", "--mirror-b", "0,1,0")

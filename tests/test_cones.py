@@ -176,10 +176,13 @@ def test_q_plus_membership_dependent_walls(ex134, triangle):
     assert got is not None
     combo = tuple(sum(c * w[j] for c, w in zip(got, walls)) for j in range(3))
     assert combo == (2, 1, 0)
-    # dependent walls with no interior point are rejected
-    pm = [(1, 0, 0), (-1, 0, 0)]
-    with pytest.raises(DomainError):
-        cones.q_plus_membership(ex134, pm, (1, 0, 0))
+    # dependent walls with no interior point are rejected: no ray at all, or
+    # rays whose sum is not strictly inside
+    for pm in ([(1, 0, 0), (-1, 0, 0)], list(triangle) + [(-1, 0, 0)]):
+        with pytest.raises(DomainError, match="without interior point"):
+            cones.q_plus_membership(ex134, pm, (1, 0, 0))
+    with pytest.raises(DomainError, match="empty wall system"):
+        cones.q_plus_membership(ex134, [], (1, 0, 0))
 
 
 def test_q_plus_membership_checks_the_vector_length(ex134, triangle):

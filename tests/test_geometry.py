@@ -38,6 +38,8 @@ def test_cosh2_values(ex134):
     assert cosh2(ex134, (2, 2, 2), (2, 1, 1)) == Fraction(4, 3)
     with pytest.raises(DomainError):
         cosh2(ex134, (1, 0, 0), (1, 1, 1))
+    with pytest.raises(DomainError, match="opposite half-cones"):
+        cosh2(ex134, (1, 1, 1), (-1, -1, -1))
 
 
 def test_cosh2_cauchy_schwarz(ex134, u_plus_2):
@@ -98,6 +100,10 @@ def test_horo_invariants(ex134):
         horo_invariants(ex134, CUSP, (0, 1, 0))     # mirror through cusp
     with pytest.raises(DomainError):
         horo_invariants(ex134, (1, 1, 1), (1, 0, 0))  # not isotropic
+    with pytest.raises(DomainError, match="spacelike"):
+        horo_invariants(ex134, CUSP, (1, 1, 1))
+    with pytest.raises(DomainError, match="nonpositive side"):
+        horo_invariants(ex134, CUSP, (-1, 0, 0))     # S(c, -d1) = 4 > 0
     # norm-8 wall: theta missing, r^2 present
     inv8 = horo_invariants(ex134, CUSP, (4, 2, 0))
     assert inv8.theta is None and inv8.r_squared == Fraction(256, 8)
@@ -116,6 +122,8 @@ def test_theta_identity_substitutions():
     assert theta_identity_check(1, 1, 1) == 14
     with pytest.raises(DomainError):
         theta_identity_check(0, 1, 0)
+    with pytest.raises(DomainError, match="cannot be negative"):
+        theta_identity_check(1, 1, -1)
 
 
 def test_theta_additivity_configuration(ex134):

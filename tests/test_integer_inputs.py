@@ -29,6 +29,11 @@ def walls(x):
     return [(x, 0, 0)] + TRIANGLE[1:]
 
 
+def phi(x):
+    """PHI with its entry 2 at (1, 0) replaced by x."""
+    return (PHI[0], (x,) + PHI[1][1:], PHI[2])
+
+
 SITES = {
     "gram entry": lambda x: Lattice(gram=((x, 0), (0, -1))),
     "height key numerator": lambda x: HeightKey(x, 1),
@@ -70,6 +75,12 @@ SITES = {
         EX134, walls(x), RHO, 10),
     "m_star_p_membership": lambda x: weylstruct.m_star_p_membership(EX134, walls(x), RHO),
     "admissible_twists": lambda x: weylstruct.admissible_twists(EX134, (1, x, 0)),
+    "is_isometry": lambda x: lattice.is_isometry(EX134, phi(x)),
+    "fixed_isotropic": lambda x: weylstruct.fixed_isotropic(EX134, [phi(x)]),
+    "build_Pk_sample phi": lambda x: weylstruct.build_Pk_sample(
+        EX134, phi(x), (1, 0, 0), F01, F02, 2, 2),
+    "classify_chamber symmetries": lambda x: weylstruct.classify_chamber(
+        EX134, TRIANGLE, [phi(x)]),
     "imaginary_membership vector": lambda x: kacmoody.imaginary_membership(DATUM, (0, x, x), 2),
     # sizes, height bounds and truncations
     "real_root_tuples": lambda x: kacmoody.real_root_tuples(DATUM, x),
@@ -173,6 +184,15 @@ def test_non_integers_that_were_truncated_or_crashed_now_raise(call):
         call()
 
 
+def test_an_isometry_entry_is_named_not_the_wall_it_makes():
+    # Fraction(1) passed is_isometry, and build_Pk_sample then blamed a wall
+    one = ((Fraction(1), 0, 0),) + PHI[1:]
+    for call in (lambda: lattice.is_isometry(EX134, one),
+                 lambda: weylstruct.build_Pk_sample(EX134, one, (1, 0, 0), F01, F02, 2, 2)):
+        with pytest.raises(DomainError, match=r"^isometry entry Fraction\(1, 1\) is not an integer$"):
+            call()
+
+
 def test_the_scaling_k_is_named_not_the_gram_entry_it_makes():
     # k is read before -k enters the Gram matrix, so the error names k
     for call in (lambda: kacmoody.extended_gram(EX134, 2.5),
@@ -221,6 +241,12 @@ READERS = {
     "k_elements": lambda v: cones.k_elements(EX134, in_third_wall(v), 2),
     "imaginary_membership": lambda v: kacmoody.imaginary_membership(DATUM, v, 2),
     "is_crystallographic": lambda v: lattice.is_crystallographic(EX134, v),
+    "is_isometry": lambda v: lattice.is_isometry(EX134, (PHI[0], v, PHI[2])),
+    "fixed_isotropic": lambda v: weylstruct.fixed_isotropic(EX134, [(PHI[0], v, PHI[2])]),
+    "build_Pk_sample phi": lambda v: weylstruct.build_Pk_sample(
+        EX134, (PHI[0], v, PHI[2]), (1, 0, 0), F01, F02, 2, 2),
+    "classify_chamber symmetries": lambda v: weylstruct.classify_chamber(
+        EX134, TRIANGLE, [(PHI[0], v, PHI[2])]),
 }
 
 

@@ -456,6 +456,12 @@ def test_imaginary_membership(datum, ex134):
     assert km.imaginary_membership(datum, CUSP, 12) == 1     # isotropic: the cusp
     with pytest.raises(DomainError):
         km.imaginary_membership(datum, (1, 0, 0), 12)         # spacelike
+    with pytest.raises(DomainError, match="zero vector"):
+        km.imaginary_membership(datum, (0, 0, 0), 12)
+    # the dual cone of this Lorentzian triangle has no timelike interior point
+    wide = km.root_datum(Lattice(gram=((2, 0, -2), (0, 2, -5), (-2, -5, 2))), linalg.identity(3))
+    with pytest.raises(DomainError, match="no timelike interior point"):
+        km.imaginary_membership(wide, (-3, -3, -3), 1)
     # negated vectors drive through the opposite cone
     assert km.imaginary_membership(datum, (-1, -1, -1), 12) == 1
 
@@ -506,3 +512,6 @@ def test_extended_gram(u, ex134):
     assert big.rank == 5
     assert big.gram[3][4] == -2 and big.gram[4][3] == -2
     assert big.gram[3][3] == 0 and big.gram[4][4] == 0
+    for k in (0, -1):
+        with pytest.raises(DomainError, match="must be positive"):
+            km.extended_gram(ex134, k)

@@ -8,7 +8,7 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from lorentzroots import linalg
-from lorentzroots.errors import DimensionError, DomainError
+from lorentzroots.errors import DegenerateFormError, DimensionError, DomainError
 from ex134_data import CUSP, F01, F02, PHI
 from lorentzroots.lattice import (Lattice, a_delta, gram_matrix, int_inverse, invariants,
                                   is_crystallographic, is_isometry, norm, pair, reflection,
@@ -86,6 +86,13 @@ def test_invariants_degenerate():
         invariants(Lattice(gram=((1, 1), (1, 1))))
 
 
+def test_gram_matrix_must_be_square_and_symmetric():
+    with pytest.raises(DimensionError, match="square"):
+        Lattice(gram=((1, 2, 3), (2, 1, 0)))
+    with pytest.raises(DegenerateFormError, match="symmetric"):
+        Lattice(gram=((1, 2), (3, 1)))
+
+
 def test_invariants_scaling_property(ex134, u, u_plus_2, u_plus_a2):
     rng = random.Random(5)
     lattices = [ex134, u, u_plus_2, u_plus_a2]
@@ -158,6 +165,9 @@ def test_reflection_rejects_bad_vectors(ex134):
         reflection(ex134, CUSP)          # isotropic
     with pytest.raises(DomainError):
         reflection(ex134, (1, 1, 1))     # timelike
+    # norm 18 and pairings (6, -6, -10): 18 does not divide 2 * 6
+    with pytest.raises(DomainError, match="not crystallographic"):
+        reflection(ex134, (4, 1, 0))
 
 
 def test_crystallographic(ex134, u):
@@ -178,6 +188,8 @@ def test_is_isometry(ex134):
     assert linalg.mat_mul(s3, s2) == PHI
     bad = ((1, 0, 0), (0, 1, 0), (0, 1, 1))
     assert not is_isometry(ex134, bad)
+    with pytest.raises(DimensionError, match="isometry matrix size"):
+        is_isometry(ex134, ((1, 0), (0, 1)))
 
 
 def test_int_inverse_rejects_non_unimodular():
@@ -219,6 +231,8 @@ def test_timelike_vector(ex134, u, u_plus_2, u_plus_a2, diag22m):
     for lat in (ex134, u, u_plus_2, u_plus_a2, diag22m):
         h = timelike_vector(lat)
         assert norm(lat, h) < 0
+    with pytest.raises(DomainError, match="no timelike vectors"):
+        timelike_vector(Lattice(gram=((2, 0), (0, 0))))
 
 
 def test_json_roundtrip(tmp_path, ex134):

@@ -138,7 +138,9 @@ def test_signature_against_charpoly():
 
 
 def test_diagonalizing_basis_rejects_asymmetric():
-    for bad in (((1, 2), (3, 4)), ((0, 1, 0), (1, 0, 0), (0, 5, 1))):
+    # the non-square two read (1, 1, 0) and raised IndexError
+    for bad in (((1, 2), (3, 4)), ((0, 1, 0), (1, 0, 0), (0, 5, 1)),
+                ((1, 2, 3), (2, 1, 0)), ((1, 2), (2, 1), (0, 0))):
         with pytest.raises(DegenerateFormError):
             linalg.diagonalizing_basis(bad)
         with pytest.raises(DegenerateFormError):
@@ -647,4 +649,6 @@ def test_quadric_points_edge_cases():
 def test_primitive_and_clear_denominators():
     assert linalg.primitive((4, 2, 0)) == (2, 1, 0)
     assert linalg.primitive((-6, -9)) == (-2, -3)
+    with pytest.raises(DegenerateFormError):
+        linalg.primitive((0, 0))
     assert linalg.clear_denominators((Fraction(1, 2), Fraction(1, 3))) == (3, 2)

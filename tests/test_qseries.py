@@ -191,6 +191,8 @@ def test_powerseries_inverse_requires_unit():
     s = qs.PowerSeries((1, 5, -3, 2))
     prod = s * s.inverse()
     assert prod.coeffs == (1, 0, 0, 0)
+    with pytest.raises(DomainError, match="truncations differ"):
+        s * qs.PowerSeries((1, 5))
 
 
 def test_powerseries_reads_only_non_int_coefficients(monkeypatch):

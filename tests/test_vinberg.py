@@ -7,7 +7,7 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
-from lorentzroots import cones, linalg, vinberg
+from lorentzroots import cones, linalg, vinberg, weylstruct
 from lorentzroots.errors import ControllerOnMirrorError, DimensionError, DomainError
 from lorentzroots.lattice import (Lattice, gram_matrix, is_crystallographic, norm, pair,
                                   reflection)
@@ -19,24 +19,31 @@ H = (1, 1, 1)
 NORMS2 = RootFilter(norms=frozenset({2}))
 
 
-def test_height_key_ordering():
-    assert HeightKey(4, 2) == HeightKey(2, 1)
-    assert HeightKey(1, 2) < HeightKey(4, 2) < HeightKey(144, 8)
-    assert sorted([HeightKey(144, 8), HeightKey(4, 2), HeightKey(36, 2)]) \
-        == [HeightKey(4, 2), HeightKey(144, 8), HeightKey(36, 2)]
-    assert HeightKey(1, 1) != 1 and HeightKey(1, 1) != "1"
+def test_height_key_ordering(ex134):
+    # keys are not ordered; the stream orders by height, so two keys with the
+    # same value cut it at the same shell and a larger key reads further
+    with pytest.raises(TypeError):
+        HeightKey(1, 2) < HeightKey(4, 2)
     with pytest.raises(TypeError):
         HeightKey(1, 1) < 1
     with pytest.raises(DomainError):
         HeightKey(-1, 2)
     with pytest.raises(DomainError):
         HeightKey(1, 0)
+    for h, norms in ((H, {2}), ((4, 3, 2), {2, 8})):
+        filt = RootFilter(norms=frozenset(norms))
+        cut = [list(vinberg.candidate_stream(ex134, h, filt, HeightKey(num, den)))
+               for num, den in ((36, 2), (18, 1), (54, 3), (100, 2))]
+        assert cut[0] == cut[1] == cut[2] and len(cut[0]) < len(cut[3])
 
 
 def test_height_key_hash_and_repr():
-    assert len({HeightKey(4, 2), HeightKey(2, 1)}) == 1
+    # a key is the integer pair it was given: equality and hash are field-wise
+    assert len({HeightKey(4, 2), HeightKey(4, 2)}) == 1
+    assert len({HeightKey(4, 2), HeightKey(2, 1)}) == 2
+    assert HeightKey(1, 1) != 1 and HeightKey(1, 1) != "1"
     assert repr(HeightKey(4, 2)) == "HeightKey(numerator=4, denominator=2)"
-    assert HeightKey(4, 2).value() == 2
+    assert not hasattr(HeightKey(4, 2), "value")
 
 
 def brute_first_shell(lat, h, d, max_key, box=10):
@@ -45,7 +52,7 @@ def brute_first_shell(lat, h, d, max_key, box=10):
         if norm(lat, x) != d or linalg.content(x) != 1:
             continue
         m = -pair(lat, h, x)
-        if m <= 0 or HeightKey(m * m, d) > max_key:
+        if m <= 0 or Fraction(m * m, d) > Fraction(max_key.numerator, max_key.denominator):
             continue
         from lorentzroots.lattice import is_crystallographic
 
@@ -234,7 +241,8 @@ def test_stream_keys_and_order_match_a_fraction_sort(ex134):
             == want
         assert all(max(map(abs, x)) < box for x in got)
         assert {d for _, d, _ in want} == norms
-        assert sum(k == max_key.value() for k, _, _ in want) == on_bound
+        assert sum(k == Fraction(max_key.numerator, max_key.denominator)
+                   for k, _, _ in want) == on_bound
 
 
 def every_m_stream(lat, h, filt, max_key):
@@ -377,6 +385,59 @@ def test_enumerate_prefix_stability(ex134):
     big = list(vinberg.candidate_stream(ex134, H, NORMS2, HeightKey(100, 2)))
     assert big[:len(small)] == small
     assert len(big) > len(small)
+
+
+@pytest.mark.parametrize("h", [(1, 0, 0), (0, 0, 0), (1, 1), (1.5, 1, 1)], ids=repr)
+def test_run_checks_its_inputs_at_any_budget(ex134, h):
+    # the stream checks the controller when it is called, so max_roots=0
+    # rejects what max_roots=1 rejects instead of returning an empty report
+    raised = []
+    for budget in (1, 0):
+        with pytest.raises(DomainError) as exc:
+            vinberg.run(ex134, h, NORMS2, max_key=HeightKey(1000, 1), max_roots=budget)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[0] == raised[1]
+
+
+def chain_gram(n, edges):
+    """Cartan matrix of a simply-laced diagram on n nodes: 2 on the
+    diagonal, -1 on each edge."""
+    g = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = -1
+    return g
+
+
+E8 = chain_gram(8, [(i, i + 1) for i in range(6)] + [(4, 7)])
+E10 = chain_gram(10, [(i, i + 1) for i in range(8)] + [(2, 9)])
+
+
+def minus_inverse_sum(gram):
+    """-G^-1 1: the vector pairing to -1 with every basis vector."""
+    return tuple(-int(sum(row)) for row in linalg.inverse(gram))
+
+
+def test_even_unimodular_chambers_ii_9_1_and_ii_17_1():
+    # II_{9,1}: the E10 diagram is its whole chamber (Vinberg 1972), and
+    # rho = -G^-1 1 is its Weyl vector, of norm -1240
+    e10 = Lattice(gram=E10)
+    rho = minus_inverse_sum(E10)
+    rep = vinberg.run(e10, rho, NORMS2, max_key=HeightKey(10 ** 9, 1))
+    assert rep.terminated and len(rep.accepted) == 10
+    assert sorted(map(sorted, rep.gram)) == sorted(map(sorted, E10))
+    weyl = weylstruct.lattice_weyl_vector(e10, rep.accepted)
+    assert (weyl.kind, weyl.rho_norm, weyl.rho) == ("elliptic-type", -1240, rho)
+    # II_{17,1} = E8 + E8 + U: 19 walls, pairwise at angle pi/2 or pi/3
+    # (Vinberg 1975), and an elliptic-type Weyl vector of norm -620
+    gram = [row + [0] * 10 for row in E8] + [[0] * 8 + row + [0, 0] for row in E8] \
+        + [[0] * 16 + [0, -1], [0] * 16 + [-1, 0]]
+    ii171 = Lattice(gram=gram)
+    w = minus_inverse_sum(E8)
+    rep = vinberg.run(ii171, w + w + (100, 101), NORMS2, max_key=HeightKey(10 ** 9, 1))
+    assert rep.terminated and len(rep.accepted) == 19
+    assert {x for row in rep.gram for x in row} == {2, 0, -1}
+    weyl = weylstruct.lattice_weyl_vector(ii171, rep.accepted)
+    assert (weyl.kind, weyl.rho_norm) == ("elliptic-type", -620)
 
 
 def test_run_triangle(ex134):
@@ -602,6 +663,11 @@ def test_gram_bound_check_triangle(ex134, triangle):
     rep = vinberg.gram_bound_check(ex134, triangle)
     assert rep.violations == ()
     assert rep.spanning_subset == (0, 1, 2)
+    # a dependent first triple is passed over for the next spanning one
+    walls = triangle[:2] + [(2, 0, 0), triangle[2]]
+    assert vinberg.gram_bound_check(ex134, walls).spanning_subset == (0, 1, 3)
+    with pytest.raises(DomainError, match="spacelike"):
+        vinberg.gram_bound_check(ex134, [(1, 0, 0), (1, 1, 1)])
 
 
 def test_gram_bound_check_diagonal_boundary():
@@ -653,7 +719,7 @@ def test_acceptance_order_monotone(ex134):
     keys = []
     for x in rep.accepted:
         m = -pair(ex134, (4, 3, 2), x)
-        keys.append(HeightKey(m * m, norm(ex134, x)))
+        keys.append(Fraction(m * m, norm(ex134, x)))
     assert all(a <= b for a, b in zip(keys, keys[1:]))
 
 

@@ -10,8 +10,8 @@ from ex134_data import CUSP, F01, F02, PHI
 from lorentzroots import linalg, weylstruct as ws
 from lorentzroots.errors import (DomainError, IndeterminateFixedSpaceError,
                                  NonObtusePairError, UnderDeterminedError)
-from lorentzroots.lattice import (Lattice, is_crystallographic, is_isometry, norm, pair,
-                                  reflection, timelike_vector)
+from lorentzroots.lattice import (Lattice, int_inverse, is_crystallographic, is_isometry, norm,
+                                  pair, reflection, timelike_vector)
 
 
 PHI_D1 = (1, 2, 6)   # PHI applied to d1
@@ -84,6 +84,9 @@ def test_admissible_twists(ex134, u):
     assert ws.admissible_twists(u, (1, -1)) == [1]
     with pytest.raises(DomainError):
         ws.admissible_twists(ex134, (2, 0, 0))
+    for bad, why in (((1, 1, 1), "spacelike"), ((0, 1, 1), "spacelike")):
+        with pytest.raises(DomainError, match=why):
+            ws.admissible_twists(ex134, bad)
     for lam in ws.admissible_twists(ex134, (1, 0, 0)):
         assert is_crystallographic(ex134, tuple(lam * x for x in (1, 0, 0)))
 
@@ -134,6 +137,15 @@ def test_candidate_roots_parabolic(ex134):
     with pytest.raises(DomainError):
         ws.candidate_roots_for_weyl_vector(ex134, rho, 64)   # needs a budget
     assert ws.candidate_roots_for_weyl_vector(ex134, rho, 0, max_pairing=5) == []
+    # both budgets are read before any shell, even when no norm is searched
+    with pytest.raises(DomainError, match="max_pairing 2.9 is not an integer"):
+        ws.candidate_roots_for_weyl_vector(ex134, rho, 0, max_pairing=2.9)
+    for norm_bound, max_pairing in ((0, -1), (-1, 5), (-1, None)):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            ws.candidate_roots_for_weyl_vector(ex134, rho, norm_bound, max_pairing=max_pairing)
+    for bad in ((1, 0, 0), (0, 0, 0)):      # spacelike, zero
+        with pytest.raises(DomainError):
+            ws.candidate_roots_for_weyl_vector(ex134, bad, 8, max_pairing=5)
 
 
 def test_symmetry_group_triangle(ex134, triangle):
@@ -142,8 +154,6 @@ def test_symmetry_group_triangle(ex134, triangle):
     mats = set(sym)
     assert linalg.identity(3) in mats
     # closure and inverses
-    from lorentzroots.lattice import int_inverse
-
     for g in mats:
         assert is_isometry(ex134, g)
         assert int_inverse(g) in mats
@@ -203,6 +213,10 @@ def test_symmetry_group_keeps_each_isometry_once(ex134):
 
 def test_fixed_isotropic(ex134, diag22m):
     assert ws.fixed_isotropic(ex134, [PHI]) == CUSP
+    # a unipotent isometry g != 1 always fixes an isotropic vector
+    for g in (linalg.mat_mul(PHI, PHI), int_inverse(PHI),
+              ws.parabolic_translation(ex134, (1, 0, 0), (0, 1, 0))):
+        assert ws.is_unipotent(g) and norm(ex134, ws.fixed_isotropic(ex134, [g])) == 0
     with pytest.raises(IndeterminateFixedSpaceError):
         ws.fixed_isotropic(ex134, [linalg.identity(3)])
     s1 = reflection(ex134, (1, 0, 0))
@@ -213,6 +227,10 @@ def test_fixed_isotropic(ex134, diag22m):
     # rational isotropic vector: exact negative decision
     s_wall = reflection(diag22m, (1, 1, 0))
     assert ws.fixed_isotropic(diag22m, [s_wall]) is None
+    # a rotation about the timelike line of (0, 0, 1): a line, not isotropic
+    assert ws.fixed_isotropic(diag22m, [((-1, 0, 0), (0, -1, 0), (0, 0, 1))]) is None
+    with pytest.raises(DomainError, match="verified isometries"):
+        ws.fixed_isotropic(ex134, [((2, 0, 0), (0, 1, 0), (0, 0, 1))])
 
 
 def _fixed_box(lattice, gens, radius=3):
@@ -292,6 +310,9 @@ def test_build_Pk_sample_rejects_bad_phi(ex134):
     s1 = reflection(ex134, (1, 0, 0))
     with pytest.raises(DomainError):
         ws.build_Pk_sample(ex134, s1, (1, 0, 0), F01, F02, 2, 2)
+    # S(c, e0) = -4 e0[0]: (0, 1, 0) passes through the cusp c = (0, 1, 1)
+    with pytest.raises(DomainError, match="passes through the cusp"):
+        ws.build_Pk_sample(ex134, PHI, (0, 1, 0), F01, F02, 2, 2)
 
 
 def test_build_Pk_sample_checks_the_weyl_property_on_the_seeds(ex134):
@@ -320,6 +341,16 @@ def test_classify_chamber(ex134, triangle):
     phi2 = linalg.mat_mul(PHI, PHI)
     assert ws.classify_chamber(ex134, sample, (phi2,)) == "parabolic-candidate"
     assert ws.classify_chamber(ex134, [(1, 0, 0)], ()) == "indefinite"
+    # the identity and a reflection (not unipotent) are passed over
+    s1 = reflection(ex134, (1, 0, 0))
+    assert ws.classify_chamber(ex134, sample, (linalg.identity(3), s1)) == "indefinite"
+    # PHI + 1 on ex134 + <2> + <2> fixes a 3-space, which is not decided
+    lat5 = Lattice(gram=tuple(tuple(row) + (0, 0) for row in ex134.gram)
+                   + ((0, 0, 0, 2, 0), (0, 0, 0, 0, 2)))
+    phi5 = tuple(tuple(row) + (0, 0) for row in PHI) + ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+    with pytest.raises(IndeterminateFixedSpaceError):
+        ws.fixed_isotropic(lat5, [phi5])
+    assert ws.classify_chamber(lat5, [(1, 0, 0, 0, 0)], (phi5,)) == "indefinite"
 
 
 def test_classify_chamber_rejects_non_walls(u, ex134, triangle):
