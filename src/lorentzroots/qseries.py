@@ -6,6 +6,7 @@ isotropic-ray multiset of a corrected root system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DomainError
 from .lattice import integer
@@ -68,7 +69,7 @@ def _product_coeffs(tau, n):
             c[j] += d * tau[d - 1]
     a = [1] + [0] * n
     for k in range(1, n + 1):
-        a[k] = -sum(c[j] * a[k - j] for j in range(1, k + 1)) // k
+        a[k] = -sum(map(mul, c[1:k + 1], a[k - 1::-1])) // k
     return a
 
 
@@ -115,7 +116,7 @@ def cusp_identity(direction: str, coeffs, n: int):
         below = [0] * (n + 1)       # sum_{d | j, d < j} d tau(d)
         tau = []
         for k in range(1, n + 1):
-            c[k] = -k * a[k] - sum(c[j] * a[k - j] for j in range(1, k))
+            c[k] = -k * a[k] - sum(map(mul, c[1:k], a[k - 1:0:-1]))
             tau.append((c[k] - below[k]) // k)
             for j in range(2 * k, n + 1, k):
                 below[j] += k * tau[-1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from . import cones, linalg
 from .errors import ControllerOnMirrorError, DomainError
@@ -74,6 +74,27 @@ class ChamberReport:
         return not self.terminated
 
 
+_ODD_PRIMES = tuple(p for p in range(3, 100, 2) if all(p % q for q in range(3, isqrt(p) + 1, 2)))
+
+
+def _inert_primes(k0, k1):
+    """The odd p < 100 at which k1 X^2 + k0 Y^2 is anisotropic: p does not
+    divide k0 k1 and -k0 k1 is a non-residue mod p (Euler's criterion)."""
+    return [p for p in _ODD_PRIMES if k0 * k1 % p and pow(-k0 * k1, (p - 1) // 2, p) == p - 1]
+
+
+def _odd_valuation(n, primes):
+    """Does some p in primes divide the int n > 0 to an odd power?"""
+    for p in primes:
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        if v % 2:
+            return True
+    return False
+
+
 def shells(lattice, h):
     """(roots, walk) for the shells (d, m) of the controller h.
 
@@ -88,9 +109,18 @@ def shells(lattice, h):
     walk(d, big, bound): the (m^2 (big/d), d, m) with m^2 (big/d) <= bound,
     in increasing m, of the shells of norm d that can hold a root: m steps
     by lcm(g, d/gcd(d, 2)), and m is kept only if the last slab of the
-    shell's descent holds an integer, so an empty shell never reaches roots.
+    shell's descent holds an integer, so an empty slab never reaches roots.
     The m = 0 slab holds 0.  With no kernel (a rank-1 lattice) there is no
-    slab, and the positive radius leaves every shell empty.
+    slab, and the positive radius leaves every shell empty.  With a kernel
+    of rank 2 (a rank-3 lattice) a shell is the binary equation
+    k1 X^2 + k0 Y^2 = R in ints, (k0, k1) = K D and R the scaled radius
+    below, and m is also dropped when an inert prime divides R to an odd
+    power: an odd p < 100 with p not dividing k0 k1 and -k0 k1 a non-residue
+    mod p.  The form is then anisotropic mod p, so p | k1 X^2 + k0 Y^2 forces
+    p | X, Y, and by descent every nonzero value has even p-adic valuation
+    (Cassels, Rational Quadratic Forms, ch. 8).  One gcd with the product of
+    those primes gates the test.  Forms of rank >= 3 are isotropic mod every
+    odd p not dividing them, so they have no such obstruction.
 
     Shell (d, m) lies on the slice S(h,x) = -m, centred at m h / |S(h,h)|,
     where the form on h^perp is fixed and the squared radius is
@@ -117,6 +147,8 @@ def shells(lattice, h):
             [kk * dets[i + 1] // dets[i] for i in range(r)])
     centre = [x * nn // hh for x in z]
     scale = kk * nn ** 4 // hh
+    inert = _inert_primes(*form[2]) if r == 2 else []
+    inert_product = prod(inert)
     gb = linalg.mat_mul(lattice.gram, basis)
 
     def roots(d, m):
@@ -145,7 +177,9 @@ def shells(lattice, h):
             if not wide:
                 c, s = m * c1, isqrt((d * hh + m * m) * scale // kd)
                 wide = 2 * s + 1 >= n2
-            if wide or -((s - c) // n2) <= (c + s) // n2:
+            if (wide or -((s - c) // n2) <= (c + s) // n2) and not (
+                    inert and gcd(rad := (d * hh + m * m) * scale, inert_product) > 1
+                    and _odd_valuation(rad, inert)):
                 yield key, d, m
             m += step
             key = m * m * per

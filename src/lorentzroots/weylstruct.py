@@ -281,6 +281,7 @@ def _cusp_and_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int
     its fixed space solved once."""
     if integer(k, "k") < 2:
         raise DomainError("k must be at least 2")
+    e0, f01, f02 = seeds = int_vectors(lattice, [e0, f01, f02], "seed entry")
     phi = int_matrix(lattice, phi)
     if not is_isometry(lattice, phi) or not is_unipotent(phi) \
             or linalg.is_zero_matrix(_minus_identity_shift(phi)):
@@ -289,7 +290,6 @@ def _cusp_and_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int
     sce = pair(lattice, c, e0)
     if sce == 0:
         raise DomainError("the seed wall passes through the cusp")
-    seeds = [tuple(e0), tuple(f01), tuple(f02)]
     for s in seeds:
         if not is_crystallographic(lattice, s):
             raise DomainError(f"seed {s} is not crystallographic")

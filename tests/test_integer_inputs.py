@@ -79,6 +79,8 @@ SITES = {
     "fixed_isotropic": lambda x: weylstruct.fixed_isotropic(EX134, [phi(x)]),
     "build_Pk_sample phi": lambda x: weylstruct.build_Pk_sample(
         EX134, phi(x), (1, 0, 0), F01, F02, 2, 2),
+    "build_Pk_sample seed": lambda x: weylstruct.build_Pk_sample(
+        EX134, PHI, (1, 0, 0), (4, x, 0), F02, 2, 1),
     "classify_chamber symmetries": lambda x: weylstruct.classify_chamber(
         EX134, TRIANGLE, [phi(x)]),
     "imaginary_membership vector": lambda x: kacmoody.imaginary_membership(DATUM, (0, x, x), 2),
@@ -191,6 +193,13 @@ def test_an_isometry_entry_is_named_not_the_wall_it_makes():
                  lambda: weylstruct.build_Pk_sample(EX134, one, (1, 0, 0), F01, F02, 2, 2)):
         with pytest.raises(DomainError, match=r"^isometry entry Fraction\(1, 1\) is not an integer$"):
             call()
+
+
+def test_a_seed_entry_is_named_at_every_window():
+    # a float e0 was read at window 0, where the sample holds no image of it
+    for window in (1, 0):
+        with pytest.raises(DomainError, match=r"^seed entry 1\.0 is not an integer$"):
+            weylstruct.build_Pk_sample(EX134, PHI, (1.0, 0, 0), F01, F02, 2, window)
 
 
 def test_the_scaling_k_is_named_not_the_gram_entry_it_makes():

@@ -564,9 +564,10 @@ def last_slab(form, centre, radius):
 def test_vinberg_shells_match_fraction_descent(monkeypatch):
     # the big ints of real shells: I_{5,1} to its certificate and U+<22>
     # for five walls, every call checked against the Fraction descent.  The
-    # walk skips the admissible pairings whose last slab holds no integer:
-    # each of them, up to the last pairing the run reached, is passed to the
-    # descent too, and must be empty in both
+    # walk skips the admissible pairings whose last slab holds no integer,
+    # and on the rank-3 U+<22> also those an inert prime rules out: each of
+    # them, up to the last pairing the run reached, is passed to the descent
+    # too, and must be empty in both
     seen, walks = [], []
     quadric, shells = linalg.quadric_integer_points, vinberg.shells
 
@@ -607,10 +608,14 @@ def test_vinberg_shells_match_fraction_descent(monkeypatch):
         got = linalg.quadric_integer_points(*args)
         assert got == fraction_quadric_points(*scaled_ldl(*args)), args
         lo, hi = last_slab(*args)
-        assert (lo > hi) == (i >= descended), args
+        if i < descended:
+            assert lo <= hi, args
+        else:
+            assert got == [] and (lo > hi or len(args[0][2]) == 2), args
         nonempty += bool(got)
     assert {len(form[2]) for form, _, _ in seen[:descended]} == {2, 5}
     assert {len(form[2]) for form, _, _ in skipped} == {2, 5}
+    assert any(lo <= hi for lo, hi in (last_slab(*args) for args in skipped))
     assert nonempty > 0
 
 

@@ -1,6 +1,7 @@
 """Height-ordered enumeration, chamber accretion and the pairing bounds."""
 
 import itertools
+import random
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -286,11 +287,13 @@ def test_stepped_stream_equals_a_stream_over_every_pairing(ex134, u_plus_a2):
 
 def test_deep_runs_descend_only_admissible_pairings(monkeypatch):
     # the three full-size runs of the `deep` benchmark workload: every shell
-    # the stream asks for has m = 0 mod lcm(g, d/gcd(d, 2)) and an integer in
-    # its last slab, so each roots(d, m) call descends (3,351 calls; 3,501
-    # without the slab test, 10,098 with m stepped by 1).  Up to the key
-    # bound, each walk keeps exactly the admissible pairings whose last slab
-    # holds an integer
+    # the stream asks for has m = 0 mod lcm(g, d/gcd(d, 2)), an integer in
+    # its last slab and no inert prime to an odd power in its scaled radius,
+    # so each roots(d, m) call descends (1,896 calls; 3,351 without the
+    # inert primes, 3,501 without the slab test either, 10,098 with m
+    # stepped by 1).  Up to the key bound, each walk keeps only admissible
+    # pairings whose last slab holds an integer, and every such pairing it
+    # drops is empty under the real descent
     calls, descents, walks = [], [], []
     quadric, shells = linalg.quadric_integer_points, vinberg.shells
 
@@ -318,22 +321,28 @@ def test_deep_runs_descend_only_admissible_pairings(monkeypatch):
         vinberg.run(lat, h, RootFilter(norms=frozenset(norms)),
                     max_key=HeightKey(4 * 10 ** 6, 1), max_roots=max_roots)
     assert all(m % lcm(g, d // gcd(d, 2)) == 0 for g, d, m in calls)
-    assert len(calls) == len(descents) == 3351
+    assert len(calls) == len(descents) == 1896
     assert all(lo <= hi for lo, hi in (last_slab(*a) for a in descents))
     # every admissible pairing up to the bound, its slab read off the
-    # arguments roots(d, m) passes the descent
+    # arguments roots(d, m) passes the real descent
     slabs = []
-    monkeypatch.setattr(linalg, "quadric_integer_points", lambda *a: slabs.append(a) or [])
-    skipped = 0
+    monkeypatch.setattr(linalg, "quadric_integer_points",
+                        lambda *a: slabs.append(a) or quadric(*a))
+    by_slab = by_prime = 0
     for roots, walk, g, d, big, bound in walks:
         walked = {m for _, _, m in walk(d, big, bound)}
         step = lcm(g, d // gcd(d, 2))
         for m in range(0, isqrt(bound // (big // d)) + 1, step):
-            assert roots(d, m) == []
+            found = roots(d, m)
             lo, hi = last_slab(*slabs[-1])
-            assert (lo <= hi) == (m in walked), (d, m)
-            skipped += m not in walked
-    assert skipped == 150
+            if m in walked:
+                assert lo <= hi, (d, m)
+            elif lo <= hi:
+                assert found == [], (d, m)
+                by_prime += 1
+            else:
+                by_slab += 1
+    assert (by_slab, by_prime) == (150, 1772)
 
 
 def test_non_integer_norms_keys_and_controllers_rejected(ex134):
@@ -731,3 +740,50 @@ def test_orbit_soundness(ex134):
     h2 = linalg.mat_vec(s, H)
     rep2 = vinberg.run(ex134, h2, NORMS2, max_key=HeightKey(1000, 1))
     assert sorted(rep2.accepted) == sorted(linalg.mat_vec(s, r) for r in rep.accepted)
+
+
+def test_an_inert_prime_takes_no_value_of_odd_valuation():
+    # p inert for k1 X^2 + k0 Y^2 exactly when the form has no nonzero zero
+    # mod p; then no nonzero value has odd p-adic valuation, while a split p
+    # (p not dividing k0 k1, not inert) takes some value to the first power
+    for k0, k1 in itertools.product(range(1, 9), repeat=2):
+        inert = vinberg._inert_primes(k0, k1)
+        values = {k1 * x * x + k0 * y * y for x in range(41) for y in range(41)} - {0}
+        assert not any(vinberg._odd_valuation(v, inert) for v in values), (k0, k1)
+        for p in (3, 5, 7, 11, 13):
+            anisotropic = all((k1 * x * x + k0 * y * y) % p
+                              for x in range(p) for y in range(p) if x or y)
+            assert (p in inert) == anisotropic, (k0, k1, p)
+            if k0 * k1 % p and not anisotropic:
+                assert any(v % p == 0 and v % (p * p) for v in values), (k0, k1, p)
+
+
+def test_inert_primes_drop_no_shell_that_holds_a_root(monkeypatch):
+    # U + <2k>, k = 1..30, three seeded timelike controllers each: every
+    # shell m <= 400 of norm 1, 2, k, 2k or 4k that holds a root is walked,
+    # and the inert primes drop shells the slab test keeps
+    rng = random.Random(27)
+    nonempty = dropped = 0
+    for k in range(1, 31):
+        lat = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 2 * k)))
+        hs = []
+        while len(hs) < 3:
+            h = (rng.randint(1, 40), rng.randint(1, 40), rng.randint(-6, 6))
+            if norm(lat, h) < 0:
+                hs.append(h)
+        for h in hs:
+            roots, walk = vinberg.shells(lat, h)
+            with monkeypatch.context() as mp:
+                mp.setattr(vinberg, "_inert_primes", lambda k0, k1: [])
+                _, slab_walk = vinberg.shells(lat, h)
+            g = linalg.content(linalg.mat_vec(lat.gram, h))
+            for d in {1, 2, k, 2 * k, 4 * k}:
+                walked = {m for _, _, m in walk(d, d, 400 ** 2)}
+                slab_walked = {m for _, _, m in slab_walk(d, d, 400 ** 2)}
+                assert walked <= slab_walked
+                dropped += len(slab_walked - walked)
+                for m in range(0, 401, lcm(g, d // gcd(d, 2))):
+                    if roots(d, m):
+                        assert m in walked, (k, h, d, m)
+                        nonempty += 1
+    assert (nonempty, dropped) == (2322, 15344)
