@@ -99,12 +99,11 @@ def shells(lattice, h):
     """(roots, walk) for the shells (d, m) of the controller h.
 
     roots(d, m): the sorted crystallographic x with S(x,x) = d and
-    S(h,x) = -m.  x is crystallographic iff d | 2 S(e_j, x) for all j:
-    shells with d not dividing 2m or g = gcd(G h) not dividing m return []
-    at once (walk never yields them; the skip stays for the timelike rho of
-    weylstruct.candidate_roots_for_weyl_vector).  A point x = B u (B
-    unimodular, u = (-m/g, y)) is kept iff d | 2 G B u, then mapped back;
-    that is q = d/gcd(d, 2) | G B u, tested on the rows of G B not 0 mod q.
+    S(h,x) = -m, for a shell (d, m) that walk yields.  x is crystallographic
+    iff d | 2 S(e_j, x) for all j, so a root needs g = gcd(G h) | m and
+    d | 2m.  A point x = B u (B unimodular, u = (-m/g, y)) is kept iff
+    d | 2 G B u, then mapped back; that is q = d/gcd(d, 2) | G B u, tested
+    on the rows of G B not 0 mod q.
 
     walk(d, big, bound): the (m^2 (big/d), d, m) with m^2 (big/d) <= bound,
     in increasing m, of the shells of norm d that can hold a root: m steps
@@ -152,8 +151,6 @@ def shells(lattice, h):
     gb = linalg.mat_mul(lattice.gram, basis)
 
     def roots(d, m):
-        if m % g or 2 * m % d:
-            return []
         ys = linalg.quadric_integer_points(form, [m * x for x in centre],
                                            (d * hh + m * m) * scale)
         if not ys:
@@ -202,6 +199,8 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
     S(h, root) < 0.  The m = 0 shells come first, in increasing norm, and
     an admissible root there raises ControllerOnMirrorError.
     """
+    if not isinstance(max_key, HeightKey):
+        raise DomainError(f"max_key must be a HeightKey, got {max_key!r}")
     (h,) = int_vectors(lattice, [h], "controller entry")
     if norm(lattice, h) >= 0:
         raise DomainError("controller must be timelike")

@@ -118,7 +118,8 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
     """Roots a with 0 < S(a,a) <= norm_bound and S(rho, a) = -S(a,a)/2.
 
     For timelike rho the set is finite and enumerated completely: rho,
-    scaled to integers, is the controller, and norm d has one shell.  For
+    scaled by den to integers, is the controller, and norm d has one shell,
+    m = den d/2, walked to in at most den + 1 steps (each is >= d/2).  For
     isotropic rho it is infinite in general (translation orbits realize
     unbounded families), so the search is cut by a controller height: the
     walked shells of h = timelike_vector(lattice), -S(h, a) <= max_pairing.
@@ -146,8 +147,8 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
         if den * d % 2:
             continue
         t = den * d // 2
-        pairings = [t] if rn < 0 else [m for _, _, m in walk(d, d, max_pairing ** 2)]
-        out += [x for m in pairings for x in roots(d, m) if pair(lattice, scaled_rho, x) == -t]
+        out += [x for _, _, m in walk(d, d, (t if rn < 0 else max_pairing) ** 2)
+                if m == t or rn == 0 for x in roots(d, m) if pair(lattice, scaled_rho, x) == -t]
     return sorted(set(out))
 
 

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy.functions.combinatorial.numbers import partition
 
 from ex134_data import CUSP, F01, F02
 from lorentzroots import kacmoody as km, linalg, weylstruct as ws
@@ -302,6 +303,20 @@ def test_solve_multiplicities_norm8_family(ex134):
     assert km.tuple_norm(datum8.cartan, (1, 1, 0)) == 0
     assert _naive_expand_product(res.mults, 4, 3) == _matrix_action_sum_side(datum8, 4)
     assert km.anti_invariance_check(datum8, 4)
+
+
+def test_solve_multiplicities_level_one_of_the_feingold_frenkel_algebra():
+    # the Feingold-Frenkel Cartan matrix, affine A1 plus a node on its second
+    # vertex, as its own lattice: a root of level 1 (third coordinate 1) has
+    # multiplicity p(1 - (a|a)/2) (Feingold & Frenkel 1983)
+    ff = Lattice(gram=((2, -2, 0), (-2, 2, -1), (0, -1, 2)))
+    datum = km.root_datum(ff, linalg.identity(3))
+    res = km.solve_multiplicities(datum, 40)
+    assert len(res.mults) == 1380
+    level1 = {t: m for t, m in res.mults.items() if t[2] == 1}
+    assert len(level1) == 122
+    for t, m in level1.items():
+        assert m == partition(1 - km.tuple_norm(datum.cartan, t) // 2), t
 
 
 def test_solve_multiplicities_mismatch_reports_first_exponent(datum, monkeypatch):

@@ -38,6 +38,16 @@ def test_height_key_ordering(ex134):
         assert cut[0] == cut[1] == cut[2] and len(cut[0]) < len(cut[3])
 
 
+def test_a_budget_that_is_not_a_height_key_is_rejected(ex134):
+    # a float, str or None has no numerator, and an int or Fraction would
+    # skip HeightKey's numerator >= 0 rule and read as an empty, exhausted run
+    for bad in (2.5, "9", None, -5, Fraction(-1, 2), 100, (100, 1)):
+        with pytest.raises(DomainError, match="max_key"):
+            vinberg.candidate_stream(ex134, H, NORMS2, bad)
+        with pytest.raises(DomainError, match="max_key"):
+            vinberg.run(ex134, H, NORMS2, max_key=bad)
+
+
 def test_height_key_hash_and_repr():
     # a key is the integer pair it was given: equality and hash are field-wise
     assert len({HeightKey(4, 2), HeightKey(4, 2)}) == 1
@@ -171,15 +181,12 @@ def test_shells_whose_norm_does_not_divide_twice_the_pairing_are_skipped(monkeyp
     assert roots(2, 2) == roots(2, 4) == roots(2, 6) == []
 
 
-def test_shells_return_exactly_the_crystallographic_vectors(ex134, monkeypatch):
-    # roots(d, m) of every shell up to the key bound against a box, with the
-    # non-primitive 2 (1,0,0) of norm 8 kept; a shell with d not dividing 2m
-    # is empty and never descended.  On U + <6> each of the two rows tested
-    # for norm 6 is the only one that rejects some vector of the box
-    calls = []
-    quadric = linalg.quadric_integer_points
-    monkeypatch.setattr(linalg, "quadric_integer_points",
-                        lambda *a: calls.append(a) or quadric(*a))
+def test_shells_return_exactly_the_crystallographic_vectors(ex134):
+    # roots(d, m) of every shell with g | m (g = gcd(G h)) up to the key bound
+    # against a box, with the non-primitive 2 (1,0,0) of norm 8 kept; in a
+    # shell with d not dividing 2m the crystallographic row test rejects every
+    # point.  On U + <6> each of the two rows tested for norm 6 is the only
+    # one that rejects some vector of the box
     u22 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
     d6 = Lattice(gram=((-6, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3)))
     u6 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 6)))
@@ -198,18 +205,17 @@ def test_shells_return_exactly_the_crystallographic_vectors(ex134, monkeypatch):
             assert max(map(abs, x)) < box, (lat.gram, x)
             want.setdefault((d, m), []).append(x)     # product order is sorted
         roots, _ = vinberg.shells(lat, h)
-        skipped = 0
+        g, inadmissible = linalg.content(linalg.mat_vec(lat.gram, h)), 0
         for d in sorted(norms):
-            for m in range(isqrt(key * d) + 1):
-                before = len(calls)
+            for m in range(0, isqrt(key * d) + 1, g):
                 assert roots(d, m) == want.pop((d, m), []), (lat.gram, d, m)
-                if 2 * m % d:
-                    assert len(calls) == before
-                    skipped += 1
-        assert not want and skipped, lat.gram
-        drops.append(dropped)
-    # the even form of ex134 makes every vector of norm 2 or 8 crystallographic
-    assert drops[0] == 0 and drops[1] and drops[2] and drops[3]
+                inadmissible += 2 * m % d != 0
+        assert not want, lat.gram
+        drops.append((dropped, inadmissible))
+    # the even form of ex134 makes every vector of norm 2 or 8 crystallographic;
+    # on U + <6>, g = 3 leaves no g | m shell with d not dividing 2m
+    assert drops[0][0] == 0 and all(n for n, _ in drops[1:])
+    assert all(n for _, n in drops[:3]) and drops[3][1] == 0
     assert (2, 0, 0) in vinberg.shells(ex134, (4, 3, 2))[0](8, 4)
 
 
@@ -248,12 +254,13 @@ def test_stream_keys_and_order_match_a_fraction_sort(ex134):
 
 def every_m_stream(lat, h, filt, max_key):
     """What candidate_stream yields, rebuilt from roots(d, m) at every
-    m = 0..M of every norm: the primitive, congruence-admissible roots
-    sorted by (m^2/d, d, x) and cut at the key bound."""
+    m = 0..M with g = gcd(G h) | m of every norm: the primitive,
+    congruence-admissible roots sorted by (m^2/d, d, x) and cut at the key
+    bound."""
     roots, _ = vinberg.shells(lat, h)
-    out = []
+    g, out = linalg.content(linalg.mat_vec(lat.gram, h)), []
     for d in filt.norms:
-        for m in range(isqrt(max_key.numerator * d // max_key.denominator) + 1):
+        for m in range(0, isqrt(max_key.numerator * d // max_key.denominator) + 1, g):
             out.extend((Fraction(m * m, d), d, x) for x in roots(d, m)
                        if linalg.content(x) == 1 and vinberg._residue_ok(filt, x))
     return [x for _, _, x in sorted(out)]
@@ -436,17 +443,27 @@ def test_even_unimodular_chambers_ii_9_1_and_ii_17_1():
     assert sorted(map(sorted, rep.gram)) == sorted(map(sorted, E10))
     weyl = weylstruct.lattice_weyl_vector(e10, rep.accepted)
     assert (weyl.kind, weyl.rho_norm, weyl.rho) == ("elliptic-type", -1240, rho)
+    # the walls are the simple roots: S(rho, a) = -S(a, a)/2 up to norm 8
+    # holds for the unit vectors only
+    assert weylstruct.candidate_roots_for_weyl_vector(e10, weyl.rho, 8) \
+        == sorted(linalg.identity(10))
     # II_{17,1} = E8 + E8 + U: 19 walls, pairwise at angle pi/2 or pi/3
-    # (Vinberg 1975), and an elliptic-type Weyl vector of norm -620
+    # (Vinberg 1975), with the same Gram rows from three controllers inside
+    # both E8 chambers; the Weyl vector's norm -620 is as measured here
     gram = [row + [0] * 10 for row in E8] + [[0] * 8 + row + [0, 0] for row in E8] \
         + [[0] * 16 + [0, -1], [0] * 16 + [-1, 0]]
     ii171 = Lattice(gram=gram)
     w = minus_inverse_sum(E8)
-    rep = vinberg.run(ii171, w + w + (100, 101), NORMS2, max_key=HeightKey(10 ** 9, 1))
-    assert rep.terminated and len(rep.accepted) == 19
-    assert {x for row in rep.gram for x in row} == {2, 0, -1}
-    weyl = weylstruct.lattice_weyl_vector(ii171, rep.accepted)
-    assert (weyl.kind, weyl.rho_norm) == ("elliptic-type", -620)
+    rows = []
+    for u in ((60, 61), (100, 103), (300, 307)):
+        rep = vinberg.run(ii171, w + tuple(2 * x for x in w) + u, NORMS2,
+                          max_key=HeightKey(10 ** 9, 1))
+        assert rep.terminated and len(rep.accepted) == 19
+        assert {x for row in rep.gram for x in row} == {2, 0, -1}
+        rows.append(sorted(map(sorted, rep.gram)))
+        weyl = weylstruct.lattice_weyl_vector(ii171, rep.accepted)
+        assert (weyl.kind, weyl.rho_norm) == ("elliptic-type", -620)
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_run_triangle(ex134):
