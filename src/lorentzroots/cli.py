@@ -200,7 +200,7 @@ def _cmd_family(args, lat, roots):
     a, b, e0, f01, f02 = (_vector(getattr(args, opt), "--" + opt.replace("_", "-"), lat.rank)
                           for opt in ("mirror_a", "mirror_b", "e0", "f01", "f02"))
     phi = weylstruct.parabolic_translation(lat, a, b)
-    c, sample = weylstruct._cusp_and_Pk_sample(lat, phi, e0, f01, f02, args.k, args.window)
+    c, sample = weylstruct.build_Pk_sample(lat, phi, e0, f01, f02, args.k, args.window)
     return {
         "k": args.k,
         "window": args.window,

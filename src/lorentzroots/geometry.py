@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError
-from .lattice import Lattice, norm, pair
+from .lattice import Lattice, norm, pair, rational, rational_vectors
 
 
 class VectorClass(Enum):
@@ -32,6 +32,7 @@ class MirrorRelation(Enum):
 
 def classify_vector(lattice: Lattice, x, orient) -> VectorClass:
     """Position of x relative to the light cone, oriented by a timelike vector."""
+    x, orient = rational_vectors(lattice, [x, orient], "vector entry")
     if norm(lattice, orient) >= 0:
         raise DomainError("orientation vector must be timelike")
     nx = norm(lattice, x)
@@ -50,6 +51,7 @@ def cosh2(lattice: Lattice, x, y) -> Fraction:
 
     Scale invariant in each argument; >= 1 with equality iff the rays agree.
     """
+    x, y = rational_vectors(lattice, [x, y], "vector entry")
     nx, ny = norm(lattice, x), norm(lattice, y)
     if nx >= 0 or ny >= 0:
         raise DomainError("cosh2 needs two timelike vectors")
@@ -61,6 +63,7 @@ def cosh2(lattice: Lattice, x, y) -> Fraction:
 
 def classify_mirrors(lattice: Lattice, d1, d2) -> MirrorRelation:
     """Relative position of two mirrors from the determinant of their Gram pair."""
+    d1, d2 = rational_vectors(lattice, [d1, d2], "vector entry")
     n1, n2 = norm(lattice, d1), norm(lattice, d2)
     if n1 <= 0 or n2 <= 0:
         raise DomainError("mirror vectors must be spacelike")
@@ -85,6 +88,7 @@ def horo_invariants(lattice: Lattice, c, d) -> HoroInvariants:
     """Cusp data of a mirror: squared horoball radius, and the reciprocal
     angle -1/S(c,d) when the wall has norm 2 (the only normalization in
     which that quantity is rational)."""
+    c, d = rational_vectors(lattice, [c, d], "vector entry")
     if norm(lattice, c) != 0 or all(x == 0 for x in c):
         raise DomainError("cusp vector must be nonzero isotropic")
     nd = norm(lattice, d)
@@ -102,9 +106,9 @@ def horo_invariants(lattice: Lattice, c, d) -> HoroInvariants:
 def theta_identity_check(t1, t2, t12) -> Fraction:
     """Predicted -S(d1,d2) for norm-2 walls with reciprocal angles t1, t2
     and minimal tangent-wall angle t12 (0 for walls sharing a tangency)."""
-    t1, t2, t12 = Fraction(t1), Fraction(t2), Fraction(t12)
+    t1, t2, t12 = rational(t1, "t1"), rational(t2, "t2"), rational(t12, "t12")
     if t1 <= 0 or t2 <= 0:
         raise DomainError("reciprocal angles must be positive")
     if t12 < 0:
         raise DomainError("tangent-wall angle cannot be negative")
-    return 4 * (t1 + t12) * (t2 + t12) / (t1 * t2) - 2
+    return Fraction(4 * (t1 + t12) * (t2 + t12), t1 * t2) - 2

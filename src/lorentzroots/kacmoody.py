@@ -17,7 +17,8 @@ from math import comb
 
 from . import cones, linalg, weylstruct
 from .errors import DenominatorMismatchError, DomainError
-from .lattice import Lattice, gram_matrix, int_vectors, integer, norm, pair, reflection
+from .lattice import (Lattice, gram_matrix, int_vectors, integer, norm, pair, rational_vectors,
+                      reflection)
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
@@ -144,29 +145,28 @@ def weyl_elements(datum: RootDatum, height_bound: int):
     determines w.  s_j w is longer than w iff <exponent(w), a_j^v> <= 0
     (Kac, Infinite-dimensional Lie algebras, 3.11), and such a step raises
     the exponent height by at least one, so breadth-first search over
-    exponents that prunes at height N is boundary-complete.
+    exponents that prunes at height N is boundary-complete.  The height of
+    e_j + s_j(e) is |e| + 1 - <e, a_j^v>, so the walk takes exactly the
+    steps that raise the height; each exponent is kept once, keyed to its
+    element.
     """
     gcm = datum.cartan
     k = len(datum.simple_roots)
     if integer(height_bound, "height_bound") < 0:
         return []
     frontier = [WeylElement(word=(), exponent=(0,) * k, sign=1)]
-    elements = []
-    seen = set()
+    found = {frontier[0].exponent: frontier[0]}
     while frontier:
-        elements.extend(frontier)
         nxt = []
         for el in frontier:
+            height = sum(el.exponent)
             for j in range(k):
-                if linalg.dot(gcm.a[j], el.exponent) > 0:
-                    continue
                 exp = exponent_involution(gcm, j, el.exponent)
-                if sum(exp) > height_bound or exp in seen:
-                    continue
-                seen.add(exp)
-                nxt.append(WeylElement(word=(j,) + el.word, exponent=exp, sign=-el.sign))
+                if height < sum(exp) <= height_bound and exp not in found:
+                    found[exp] = WeylElement(word=(j,) + el.word, exponent=exp, sign=-el.sign)
+                    nxt.append(found[exp])
         frontier = nxt
-    return elements
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +263,11 @@ def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityRes
     series = sum_side(datum, height_bound)
     base = height_bound + 1         # every digit is <= N, so sums never carry
     place = [base ** i for i in reversed(range(len(datum.simple_roots)))]
-    target = {linalg.dot(place, v): c for v, c in series.coeffs.items()}
-    if target.get(0, 0) != 1:
-        raise DenominatorMismatchError((0,) * len(place), 1, target.get(0, 0))
+    w_at = [{} for _ in range(height_bound + 1)]     # W by height, packed
+    for v, c in series.coeffs.items():
+        w_at[sum(v)][linalg.dot(place, v)] = c
+    if w_at[0].get(0, 0) != 1:
+        raise DenominatorMismatchError((0,) * len(place), 1, w_at[0].get(0, 0))
     mults = {}
     g_prod = [{} for _ in range(height_bound + 1)]   # G_P by height
 
@@ -281,21 +283,17 @@ def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityRes
     unknown_at = [[] for _ in range(height_bound + 1)]
     for t in imaginary_candidate_tuples(datum, height_bound):
         unknown_at[sum(t)].append(t)
-    w_by_height = [[] for _ in range(height_bound + 1)]
-    for v, c in series.coeffs.items():
-        w_by_height[sum(v)].append((linalg.dot(place, v), c))
     pushed = [{} for _ in range(height_bound + 1)]   # sum_{0<v<u} W(v) G_W(u - v)
     for h in range(1, height_bound + 1):
-        gp, sw = g_prod[h], pushed[h]
+        gp, sw, wh = g_prod[h], pushed[h], w_at[h]
         for t in unknown_at[h]:
             p = linalg.dot(place, t)
-            m = (gp.get(p, 0) - h * target.get(p, 0) + sw.get(p, 0)) // h
+            m = (gp.get(p, 0) - h * wh.get(p, 0) + sw.get(p, 0)) // h
             if m:
                 mults[t] = m
                 factor(t, m)
-        keys = set(gp) | set(sw) | {v for v, _ in w_by_height[h]}
-        for u in sorted(keys):
-            w = target.get(u, 0)
+        for u in sorted(set(gp) | set(sw) | set(wh)):
+            w = wh.get(u, 0)
             diff = gp.get(u, 0) - h * w + sw.get(u, 0)
             if diff:
                 exponent = tuple(u // b % base for b in place)
@@ -305,7 +303,7 @@ def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityRes
                 continue
             for dh in range(1, height_bound - h + 1):
                 level = pushed[h + dh]
-                for v, c in w_by_height[dh]:
+                for v, c in w_at[dh].items():
                     level[u + v] = level.get(u + v, 0) + c * g
     return MultiplicityResult(mults=mults, sum_side=series)
 
@@ -394,7 +392,7 @@ def cusp_embedding(lattice: Lattice, k: int, z):
     The identities S'(w, w) = 0 and S'(w, e1) = -1 are asserted exactly.
     """
     big = extended_gram(lattice, k)
-    z = tuple(Fraction(c) for c in z)
+    (z,) = rational_vectors(lattice, [z], "z entry")
     nz = pair(lattice, z, z)
     omega = z + (Fraction(nz, 2), Fraction(1, k))
     n = lattice.rank

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .errors import DegenerateFormError, DimensionError, DomainError
@@ -26,12 +27,33 @@ def integer(x, what) -> int:
     raise DomainError(f"{what} {x!r} is not an integer")
 
 
-def int_vectors(lattice, vs, what) -> tuple:
-    """vs as int tuples: each entry read through integer, each length through check_dim."""
-    vs = tuple(tuple(integer(x, what) for x in v) for v in vs)
+def rational(x, what) -> int | Fraction:
+    """x as an int (read through integer) or a Fraction; anything else, a float
+    or a str included, raises a DomainError that names x, so nothing is parsed."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return integer(x, what)
+    except DomainError:
+        raise DomainError(f"{what} {x!r} is not an integer or a Fraction") from None
+
+
+def _vectors(lattice, vs, what, read) -> tuple:
+    vs = tuple(tuple(read(x, what) for x in v) for v in vs)
     for v in vs:
         check_dim(lattice, v)
     return vs
+
+
+def int_vectors(lattice, vs, what) -> tuple:
+    """vs as int tuples: each entry read through integer, each length through check_dim."""
+    return _vectors(lattice, vs, what, integer)
+
+
+def rational_vectors(lattice, vs, what) -> tuple:
+    """vs as tuples of ints and Fractions: each entry read through rational,
+    each length through check_dim."""
+    return _vectors(lattice, vs, what, rational)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from . import cones, linalg, vinberg
 from .errors import (DomainError, IndeterminateFixedSpaceError, NonObtusePairError,
                      UnderDeterminedError)
 from .geometry import MirrorRelation, classify_mirrors
-from .lattice import (Lattice, a_delta, check_dim, gram_matrix, int_inverse, int_matrix,
+from .lattice import (Lattice, a_delta, gram_matrix, int_inverse, int_matrix,
                       int_vectors, integer, invariants, is_crystallographic, is_isometry, norm,
-                      pair, reflection, timelike_vector)
+                      pair, rational, rational_vectors, reflection, timelike_vector)
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,10 @@ def lattice_weyl_vector(lattice: Lattice, roots) -> WeylData:
 
 def generalized_weyl_check(lattice: Lattice, roots, rho, bound) -> bool:
     """0 <= -S(rho, a) <= bound for every wall in the (finite) system."""
-    check_dim(lattice, rho)
+    (rho,) = rational_vectors(lattice, [rho], "rho entry")
     if all(x == 0 for x in rho):
         raise DomainError("zero vector cannot be a generalized Weyl vector")
-    roots, bound = int_vectors(lattice, roots, "wall entry"), Fraction(bound)
+    roots, bound = int_vectors(lattice, roots, "wall entry"), rational(bound, "bound")
     return all(0 <= -pair(lattice, rho, a) <= bound for a in roots)
 
 
@@ -105,12 +105,12 @@ def admissible_twists(lattice: Lattice, d):
 
 def m_star_p_membership(lattice: Lattice, roots, x) -> bool:
     """x lies in the dual lattice and every wall norm divides twice its pairing."""
-    check_dim(lattice, x)
+    (x,) = rational_vectors(lattice, [x], "vector entry")
     roots = int_vectors(lattice, roots, "wall entry")
     for row in lattice.gram:
-        if Fraction(linalg.dot(row, x)).denominator != 1:
+        if linalg.dot(row, x).denominator != 1:
             return False
-    return all(Fraction(2 * pair(lattice, x, a)) % norm(lattice, a) == 0 for a in roots)
+    return all(2 * pair(lattice, x, a) % norm(lattice, a) == 0 for a in roots)
 
 
 def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
@@ -131,7 +131,7 @@ def candidate_roots_for_weyl_vector(lattice: Lattice, rho, norm_bound,
     if min(norm_bound, max_pairing or 0) < 0:
         raise DomainError("norm_bound and max_pairing must be >= 0, "
                           f"got {norm_bound} and {max_pairing}")
-    rho = tuple(Fraction(x) for x in rho)
+    (rho,) = rational_vectors(lattice, [rho], "rho entry")
     rn = pair(lattice, rho, rho)
     if rn > 0:
         raise DomainError("weyl vector must be timelike or isotropic")
@@ -209,11 +209,6 @@ def fixed_isotropic(lattice: Lattice, gens):
     gens = [int_matrix(lattice, g) for g in gens]
     if not all(is_isometry(lattice, g) for g in gens):
         raise DomainError("fixed_isotropic expects verified isometries")
-    return _fixed_isotropic(lattice, gens)
-
-
-def _fixed_isotropic(lattice: Lattice, gens):
-    """`fixed_isotropic` of isometries the caller has already checked."""
     rows = [row for g in gens for row in _minus_identity_shift(g)]
     basis = linalg.kernel_basis(rows, ncols=lattice.rank)
     if len(basis) > 2:
@@ -265,29 +260,24 @@ def is_unipotent(g) -> bool:
 
 
 def build_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
-    """Finite sample of the translation-orbit wall family.
+    """The cusp c of phi and a finite sample of the translation-orbit wall
+    family, as (c, walls).
 
     Walls are phi^t(e0) for t not divisible by k and phi^t(f01),
     phi^t(f02) for t divisible by k, with |t| <= window.  The seeds s are
     checked for the Weyl property 2 S(rho, s) = -S(s, s) of the cusp-scaled
     rho = S(e0, e0) c / (-2 S(c, e0)), as S(e0, e0) S(c, s) = S(c, e0) S(s, s);
-    phi is an isometry fixing the cusp c, so every phi^t(s) keeps it.  The
-    sample passes `check_walls`.
+    phi is an isometry fixing the cusp c, so every phi^t(s) keeps it.  phi
+    is checked with `is_isometry` once, inside `fixed_isotropic`, and its
+    fixed space is solved once.  The sample passes `check_walls`.
     """
-    return _cusp_and_Pk_sample(lattice, phi, e0, f01, f02, k, window)[1]
-
-
-def _cusp_and_Pk_sample(lattice: Lattice, phi, e0, f01, f02, k: int, window: int):
-    """The cusp c of phi and `build_Pk_sample`, with phi checked once and
-    its fixed space solved once."""
     if integer(k, "k") < 2:
         raise DomainError("k must be at least 2")
     e0, f01, f02 = seeds = int_vectors(lattice, [e0, f01, f02], "seed entry")
     phi = int_matrix(lattice, phi)
-    if not is_isometry(lattice, phi) or not is_unipotent(phi) \
-            or linalg.is_zero_matrix(_minus_identity_shift(phi)):
+    if not is_unipotent(phi) or linalg.is_zero_matrix(_minus_identity_shift(phi)):
         raise DomainError("phi must be a nontrivial unipotent isometry")
-    c = _fixed_isotropic(lattice, [phi])       # not None: phi is unipotent
+    c = fixed_isotropic(lattice, [phi])        # not None: phi is unipotent, phi != 1
     sce = pair(lattice, c, e0)
     if sce == 0:
         raise DomainError("the seed wall passes through the cusp")

@@ -181,7 +181,8 @@ def test_criterion_09_parabolic_structure(ex134, triangle):
     assert len(ws.symmetry_group(ex134, triangle)) == 6
     rho = (Fraction(0), Fraction(1, 4), Fraction(1, 4))
     for k in (2, 3):
-        sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, k, 6)
+        c, sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, k, 6)
+        assert c == (0, 1, 1)
         for r in sample:
             assert is_crystallographic(ex134, r)
             assert 2 * pair(ex134, rho, r) == -norm(ex134, r)

@@ -120,6 +120,9 @@ def test_theta_identity_substitutions():
     assert theta_identity_check(1, 1, 0) == 2
     assert theta_identity_check(Fraction(1, 4), Fraction(1, 7), 0) == 2
     assert theta_identity_check(1, 1, 1) == 14
+    # int angles give an exact Fraction, never a float
+    assert theta_identity_check(2, 5, 1) == Fraction(26, 5)
+    assert type(theta_identity_check(1, 1, 0)) is Fraction
     with pytest.raises(DomainError):
         theta_identity_check(0, 1, 0)
     with pytest.raises(DomainError, match="cannot be negative"):

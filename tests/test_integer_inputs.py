@@ -1,8 +1,10 @@
-"""One integer rule for every library input: lattice.integer.
+"""One integer rule for every library input: lattice.integer, and one
+rational rule: lattice.rational.
 
 Each site below reads an integer input: a bool, a float, a Fraction or a
 str there raises DomainError naming the value, and a numpy integer gives
-the same answer as the Python int.
+the same answer as the Python int.  A rational input takes an int or a
+Fraction and nothing else.
 """
 
 import re
@@ -11,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from ex134_data import F01, F02, PHI
-from lorentzroots import cones, kacmoody, lattice, linalg, qseries, vinberg, weylstruct
+from lorentzroots import cones, geometry, kacmoody, lattice, linalg, qseries, vinberg, weylstruct
 from lorentzroots.errors import DimensionError, DomainError
 from lorentzroots.lattice import Lattice
 from lorentzroots.vinberg import HeightKey, RootFilter
@@ -184,6 +186,52 @@ def test_numpy_entries_are_stored_as_python_ints():
 def test_non_integers_that_were_truncated_or_crashed_now_raise(call):
     with pytest.raises(DomainError, match="is not an integer"):
         call()
+
+
+RATIONAL_BAD = [1.5, "1/2", True, None]
+
+# each site reads a rational input; at x = 2 every call is valid
+RATIONAL_SITES = {
+    "candidate_roots_for_weyl_vector rho": lambda x: weylstruct.candidate_roots_for_weyl_vector(
+        EX134, (x, x, x), 8),
+    "generalized_weyl_check rho": lambda x: weylstruct.generalized_weyl_check(
+        EX134, TRIANGLE, (0, x, x), 10),
+    "generalized_weyl_check bound": lambda x: weylstruct.generalized_weyl_check(
+        EX134, TRIANGLE, RHO, x),
+    "m_star_p_membership x": lambda x: weylstruct.m_star_p_membership(EX134, TRIANGLE, (x, 0, 0)),
+    "cusp_embedding z": lambda x: kacmoody.cusp_embedding(EX134, 2, (x, 0, 0)),
+    "theta_identity_check t1": lambda x: geometry.theta_identity_check(x, 1, 0),
+    "theta_identity_check t2": lambda x: geometry.theta_identity_check(1, x, 0),
+    "theta_identity_check t12": lambda x: geometry.theta_identity_check(1, 1, x),
+    "classify_vector x": lambda x: geometry.classify_vector(EX134, (x, 1, 1), (1, 1, 1)),
+    "classify_vector orient": lambda x: geometry.classify_vector(EX134, (1, 1, 1), (x, 1, 1)),
+    "cosh2": lambda x: geometry.cosh2(EX134, (x, 1, 1), (1, 1, 1)),
+    "classify_mirrors": lambda x: geometry.classify_mirrors(EX134, (1, 0, 0), (0, x, 0)),
+    "horo_invariants cusp": lambda x: geometry.horo_invariants(EX134, (0, x, x), (1, 0, 0)),
+    "horo_invariants wall": lambda x: geometry.horo_invariants(EX134, (0, 1, 1), (x, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("site", RATIONAL_SITES)
+def test_every_rational_input_follows_one_rule(site):
+    # a str was parsed, a float converted, and "a" raised TypeError
+    np = pytest.importorskip("numpy")
+    call = RATIONAL_SITES[site]
+    for bad in RATIONAL_BAD:
+        with pytest.raises(DomainError,
+                           match=f" {re.escape(repr(bad))} is not an integer or a Fraction$"):
+            call(bad)
+    assert call(Fraction(2)) == call(np.int64(2)) == call(2)
+
+
+def test_rational_is_an_int_or_a_fraction():
+    np = pytest.importorskip("numpy")
+    assert type(lattice.rational(np.int64(-3), "x")) is int
+    assert lattice.rational(Fraction(1, 2), "x") == Fraction(1, 2)
+    for bad in RATIONAL_BAD + [2.0, "2", np.float64(0.5)]:
+        with pytest.raises(DomainError,
+                           match=f"^y {re.escape(repr(bad))} is not an integer or a Fraction$"):
+            lattice.rational(bad, "y")
 
 
 def test_an_isometry_entry_is_named_not_the_wall_it_makes():

@@ -6,6 +6,7 @@ polynomial expansion for the product side)."""
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from sympy.functions.combinatorial.numbers import partition
@@ -305,18 +306,113 @@ def test_solve_multiplicities_norm8_family(ex134):
     assert km.anti_invariance_check(datum8, 4)
 
 
-def test_solve_multiplicities_level_one_of_the_feingold_frenkel_algebra():
-    # the Feingold-Frenkel Cartan matrix, affine A1 plus a node on its second
-    # vertex, as its own lattice: a root of level 1 (third coordinate 1) has
-    # multiplicity p(1 - (a|a)/2) (Feingold & Frenkel 1983)
+def _ff_datum():
+    """The Feingold-Frenkel Cartan matrix, affine A1 plus a node on its second
+    vertex, as its own lattice."""
     ff = Lattice(gram=((2, -2, 0), (-2, 2, -1), (0, -1, 2)))
-    datum = km.root_datum(ff, linalg.identity(3))
+    return km.root_datum(ff, linalg.identity(3))
+
+
+def test_solve_multiplicities_level_one_of_the_feingold_frenkel_algebra():
+    # a root of level 1 (third coordinate 1) has multiplicity p(1 - (a|a)/2)
+    # (Feingold & Frenkel 1983)
+    datum = _ff_datum()
     res = km.solve_multiplicities(datum, 40)
     assert len(res.mults) == 1380
     level1 = {t: m for t, m in res.mults.items() if t[2] == 1}
     assert len(level1) == 122
     for t, m in level1.items():
         assert m == partition(1 - km.tuple_norm(datum.cartan, t) // 2), t
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def _peterson_mults(datum, height_bound):
+    """Root multiplicities from Peterson's recursion, with no Weyl sum:
+    (b|b - 2 rho) c_b = sum_{b' + b'' = b} (b'|b'') c_b' c_b'' over ordered
+    pairs in Q+, where c_b = sum_{k >= 1} mult(b/k)/k and (rho|a_i) = (a_i|a_i)/2
+    (Kac, Infinite-dimensional Lie algebras, Exercise 11.11).  c vanishes off
+    the multiples of the roots, which lie among the real roots and the
+    imaginary candidates.  Where (b|b) > 0 the factor b|b - 2 rho may vanish,
+    so c_b is set directly: 1/k on k times a real root, else 0; where
+    (b|b) <= 0 it is (b|b) - sum b_i (a_i|a_i) < 0.  mult comes back by
+    Moebius inversion, mult(b) = sum_{k | b} mu(k) c_{b/k} / k."""
+    b = datum.cartan.b
+    form = lambda x, y: sum(xi * linalg.dot(row, y) for xi, row in zip(x, b))  # noqa: E731
+    reals = set(km.real_root_tuples(datum, height_bound))
+    roots = reals | set(km.imaginary_candidate_tuples(datum, height_bound))
+    support = sorted({tuple(k * x for x in t) for t in roots
+                      for k in range(1, height_bound // sum(t) + 1)}, key=lambda t: (sum(t), t))
+    c = {}
+    for beta in support:
+        if form(beta, beta) > 0:
+            k = gcd(*beta)
+            c[beta] = Fraction(1, k) if tuple(x // k for x in beta) in reals else 0
+            continue
+        rhs = 0
+        for lower in c:          # c is filled in height order
+            if sum(lower) >= sum(beta):
+                break
+            rest = tuple(x - y for x, y in zip(beta, lower))
+            if rest in c:
+                rhs += form(lower, rest) * c[lower] * c[rest]
+        c[beta] = rhs / (form(beta, beta) - sum(x * b[i][i] for i, x in enumerate(beta)))
+    mults = {}
+    for beta in support:
+        g = gcd(*beta)
+        m = sum(Fraction(_mobius(k), k) * c.get(tuple(x // k for x in beta), 0)
+                for k in range(1, g + 1) if g % k == 0)
+        if m:
+            assert m.denominator == 1, beta
+            mults[beta] = int(m)
+    return mults
+
+
+def _e10_datum():
+    """The T_{2,3,7} (E10) Cartan matrix as its own lattice, II_{9,1}."""
+    edges = {(i, i + 1) for i in range(8)} | {(2, 9)}
+    e10 = [[2 * (i == j) - ((i, j) in edges or (j, i) in edges) for j in range(10)]
+           for i in range(10)]
+    return km.root_datum(Lattice(gram=e10), linalg.identity(10))
+
+
+def test_solve_multiplicities_equals_peterson_recursion(datum):
+    for d, height, count in ((_ff_datum(), 30, 626), (datum, 16, 497), (_i41_datum(), 11, 76),
+                             (_e10_datum(), 15, 154)):
+        mults = km.solve_multiplicities(d, height).mults
+        assert len(mults) == count
+        assert _peterson_mults(d, height) == mults
+
+
+def _q_plus(nvars, height_bound):
+    """Every nonzero nonnegative tuple of height <= N, by stars and bars."""
+    for h in range(1, height_bound + 1):
+        for bars in itertools.combinations(range(h + nvars - 1), nvars - 1):
+            yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (h + nvars - 1,)))
+
+
+def test_imaginary_support_follows_kacs_hyperbolic_criterion(datum):
+    # for a hyperbolic Cartan matrix (every proper connected subdiagram finite
+    # or affine) the positive imaginary roots are the a in Q+ with (a|a) <= 0
+    # (Kac, Infinite-dimensional Lie algebras, 5.10)
+    for d, height, count in ((_ff_datum(), 40, 1269), (datum, 24, 1442), (_i41_datum(), 11, 8)):
+        want = {a for a in _q_plus(len(d.simple_roots), height)
+                if km.tuple_norm(d.cartan, a) <= 0}
+        assert len(want) == count
+        candidates = km.imaginary_candidate_tuples(d, height)
+        assert len(candidates) == count and set(candidates) == want
+        mults = km.solve_multiplicities(d, height).mults
+        assert {t for t in mults if km.tuple_norm(d.cartan, t) <= 0} == want
 
 
 def test_solve_multiplicities_mismatch_reports_first_exponent(datum, monkeypatch):
@@ -499,7 +595,8 @@ def test_imaginary_membership_fails_off_arithmetic_type(ex134):
     from lorentzroots import cones
     from ex134_data import PHI
 
-    sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)
+    c, sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)
+    assert c == (0, 1, 1)
     art = cones.is_arithmetic_type(ex134, sample)
     assert not art.finite_volume
     assert art.witness is not None and norm(ex134, art.witness) > 0

@@ -466,6 +466,66 @@ def test_even_unimodular_chambers_ii_9_1_and_ii_17_1():
     assert rows[0] == rows[1] == rows[2]
 
 
+def _subdiagram(gram, s):
+    """("elliptic" or "parabolic", rank) of the walls s, or None.  Elliptic:
+    the Gram submatrix is positive definite, of rank |s|.  Parabolic: every
+    connected component is positive semidefinite of corank 1, of rank |s|
+    less the number of components."""
+    sub = lambda t: [[gram[i][j] for j in t] for i in t]  # noqa: E731
+    if linalg.signature(sub(s))[0] == len(s):
+        return "elliptic", len(s)
+    left, parts = set(s), []
+    while left:
+        part, todo = set(), [min(left)]
+        while todo:
+            i = todo.pop()
+            part.add(i)
+            todo += [j for j in left - part if gram[i][j]]
+        left -= part
+        parts.append(sorted(part))
+    if all(linalg.signature(sub(p))[1:] == (0, 1) for p in parts):
+        return "parabolic", len(s) - len(parts)
+    return None
+
+
+def _finite_volume_by_vinberg(gram, rank):
+    """Vinberg's finite-volume criterion (Vinberg 1985, Hyperbolic reflection
+    groups, Prop. 4.2) for the walls of a Coxeter polytope in hyperbolic
+    space of dimension n - 1, n = rank: the polytope has finite volume iff
+    it has a vertex, proper (an elliptic subdiagram of rank n - 1) or ideal
+    (a parabolic one of rank n - 2), and every elliptic subdiagram of rank
+    n - 2 extends in exactly two ways to an elliptic subdiagram of rank
+    n - 1 or a parabolic one of rank n - 2.  Only subsets of at least n - 2
+    walls are read."""
+    n = rank
+    kinds = {frozenset(s): _subdiagram(gram, s) for size in range(n - 2, len(gram) + 1)
+             for s in itertools.combinations(range(len(gram)), size)}
+    ends = {s for s, kind in kinds.items()
+            if kind in (("elliptic", n - 1), ("parabolic", n - 2))}
+    corners = [s for s, kind in kinds.items() if kind == ("elliptic", n - 2)]
+    return bool(ends) and all(sum(s < t for t in ends) == 2 for s in corners)
+
+
+def test_finite_volume_follows_vinbergs_criterion(ex134):
+    # the criterion reads only the Gram matrix; run decides termination with
+    # the double description of the wall cone
+    def diag(n):
+        return Lattice(gram=tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(n + 1))
+                                  for i in range(n + 1)))
+    cases = [(ex134, H, NORMS2, HeightKey(1000, 1))]
+    cases += [(diag(n), (400,) + tuple(range(n, 0, -1)), RootFilter(norms=frozenset({1, 2})),
+               HeightKey(10 ** 7, 1)) for n in range(3, 10)]
+    cases += [(Lattice(gram=E10), minus_inverse_sum(E10), NORMS2, HeightKey(10 ** 9, 1))]
+    for lat, h, filt, max_key in cases:
+        rep = vinberg.run(lat, h, filt, max_key=max_key)
+        assert rep.terminated and len(rep.accepted) == lat.rank, lat.gram
+        assert _finite_volume_by_vinberg(rep.gram, lat.rank) == rep.terminated
+        for i in range(len(rep.gram)):      # any one wall removed: infinite volume
+            rest = [[x for j, x in enumerate(row) if j != i]
+                    for k, row in enumerate(rep.gram) if k != i]
+            assert not _finite_volume_by_vinberg(rest, lat.rank), (lat.gram, i)
+
+
 def test_run_triangle(ex134):
     rep = vinberg.run(ex134, H, NORMS2, max_key=HeightKey(1000, 1))
     assert rep.terminated and not rep.exhausted

@@ -195,7 +195,7 @@ def test_symmetry_group_matches_a_brute_force_reference(ex134, u_plus_a2, triang
         (ex134, triangle, 6),
         # the chamber vinberg.run finds on U + A_2 from (-4, -3, -1, -1), norms {2}
         (u_plus_a2, [(-1, 0, -1, -1), (0, 0, 0, 1), (0, 0, 1, 0), (1, -1, 0, 0)], 2),
-        (ex134, ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 1), None),
+        (ex134, ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 1)[1], None),
         # a zero form: every unimodular g is an isometry, so only the wall map
         # rejects the four permutations that move (1, 1); 6 without it
         (Lattice(gram=((0, 0), (0, 0))), [(1, 0), (0, 1), (1, 1)], 2),
@@ -277,7 +277,8 @@ def test_parabolic_translation(ex134):
 
 
 def test_build_Pk_sample(ex134):
-    sample2 = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)
+    c, sample2 = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)
+    assert c == (0, 1, 1)
     roots = set(sample2)
     assert PHI_D1 in roots and F01 in roots and F02 in roots
     assert len(sample2) == 8
@@ -290,10 +291,10 @@ def test_build_Pk_sample(ex134):
     # norm pattern along the translation orbit: k-1 single norm-2 walls
     # between consecutive norm-8 pairs
     assert [norm(ex134, r) for r in sample2] == [8, 8, 2, 8, 8, 2, 8, 8]
-    sample3 = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 3, 3)
-    assert [norm(ex134, r) for r in sample3] == [8, 8, 2, 2, 8, 8, 2, 2, 8, 8]
+    c3, sample3 = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 3, 3)
+    assert c3 == (0, 1, 1) and [norm(ex134, r) for r in sample3] == [8, 8, 2, 2, 8, 8, 2, 2, 8, 8]
     assert set(sample3) != set(
-        ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 3))
+        ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 3)[1])
 
 
 def test_family_restricted_parabolic_r_squared(ex134):
@@ -301,15 +302,21 @@ def test_family_restricted_parabolic_r_squared(ex134):
     # many values along the infinite family: the restricted-parabolic mark
     from lorentzroots.geometry import horo_invariants
 
-    sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 6)
-    values = {horo_invariants(ex134, CUSP, r).r_squared for r in sample}
+    c, sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 6)
+    assert c == (0, 1, 1)
+    values = {horo_invariants(ex134, c, r).r_squared for r in sample}
     assert values == {Fraction(8), Fraction(32)}
 
 
 def test_build_Pk_sample_rejects_bad_phi(ex134):
     s1 = reflection(ex134, (1, 0, 0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="nontrivial unipotent isometry"):
         ws.build_Pk_sample(ex134, s1, (1, 0, 0), F01, F02, 2, 2)
+    # a unipotent shear that is not an isometry is caught by fixed_isotropic's check
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    assert ws.is_unipotent(shear) and not is_isometry(ex134, shear)
+    with pytest.raises(DomainError, match="^fixed_isotropic expects verified isometries$"):
+        ws.build_Pk_sample(ex134, shear, (1, 0, 0), F01, F02, 2, 2)
     # S(c, e0) = -4 e0[0]: (0, 1, 0) passes through the cusp c = (0, 1, 1)
     with pytest.raises(DomainError, match="passes through the cusp"):
         ws.build_Pk_sample(ex134, PHI, (0, 1, 0), F01, F02, 2, 2)
@@ -322,7 +329,7 @@ def test_build_Pk_sample_checks_the_weyl_property_on_the_seeds(ex134):
     assert is_crystallographic(ex134, f) and norm(ex134, f) == 2 and pair(ex134, CUSP, f) == 8
     with pytest.raises(DomainError, match=r"^seed \(-2, -1, 0\) violates the Weyl property$"):
         ws.build_Pk_sample(ex134, PHI, (1, 0, 0), f, F02, 2, 1)
-    assert ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 0) == (F01, F02)
+    assert ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 0) == ((0, 1, 1), (F01, F02))
 
 
 def test_rootset_checked_rejects_obtuse(ex134):
@@ -337,7 +344,8 @@ def test_rootset_checked_rejects_obtuse(ex134):
 def test_classify_chamber(ex134, triangle):
     sym = ws.symmetry_group(ex134, triangle)
     assert ws.classify_chamber(ex134, triangle, sym) == "elliptic"
-    sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)
+    c, sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)
+    assert c == (0, 1, 1)
     phi2 = linalg.mat_mul(PHI, PHI)
     assert ws.classify_chamber(ex134, sample, (phi2,)) == "parabolic-candidate"
     assert ws.classify_chamber(ex134, [(1, 0, 0)], ()) == "indefinite"
