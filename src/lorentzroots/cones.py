@@ -102,8 +102,10 @@ def is_arithmetic_type(lattice: Lattice, roots) -> ArithmeticTypeReport:
     return ArithmeticTypeReport(finite_volume=ok, witness=witness, cone=cone)
 
 
-def _interior_point(lattice, roots):
-    """Integer vector h with S(h, a) < 0 for every wall, or None."""
+def interior_point(lattice, roots):
+    """Integer vector h with S(h, a) < 0 for every wall, or None.  h is the
+    sum of the dual cone's extreme rays, a relative interior point, so it
+    passes the strict test iff any point does."""
     cone = dual_extreme_rays(lattice, roots)
     if not cone.rays:
         return None
@@ -132,7 +134,7 @@ def q_plus_membership(lattice: Lattice, roots, x):
         if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
             return None
         return tuple(int(c) for c in sol)
-    h = _interior_point(lattice, roots)
+    h = interior_point(lattice, roots)
     if h is None:
         raise DomainError("dependent walls without interior point")
     heights = [-pair(lattice, a, h) for a in roots]

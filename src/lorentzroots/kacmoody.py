@@ -90,34 +90,41 @@ def tuple_norm(gcm: GeneralizedCartanMatrix, coeffs):
     return sum(ci * linalg.dot(row, coeffs) for ci, row in zip(coeffs, gcm.b))
 
 
-def _weyl_closure(gcm: GeneralizedCartanMatrix, base, height_bound: int):
-    """Closure of nonnegative tuples under the simple reflections, keeping
-    only images that stay nonnegative and inside the height bound; sorted
-    by (height, tuple)."""
-    found = set(base)
-    frontier = set(base)
+def _rising_walk(gcm: GeneralizedCartanMatrix, base, height_bound: int, shift: int):
+    """Breadth-first walk from the base tuples by the steps that raise the
+    height: t -> t - (<t, a_j^v> - shift) e_j, taken only when
+    <t, a_j^v> < shift and the new height stays <= N.  shift 0 is s_j on
+    roots, shift 1 is e -> e_j + s_j(e) on Weyl exponents.  A step changes
+    only coordinate j, and raises it, so every tuple stays nonnegative.
+    Returns {tuple: BFS level} in walk order; the base is level 0."""
+    found = dict.fromkeys(base, 0)
+    frontier = list(found)
+    level = 0
     while frontier:
-        nxt = set()
+        level += 1
+        nxt = []
         for t in frontier:
-            for j in range(len(gcm.a)):
-                img = simple_reflection_on_tuple(gcm, j, t)
-                if img not in found and sum(img) <= height_bound and min(img) >= 0:
-                    nxt.add(img)
-        found |= nxt
+            height = sum(t)
+            for j, row in enumerate(gcm.a):
+                rise = shift - linalg.dot(row, t)
+                if rise > 0 and height + rise <= height_bound:
+                    img = t[:j] + (t[j] + rise,) + t[j + 1:]
+                    if img not in found:
+                        found[img] = level
+                        nxt.append(img)
         frontier = nxt
-    return sorted(found, key=lambda t: (sum(t), t))
+    return found
 
 
 def real_root_tuples(datum: RootDatum, height_bound: int):
-    """Positive real roots of height <= N in simple-root coordinates.
-
-    Breadth-first closure of the simple roots under the simple
-    reflections; every positive real root of height <= N is reachable
-    without leaving the height bound.
-    """
+    """Positive real roots of height <= N in simple-root coordinates,
+    sorted by (height, tuple): the rising walk from the simple roots.  A
+    non-simple positive real root a has (a|a) > 0, so some (a|a_j) > 0 and
+    s_j(a) is a positive root of lower height (Kac, Infinite-dimensional
+    Lie algebras, Lemma 3.7, §5.1); rising steps reach every one."""
     bound = integer(height_bound, "height_bound")
     simple = linalg.identity(len(datum.simple_roots)) if bound > 0 else ()
-    return _weyl_closure(datum.cartan, simple, bound)
+    return sorted(_rising_walk(datum.cartan, simple, bound, 0), key=lambda t: (sum(t), t))
 
 
 def real_roots(datum: RootDatum, height_bound: int):
@@ -129,44 +136,22 @@ def real_roots(datum: RootDatum, height_bound: int):
 # ---------------------------------------------------------------------------
 # Weyl elements
 
-@dataclass(frozen=True)
-class WeylElement:
-    word: tuple[int, ...]           # reduced word, leftmost letter applied last
-    exponent: tuple[int, ...]       # w(rho) - rho in simple-root coordinates
-    sign: int
-
-
 def weyl_elements(datum: RootDatum, height_bound: int):
-    """All Weyl-group elements whose exponent has height <= N, by word length.
+    """The Weyl sum {exponent: (-1)^length(w)} over the Weyl-group elements
+    w whose exponent has height <= N, in BFS order ({} for N < 0).
 
-    The exponent is the inversion-set sum, computed by the left-extension
-    recursion exponent(s_j w) = e_j + s_j(exponent(w)); it equals
-    w(rho) - rho whenever a lattice Weyl vector rho exists, and it
-    determines w.  s_j w is longer than w iff <exponent(w), a_j^v> <= 0
-    (Kac, Infinite-dimensional Lie algebras, 3.11), and such a step raises
-    the exponent height by at least one, so breadth-first search over
-    exponents that prunes at height N is boundary-complete.  The height of
-    e_j + s_j(e) is |e| + 1 - <e, a_j^v>, so the walk takes exactly the
-    steps that raise the height; each exponent is kept once, keyed to its
-    element.
+    The exponent is the inversion-set sum, exponent(s_j w) =
+    e_j + s_j(exponent(w)); it equals w(rho) - rho when a lattice Weyl
+    vector rho exists, and it determines w.  s_j w is longer than w iff
+    <exponent(w), a_j^v> <= 0 (Kac, Infinite-dimensional Lie algebras,
+    Lemma 3.11), that is iff |e_j + s_j(e)| = |e| + 1 - <e, a_j^v> rises;
+    so the rising walk with shift 1 is boundary-complete, and its BFS
+    level is the length of w.
     """
-    gcm = datum.cartan
-    k = len(datum.simple_roots)
     if integer(height_bound, "height_bound") < 0:
-        return []
-    frontier = [WeylElement(word=(), exponent=(0,) * k, sign=1)]
-    found = {frontier[0].exponent: frontier[0]}
-    while frontier:
-        nxt = []
-        for el in frontier:
-            height = sum(el.exponent)
-            for j in range(k):
-                exp = exponent_involution(gcm, j, el.exponent)
-                if height < sum(exp) <= height_bound and exp not in found:
-                    found[exp] = WeylElement(word=(j,) + el.word, exponent=exp, sign=-el.sign)
-                    nxt.append(found[exp])
-        frontier = nxt
-    return list(found.values())
+        return {}
+    walk = _rising_walk(datum.cartan, [(0,) * len(datum.simple_roots)], height_bound, 1)
+    return {e: (-1) ** length for e, length in walk.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +203,19 @@ def sum_side(datum: RootDatum, height_bound: int) -> GradedSeries:
     """Signed sum over the Weyl group of monomials at w(rho) - rho; an
     exponent determines w, so each monomial has coefficient +-1."""
     return GradedSeries(nvars=len(datum.simple_roots), truncation=height_bound,
-                        coeffs={el.exponent: el.sign
-                                for el in weyl_elements(datum, height_bound)})
+                        coeffs=weyl_elements(datum, height_bound))
 
 
 def imaginary_candidate_tuples(datum: RootDatum, height_bound: int):
-    """Support candidates for positive imaginary roots up to height N:
-    the Weyl closure of the cone K inside the height bound."""
+    """Support candidates for positive imaginary roots up to height N, the
+    Weyl orbit of the cone K inside the height bound, sorted by (height,
+    tuple).  K is the anti-dominant part of Q+, which meets each W-orbit
+    once, and w(k) - k >= 0 for k in K (Kac, Prop. 3.12); so an orbit point
+    x != k has some <x, a_j^v> > 0, and s_j(x) is an orbit point of lower
+    height, still >= k.  The rising walk from K reaches the whole orbit."""
     gcm = datum.cartan
-    return _weyl_closure(gcm, cones.k_element_tuples(gcm.b, height_bound), height_bound)
+    base = cones.k_element_tuples(gcm.b, height_bound)
+    return sorted(_rising_walk(gcm, base, height_bound, 0), key=lambda t: (sum(t), t))
 
 
 @dataclass(frozen=True)
@@ -356,7 +345,7 @@ def imaginary_membership(datum: RootDatum, x, n_max: int):
         raise DomainError("imaginary membership needs a timelike or isotropic vector")
     if all(c == 0 for c in x):
         raise DomainError("zero vector")
-    h = cones._interior_point(lattice, datum.simple_roots)
+    h = cones.interior_point(lattice, datum.simple_roots)
     if h is None or norm(lattice, h) >= 0:
         raise DomainError("no timelike interior point; chamber is not finite-volume")
     y = tuple(x)

@@ -15,6 +15,7 @@ from lorentzroots import cones, kacmoody as km, linalg, qseries as qs, vinberg, 
 from lorentzroots.lattice import (Lattice, is_crystallographic, is_isometry, norm, pair,
                                   reflection)
 from lorentzroots.vinberg import HeightKey, RootFilter
+from test_kacmoody import _matrix_bfs_weyl_elements
 
 
 def _report(number, label):
@@ -232,20 +233,22 @@ def test_criterion_10_property_suites(ex134, u, u_plus_2, u_plus_a2, diag22m):
     datum = km.root_datum(ex134, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     small = km.weyl_elements(datum, 3)
     big = km.weyl_elements(datum, 5)
-    assert [el.word for el in big[:len(small)]] == [el.word for el in small]
+    assert list(big.items())[:len(small)] == list(small.items())
+    words = _matrix_bfs_weyl_elements(datum, 5)
+    assert [(e, s) for _, e, s in words] == list(big.items())
     refl = [reflection(ex134, r) for r in datum.simple_roots]
     rho = (Fraction(1, 2),) * 3
     mats = set()
-    for el in big:
+    for word, exponent, sign in words:
         mat = linalg.identity(3)
-        for j in el.word:
+        for j in word:
             mat = linalg.mat_mul(mat, refl[j])
         mats.add(mat)
-        assert el.sign == (-1) ** len(el.word)
-        assert linalg.det(mat) == el.sign
+        assert sign == (-1) ** len(word)
+        assert linalg.det(mat) == sign
         moved = linalg.mat_vec(mat, rho)
         assert tuple(a - b for a, b in zip(moved, rho)) == \
-            tuple(map(Fraction, km.tuple_to_vector(datum, el.exponent)))
+            tuple(map(Fraction, km.tuple_to_vector(datum, exponent)))
     assert len(mats) == len(big)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0

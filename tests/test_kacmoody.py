@@ -9,10 +9,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy.functions.combinatorial.numbers import partition
 
 from ex134_data import CUSP, F01, F02
-from lorentzroots import kacmoody as km, linalg, weylstruct as ws
+from lorentzroots import cones, kacmoody as km, linalg, weylstruct as ws
 from lorentzroots.errors import DenominatorMismatchError, DomainError, NonObtusePairError
 from lorentzroots.lattice import Lattice, norm
 
@@ -106,17 +107,14 @@ def test_real_roots_heights_and_norms(datum, ex134):
 
 
 def test_weyl_elements_small(datum):
-    els = km.weyl_elements(datum, 4)
-    by_word = {el.word: el for el in els}
-    ident = by_word[()]
-    assert ident.exponent == (0, 0, 0) and ident.sign == 1
+    sums = km.weyl_elements(datum, 4)
+    by_word = {w: (e, s) for w, e, s in _matrix_bfs_weyl_elements(datum, 4)}
+    assert by_word[()] == ((0, 0, 0), 1)
     for i in range(3):
-        el = by_word[(i,)]
-        expected = tuple(1 if j == i else 0 for j in range(3))
-        assert el.exponent == expected and el.sign == -1
-    el = by_word[(0, 1)]
-    assert el.exponent == (3, 1, 0) and el.sign == 1
-    assert len([e for e in els if sum(e.exponent) == 0]) == 1
+        assert by_word[(i,)] == (tuple(1 if j == i else 0 for j in range(3)), -1)
+    assert by_word[(0, 1)] == ((3, 1, 0), 1)
+    assert sums == dict(by_word.values())
+    assert [e for e in sums if sum(e) == 0] == [(0, 0, 0)]
 
 
 def _word_matrix(lattice, datum, word):
@@ -131,16 +129,18 @@ def _word_matrix(lattice, datum, word):
 
 def test_weyl_elements_matrix_word_consistency(datum, ex134):
     rho = (Fraction(1, 2),) * 3
+    words = _matrix_bfs_weyl_elements(datum, 5)
+    assert list(km.weyl_elements(datum, 5).items()) == [(e, s) for _, e, s in words]
     mats = []
-    for el in km.weyl_elements(datum, 5):
-        mat = _word_matrix(ex134, datum, el.word)
+    for word, exponent, sign in words:
+        mat = _word_matrix(ex134, datum, word)
         mats.append(mat)
-        assert el.sign == (-1) ** len(el.word)
-        assert linalg.det(mat) == el.sign  # reflections have det -1
+        assert sign == (-1) ** len(word)
+        assert linalg.det(mat) == sign  # reflections have det -1
         # exponent agrees with the matrix action on the Weyl vector
         moved = linalg.mat_vec(mat, rho)
         diff = tuple(a - b for a, b in zip(moved, rho))
-        lifted = km.tuple_to_vector(datum, el.exponent)
+        lifted = km.tuple_to_vector(datum, exponent)
         assert tuple(map(Fraction, lifted)) == diff
     assert len(set(mats)) == len(mats)   # distinct group elements
 
@@ -181,15 +181,17 @@ def test_weyl_elements_match_matrix_bfs(datum):
                              for i in range(5)), name="I41")
     for d in (datum, km.root_datum(i41, I41_WALLS)):
         for n in range(-2, 11):
-            got = [(el.word, el.exponent, el.sign) for el in km.weyl_elements(d, n)]
-            assert got == _matrix_bfs_weyl_elements(d, n)
-            assert (got == []) == (n < 0)
+            got = km.weyl_elements(d, n)
+            assert list(got.items()) == [(e, s) for _, e, s in _matrix_bfs_weyl_elements(d, n)]
+            assert (got == {}) == (n < 0)
 
 
 def test_weyl_elements_prefix_stability(datum):
     small = km.weyl_elements(datum, 3)
     big = km.weyl_elements(datum, 5)
-    assert [el.word for el in big[:len(small)]] == [el.word for el in small]
+    assert list(big.items())[:len(small)] == list(small.items())
+    words = [w for w, _, _ in _matrix_bfs_weyl_elements(datum, 5)]
+    assert words[:len(small)] == [w for w, _, _ in _matrix_bfs_weyl_elements(datum, 3)]
 
 
 def test_sum_side(datum):
@@ -394,6 +396,51 @@ def test_solve_multiplicities_equals_peterson_recursion(datum):
         assert _peterson_mults(d, height) == mults
 
 
+def _all_steps_closure(gcm, base, height_bound):
+    """Reference: closure of nonnegative tuples under every simple
+    reflection, rising or not, keeping the images that stay nonnegative and
+    inside the height bound; sorted by (height, tuple)."""
+    found = set(base)
+    frontier = set(base)
+    while frontier:
+        nxt = set()
+        for t in frontier:
+            for j in range(len(gcm.a)):
+                img = km.simple_reflection_on_tuple(gcm, j, t)
+                if img not in found and sum(img) <= height_bound and min(img) >= 0:
+                    nxt.add(img)
+        found |= nxt
+        frontier = nxt
+    return sorted(found, key=lambda t: (sum(t), t))
+
+
+def _check_rising_walk(d, height):
+    gcm = d.cartan
+    simple = linalg.identity(len(gcm.a)) if height > 0 else ()
+    assert km.real_root_tuples(d, height) == _all_steps_closure(gcm, simple, height)
+    k_cone = cones.k_element_tuples(gcm.b, height)
+    assert km.imaginary_candidate_tuples(d, height) == _all_steps_closure(gcm, k_cone, height)
+
+
+def test_rising_walk_equals_the_all_steps_closure(datum):
+    for d, height in ((_ff_datum(), 40), (datum, 32), (_i41_datum(), 11), (_e10_datum(), 20)):
+        _check_rising_walk(d, height)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rising_walk_equals_the_all_steps_closure_on_random_cartan_matrices(data):
+    k = data.draw(st.integers(3, 4))
+    a = [[2] * k for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        a[i][j] = a[j][i] = data.draw(st.sampled_from((0, -1, -2, -3)))
+    a = tuple(map(tuple, a))
+    gcm = km.GeneralizedCartanMatrix(a=a, d=(Fraction(1),) * k, b=a)
+    d = km.RootDatum(lattice=None, simple_roots=linalg.identity(k), cartan=gcm,
+                     weyl_data=None)
+    _check_rising_walk(d, data.draw(st.integers(0, 12)))
+
+
 def _q_plus(nvars, height_bound):
     """Every nonzero nonnegative tuple of height <= N, by stars and bars."""
     for h in range(1, height_bound + 1):
@@ -592,7 +639,6 @@ def test_imaginary_membership_fails_off_arithmetic_type(ex134):
     # negative direction of the equivalence: a truncated translation-orbit
     # chamber is not of arithmetic type (spacelike dual ray), and small
     # multiples of some timelike vectors never reach its root cone
-    from lorentzroots import cones
     from ex134_data import PHI
 
     c, sample = ws.build_Pk_sample(ex134, PHI, (1, 0, 0), F01, F02, 2, 2)
