@@ -95,6 +95,57 @@ def _odd_valuation(n, primes):
     return False
 
 
+def _residue_masks(q):
+    """[(M, masks)] for q = B^T G B, the integer form of a rank-3 lattice in a
+    basis with u = (t, y1, y2): bit t of masks[e] is set iff q(t, y) = e
+    (mod M) for some ints y.  M runs over 8 and the odd p < 100 dividing
+    det q, while the product of the moduli stays within 2^12, and a modulus
+    that rules nothing out is left out.
+
+    Mod 8 only u mod 4 counts, as q(u + 4v) = q(u) + 8 u^T q v + 16 q(v),
+    and q(3t, 3y) = 9 q(t, y) = q(t, y) mod 8: t = 0, 4 share one value set
+    (bits 0x11), the odd t another (0xAA) and t = 2, 6 a third (0x44), and
+    the 16 y mod 4 at t = 0, 1, 2 give all three.
+
+    Mod p, write K for the y-block.  If p does not divide det K, completing
+    the square leaves a nondegenerate binary form, which takes every value
+    mod p.  Otherwise K = k (y2 + mu y1)^2 mod p, after swapping y1 and y2
+    (and b1 and b2) if p | k22, with k = mu = 0 if p | K.  With
+    w = y2 + mu y1 and beta = b1 - mu b2,
+    q(t, y) = a t^2 + 2 beta t y1 + 2 b2 t w + k w^2 mod p.  At t = 0 that
+    is k w^2.  At t != 0 it takes every value if beta != 0, or if k = 0 and
+    b2 != 0; otherwise it is c t^2 + k (w + b2 t / k)^2 with c = a - b2^2 / k
+    (c = a if k = 0).
+    """
+    (a, b1, b2), (_, k11, k12), (_, _, k22) = q
+    masks = [0] * 8
+    for y1 in range(4):
+        for y2 in range(4):
+            v, l = y1 * (k11 * y1 + 2 * k12 * y2) + k22 * y2 * y2, 2 * (b1 * y1 + b2 * y2)
+            masks[v % 8] |= 0x11
+            masks[(a + l + v) % 8] |= 0xAA
+            masks[(4 * a + 2 * l + v) % 8] |= 0x44
+    out = [(8, masks)] if min(masks) < 0xFF else []
+    det = a * (k11 * k22 - k12 * k12) - b1 * (b1 * k22 - k12 * b2) + b2 * (b1 * k12 - k11 * b2)
+    for p in _ODD_PRIMES:
+        if det % p or (k11 * k22 - k12 * k12) % p or prod(mod for mod, _ in out) * p > 1 << 12:
+            continue
+        c1, c2, k = (b2, b1, k11) if k22 % p == 0 else (b1, b2, k22)
+        inv = pow(k, -1, p) if k % p else 0
+        beta, c = (c1 - k12 * inv * c2) % p, (a - c2 * c2 * inv) % p
+        squares = {k * y * y % p for y in range(p)}
+        masks = [int(e in squares) for e in range(p)]       # t = 0
+        if beta or (inv == 0 and c2 % p):                   # every value at each t != 0
+            masks = [x | (1 << p) - 2 for x in masks]
+        else:
+            for t in range(1, p):
+                ct, bit = c * t * t, 1 << t
+                for v in squares:
+                    masks[(ct + v) % p] |= bit
+        out.append((p, masks))
+    return out
+
+
 def shells(lattice, h):
     """(roots, walk) for the shells (d, m) of the controller h.
 
@@ -110,16 +161,26 @@ def shells(lattice, h):
     by lcm(g, d/gcd(d, 2)), and m is kept only if the last slab of the
     shell's descent holds an integer, so an empty slab never reaches roots.
     The m = 0 slab holds 0.  With no kernel (a rank-1 lattice) there is no
-    slab, and the positive radius leaves every shell empty.  With a kernel
-    of rank 2 (a rank-3 lattice) a shell is the binary equation
-    k1 X^2 + k0 Y^2 = R in ints, (k0, k1) = K D and R the scaled radius
-    below, and m is also dropped when an inert prime divides R to an odd
+    slab, and the positive radius leaves every shell empty.
+
+    On a rank-3 lattice two local tests follow the slab test.  The residue
+    test: a shell point is x = B u with u = (-m/g, y), and S(x,x) = d reads
+    Q(-m/g, y) = d with Q = B^T G B, so Q(-m/g, y) = d (mod M) has a
+    solution y for every M.  m is dropped when there is none for M = 8 or
+    for an odd prime p < 100 dividing det G.  _residue_masks builds the
+    table of solvable (d mod M, m/g mod M) once per controller, and each
+    walk folds its row for d into one bit pattern over m/g modulo the
+    product of the moduli, so a pairing costs one shift and mask.  The
+    inert-prime test: the kernel has rank 2, so a shell is the binary
+    equation k1 X^2 + k0 Y^2 = R in ints, (k0, k1) = K D and R the scaled
+    radius below, and m is dropped when an inert prime divides R to an odd
     power: an odd p < 100 with p not dividing k0 k1 and -k0 k1 a non-residue
     mod p.  The form is then anisotropic mod p, so p | k1 X^2 + k0 Y^2 forces
     p | X, Y, and by descent every nonzero value has even p-adic valuation
     (Cassels, Rational Quadratic Forms, ch. 8).  One gcd with the product of
     those primes gates the test.  Forms of rank >= 3 are isotropic mod every
-    odd p not dividing them, so they have no such obstruction.
+    odd p not dividing them, so they have no inert prime; at rank >= 4 the
+    walk makes neither test.
 
     Shell (d, m) lies on the slice S(h,x) = -m, centred at m h / |S(h,h)|,
     where the form on h^perp is fixed and the squared radius is
@@ -127,7 +188,8 @@ def shells(lattice, h):
     is LLL-reduced under the form, which keeps the Fincke-Pohst descent from
     walking long thin boxes (Fincke & Pohst 1985), whatever basis the
     lattice is given in, and LLL's integral Gram-Schmidt data is the LDL of
-    the form on h^perp.  The coordinates z of h in the basis are integers,
+    the form on h^perp.  The coordinates z of h in the basis are integers
+    (at rank 3 they come from the 2 x 2 kernel block of Q by Cramer's rule),
     so the only denominators are those of that LDL and |S(h,h)|: they are
     cleared once per controller, and each shell passes quadric_integer_points
     the ints m z N / |S(h,h)| and (d |S(h,h)| + m^2) K N^4 / |S(h,h)|.
@@ -135,9 +197,17 @@ def shells(lattice, h):
     g, cols = linalg.row_kernel_transform(linalg.mat_vec(lattice.gram, h))
     kern, dets, lam = linalg.lll(cols[1:], lattice.gram)
     basis = linalg.transpose([cols[0]] + kern)
+    gb = linalg.mat_mul(lattice.gram, basis)
     hh = -norm(lattice, h)
-    z = [int(c) for c in linalg.solve(basis, h)[1:]]     # basis is unimodular
     r = len(kern)
+    if r == 2:
+        # B^T G B z = B^T G h = (g, 0, 0), so z_0 = -hh/g and the kernel
+        # part solves K z' = -z_0 (b1, b2), with det K = dets[2]
+        bgb = linalg.mat_mul([cols[0]] + kern, gb)
+        (_, b1, b2), (_, k11, k12), (_, _, k22) = bgb
+        z = [hh // g * x // dets[2] for x in (k22 * b1 - k12 * b2, k11 * b2 - k12 * b1)]
+    else:
+        z = [int(c) for c in linalg.solve(basis, h)[1:]]     # basis is unimodular
     # D_i = dets[i+1]/dets[i] and U_ik = lam[k][i]/dets[i+1]: N clears U and
     # z/hh, K clears D, and hh | N makes the scaled radius an int
     nn = lcm(hh, *dets[1:r])
@@ -148,7 +218,9 @@ def shells(lattice, h):
     scale = kk * nn ** 4 // hh
     inert = _inert_primes(*form[2]) if r == 2 else []
     inert_product = prod(inert)
-    gb = linalg.mat_mul(lattice.gram, basis)
+    local = _residue_masks(bgb) if r == 2 else []
+    period = lcm(*(mod for mod, _ in local))
+    full = (1 << period) - 1
 
     def roots(d, m):
         ys = linalg.quadric_integer_points(form, [m * x for x in centre],
@@ -168,18 +240,25 @@ def shells(lattice, h):
         # every later slab holds an integer, and the walk only steps
         step, per = lcm(g, d // gcd(d, 2)), big // d
         n2, c1, kd = nn * nn, nn * centre[-1], form[2][-1]
+        # bit i of ok: no modulus rules out m/g = i (mod period).  The masks
+        # are read at t = -m/g, as Q(-t, -y) = Q(t, y), and times
+        # full // (2^M - 1) an M-bit row repeats over the period
+        ok, i, di = full, 0, step // g % period
+        for mod, masks in local:
+            ok &= masks[d % mod] * (full // ((1 << mod) - 1))
         m = key = 0
         wide = False
         while key <= bound:
             if not wide:
                 c, s = m * c1, isqrt((d * hh + m * m) * scale // kd)
                 wide = 2 * s + 1 >= n2
-            if (wide or -((s - c) // n2) <= (c + s) // n2) and not (
+            if (wide or -((s - c) // n2) <= (c + s) // n2) and ok >> i & 1 and not (
                     inert and gcd(rad := (d * hh + m * m) * scale, inert_product) > 1
                     and _odd_valuation(rad, inert)):
                 yield key, d, m
             m += step
             key = m * m * per
+            i = (i + di) % period
     return roots, walk
 
 

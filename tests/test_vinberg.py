@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -173,12 +174,13 @@ def test_shells_whose_norm_does_not_divide_twice_the_pairing_are_skipped(monkeyp
     assert any(norm(lat, x) == 22 for x in got)
     assert len(scales) == 1
     # the admissible norm-2 shells m = 2, 4, 6 hold no integer in their last
-    # slab, so the stream descends none of them; they are empty
-    assert set(seen) == {(22, 0), (22, 22), (2, 0)}
+    # slab, and m = 0 has no solution mod 8, so the stream descends none of
+    # them; they are empty
+    assert set(seen) == {(22, 0), (22, 22)}
     assert all(m % 11 == 0 for d, m in seen if d == 22)
     monkeypatch.undo()
     roots, _ = vinberg.shells(lat, h)
-    assert roots(2, 2) == roots(2, 4) == roots(2, 6) == []
+    assert roots(2, 0) == roots(2, 2) == roots(2, 4) == roots(2, 6) == []
 
 
 def test_shells_return_exactly_the_crystallographic_vectors(ex134):
@@ -295,12 +297,13 @@ def test_stepped_stream_equals_a_stream_over_every_pairing(ex134, u_plus_a2):
 def test_deep_runs_descend_only_admissible_pairings(monkeypatch):
     # the three full-size runs of the `deep` benchmark workload: every shell
     # the stream asks for has m = 0 mod lcm(g, d/gcd(d, 2)), an integer in
-    # its last slab and no inert prime to an odd power in its scaled radius,
-    # so each roots(d, m) call descends (1,896 calls; 3,351 without the
-    # inert primes, 3,501 without the slab test either, 10,098 with m
-    # stepped by 1).  Up to the key bound, each walk keeps only admissible
-    # pairings whose last slab holds an integer, and every such pairing it
-    # drops is empty under the real descent
+    # its last slab, a solution mod 8 and mod 11 or 13, and no inert prime to
+    # an odd power in its scaled radius, so each roots(d, m) call descends
+    # (964 calls; 1,896 without the residue test, 3,351 without the inert
+    # primes either, 3,501 without the slab test too, 10,098 with m stepped
+    # by 1).  Up to the key bound, each walk keeps only admissible pairings
+    # whose last slab holds an integer, and every such pairing it drops is
+    # empty under the real descent
     calls, descents, walks = [], [], []
     quadric, shells = linalg.quadric_integer_points, vinberg.shells
 
@@ -313,7 +316,7 @@ def test_deep_runs_descend_only_admissible_pairings(monkeypatch):
             return roots(d, m)
 
         def spy_walk(d, big, bound):
-            walks.append((roots, walk, g, d, big, bound))
+            walks.append((lattice, h, roots, walk, g, d, big, bound))
             return walk(d, big, bound)
         return spy_roots, spy_walk
 
@@ -328,16 +331,21 @@ def test_deep_runs_descend_only_admissible_pairings(monkeypatch):
         vinberg.run(lat, h, RootFilter(norms=frozenset(norms)),
                     max_key=HeightKey(4 * 10 ** 6, 1), max_roots=max_roots)
     assert all(m % lcm(g, d // gcd(d, 2)) == 0 for g, d, m in calls)
-    assert len(calls) == len(descents) == 1896
+    assert len(calls) == len(descents) == 964
     assert all(lo <= hi for lo, hi in (last_slab(*a) for a in descents))
     # every admissible pairing up to the bound, its slab read off the
     # arguments roots(d, m) passes the real descent
     slabs = []
     monkeypatch.setattr(linalg, "quadric_integer_points",
                         lambda *a: slabs.append(a) or quadric(*a))
-    by_slab = by_prime = 0
-    for roots, walk, g, d, big, bound in walks:
+    by_slab = by_residue = by_prime = 0
+    for lat, h, roots, walk, g, d, big, bound in walks:
         walked = {m for _, _, m in walk(d, big, bound)}
+        with monkeypatch.context() as mp:
+            mp.setattr(vinberg, "_residue_masks", lambda q: [])
+            _, prime_walk = shells(lat, h)
+        prime_walked = {m for _, _, m in prime_walk(d, big, bound)}
+        assert walked <= prime_walked
         step = lcm(g, d // gcd(d, 2))
         for m in range(0, isqrt(bound // (big // d)) + 1, step):
             found = roots(d, m)
@@ -346,10 +354,11 @@ def test_deep_runs_descend_only_admissible_pairings(monkeypatch):
                 assert lo <= hi, (d, m)
             elif lo <= hi:
                 assert found == [], (d, m)
-                by_prime += 1
+                by_residue += m in prime_walked
+                by_prime += m not in prime_walked
             else:
                 by_slab += 1
-    assert (by_slab, by_prime) == (150, 1772)
+    assert (by_slab, by_residue, by_prime) == (150, 1247, 1772)
 
 
 def test_non_integer_norms_keys_and_controllers_rejected(ex134):
@@ -651,13 +660,16 @@ def test_controller_on_mirror_cases(ex134, diag22m, monkeypatch):
     assert exc.value.root == (-1, 0, 0)
     assert len(calls) == 1
     # with norms {2,8} the center (1,1,1) of the ex134 triangle lies on the
-    # norm-8 mirror of (-1,0,1), found after the empty norm-2 shell at m = 0
+    # norm-8 mirror of (-1,0,1); the norm-2 shell at m = 0 is empty, and it
+    # has no solution mod 8, so the stream descends only the norm-8 shell
     calls.clear()
     with pytest.raises(ControllerOnMirrorError) as exc:
         list(vinberg.candidate_stream(ex134, H, RootFilter(norms=frozenset({2, 8})),
                                       HeightKey(4, 2)))
     assert exc.value.root == (-1, 0, 1)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert vinberg.shells(ex134, H)[0](2, 0) == []
 
 
 def test_run_norms_2_8_with_generic_controller(ex134):
@@ -838,9 +850,10 @@ def test_an_inert_prime_takes_no_value_of_odd_valuation():
 def test_inert_primes_drop_no_shell_that_holds_a_root(monkeypatch):
     # U + <2k>, k = 1..30, three seeded timelike controllers each: every
     # shell m <= 400 of norm 1, 2, k, 2k or 4k that holds a root is walked,
-    # and the inert primes drop shells the slab test keeps
+    # and the inert primes and the residue test each drop shells that the
+    # walk keeps with that test switched off
     rng = random.Random(27)
-    nonempty = dropped = 0
+    nonempty = by_prime = by_residue = 0
     for k in range(1, 31):
         lat = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 2 * k)))
         hs = []
@@ -852,15 +865,102 @@ def test_inert_primes_drop_no_shell_that_holds_a_root(monkeypatch):
             roots, walk = vinberg.shells(lat, h)
             with monkeypatch.context() as mp:
                 mp.setattr(vinberg, "_inert_primes", lambda k0, k1: [])
-                _, slab_walk = vinberg.shells(lat, h)
+                _, prime_off = vinberg.shells(lat, h)
+            with monkeypatch.context() as mp:
+                mp.setattr(vinberg, "_residue_masks", lambda q: [])
+                _, residue_off = vinberg.shells(lat, h)
             g = linalg.content(linalg.mat_vec(lat.gram, h))
             for d in {1, 2, k, 2 * k, 4 * k}:
                 walked = {m for _, _, m in walk(d, d, 400 ** 2)}
-                slab_walked = {m for _, _, m in slab_walk(d, d, 400 ** 2)}
-                assert walked <= slab_walked
-                dropped += len(slab_walked - walked)
+                without_prime = {m for _, _, m in prime_off(d, d, 400 ** 2)}
+                without_residue = {m for _, _, m in residue_off(d, d, 400 ** 2)}
+                assert walked <= without_prime and walked <= without_residue
+                by_prime += len(without_prime - walked)
+                by_residue += len(without_residue - walked)
                 for m in range(0, 401, lcm(g, d // gcd(d, 2))):
                     if roots(d, m):
                         assert m in walked, (k, h, d, m)
                         nonempty += 1
-    assert (nonempty, dropped) == (2322, 15344)
+    assert (nonempty, by_prime, by_residue) == (2322, 3378, 23665)
+
+
+def _brute_residue_masks(q, mod):
+    masks = [0] * mod
+    for u in itertools.product(range(mod), repeat=3):
+        masks[sum(u[i] * q[i][j] * u[j] for i in range(3) for j in range(3)) % mod] |= 1 << u[0]
+    return masks
+
+
+def test_residue_masks_match_a_brute_force_table():
+    # bit t of masks[e] is set iff q(t, y) = e (mod M) for some y mod M: for
+    # M = 8 always, and for an odd p only when p | det q, as a modulus that
+    # rules nothing out is left out.  Entries of the y-block scaled by p make
+    # the cases p | K, p | k22 alone and p | det K with k22 a unit mod p
+    rng = random.Random(31)
+    kept = dict.fromkeys((8, 3, 5, 7, 11), 0)
+    for trial in range(400):
+        p = (3, 5, 7, 11)[trial % 4]
+        a, b1, b2, k11, k12, k22 = (rng.randint(-20, 20) for _ in range(6))
+        k11, k12, k22 = (x * p if rng.random() < 0.4 else x for x in (k11, k12, k22))
+        q = ((a, b1, b2), (b1, k11, k12), (b2, k12, k22))
+        got = dict(vinberg._residue_masks(q))
+        assert set(got) <= {8} | {m for m in vinberg._ODD_PRIMES if linalg.det(q) % m == 0}
+        for mod in {8} | ({p} if linalg.det(q) % p == 0 else set()):
+            want = _brute_residue_masks(q, mod)
+            if min(want) == (1 << mod) - 1:
+                assert mod not in got, (q, mod)
+            else:
+                assert got[mod] == want, (q, mod)
+                kept[mod] += 1
+    assert all(kept.values()), kept
+    # 3, 5, 7, 11 and 13 divide det q and the y-block; the moduli are taken
+    # while their product stays within 2^12, so the walk's pattern stays small
+    q = ((1, 1, 1), (1, 15015, 0), (1, 0, 15015))
+    assert [mod for mod, _ in vinberg._residue_masks(q)] == [8, 3, 5, 7]
+
+
+def test_residue_test_on_u_plus_194_keeps_the_walls_and_a_bounded_set_up(monkeypatch):
+    # 97 divides det G = -194, so the walk reads a mod-97 table; its set-up
+    # stays within 10 ms of the walk's without the test, and the run accepts
+    # the same walls from fewer descents
+    lat = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 194)))
+    h, filt, max_key = (22, 30, -1), RootFilter(norms=frozenset({2, 194})), HeightKey(10 ** 6, 1)
+    masks, quadric = vinberg._residue_masks, linalg.quadric_integer_points
+    tables, descents, reports, setups = [], [], [], []
+    monkeypatch.setattr(vinberg, "_residue_masks", lambda q: tables.append(masks(q)) or tables[-1])
+    monkeypatch.setattr(linalg, "quadric_integer_points",
+                        lambda *a: descents.append(a) or quadric(*a))
+    for off in (False, True):
+        if off:
+            monkeypatch.setattr(vinberg, "_residue_masks", lambda q: [])
+        descents.clear()
+        reports.append((vinberg.run(lat, h, filt, max_key=max_key), len(descents)))
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            vinberg.shells(lat, h)
+            best = min(best, time.perf_counter() - start)
+        setups.append(best)
+    assert [mod for mod, _ in tables[0]] == [8, 97]
+    (on, on_descents), (off, off_descents) = reports
+    assert on.accepted == off.accepted and len(on.accepted) == 9
+    assert (on_descents, off_descents) == (212, 349)
+    assert setups[0] - setups[1] < 0.01, setups
+
+
+def test_walks_at_rank_4_and_5_do_not_read_the_residue_test(monkeypatch, u_plus_a2):
+    # the residue test is made on rank-3 lattices only: walks on I_{4,1} and
+    # U + A2 never build its table, and yield the counts pinned from the walk
+    # without the test
+    monkeypatch.setattr(vinberg, "_residue_masks", lambda q: pytest.fail("rank-3 only"))
+    i41 = Lattice(gram=tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(5))
+                             for i in range(5)))
+    got = []
+    for lat, h, norms, bound in ((i41, (400, 4, 3, 2, 1), (1, 2), 10 ** 7),
+                                 (u_plus_a2, (-4, -3, -1, -1), (2,), 10 ** 5)):
+        _, walk = vinberg.shells(lat, h)
+        for d in norms:
+            keys = list(walk(d, 2, bound))
+            got.append((len(keys), sum(m for _, _, m in keys), keys[-1]))
+    assert got == [(181, 250015, (8217458, 1, 2027)), (348, 666941, (9998244, 2, 3162)),
+                   (317, 50086, (99856, 2, 316))]
