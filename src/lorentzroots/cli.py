@@ -111,8 +111,8 @@ def _cmd_vinberg(args, lat, roots):
     congruence = _congruence(args.congruence, lat.rank) if args.congruence else None
     filt = vinberg.RootFilter(norms=norms, congruence=congruence)
     try:
-        num, _, den = args.max_height_sq.partition("/")
-        max_key = vinberg.HeightKey(int(num), int(den) if den else 1)
+        num, slash, den = args.max_height_sq.partition("/")
+        max_key = vinberg.HeightKey(int(num), int(den) if slash else 1)
     except ValueError:
         raise UsageError(f"cannot parse --max-height-sq {args.max_height_sq!r}")
     report = vinberg.run(lat, controller, filt, max_key=max_key,

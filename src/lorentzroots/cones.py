@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import DomainError
-from .lattice import Lattice, gram_matrix, int_vectors, integer, norm, pair, vector_of_sign
+from .lattice import Lattice, int_vectors, integer, norm, pair, vector_of_sign
 
 
 @dataclass(frozen=True)
@@ -181,15 +181,3 @@ def k_element_tuples(gram_of_roots, height_bound):
 
     rec(0, integer(height_bound, "height_bound"), [], [0] * k)
     return out
-
-
-def k_elements(lattice: Lattice, roots, height_bound):
-    """Lattice points of the cone K: nonnegative wall combinations that lie
-    behind every wall, up to the given coefficient-sum bound."""
-    roots = int_vectors(lattice, roots, "wall entry")
-    cols = linalg.transpose(roots)
-    seen = {}
-    for a in k_element_tuples(gram_matrix(lattice, roots), height_bound):
-        x = linalg.mat_vec(cols, a)
-        seen.setdefault(x, a)
-    return sorted(seen)

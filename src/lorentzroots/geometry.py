@@ -16,34 +16,10 @@ from .errors import DomainError
 from .lattice import Lattice, norm, pair, rational, rational_vectors
 
 
-class VectorClass(Enum):
-    TIMELIKE_SAME_CONE = "timelike-same-cone"
-    TIMELIKE_OPPOSITE_CONE = "timelike-opposite-cone"
-    LIGHTLIKE_SAME_CONE = "lightlike-same-cone"
-    LIGHTLIKE_OPPOSITE_CONE = "lightlike-opposite-cone"
-    SPACELIKE = "spacelike"
-
-
 class MirrorRelation(Enum):
     INTERSECTING = "intersecting"
     PARALLEL_AT_INFINITY = "parallel-at-infinity"
     ULTRAPARALLEL = "ultraparallel"
-
-
-def classify_vector(lattice: Lattice, x, orient) -> VectorClass:
-    """Position of x relative to the light cone, oriented by a timelike vector."""
-    x, orient = rational_vectors(lattice, [x, orient], "vector entry")
-    if norm(lattice, orient) >= 0:
-        raise DomainError("orientation vector must be timelike")
-    nx = norm(lattice, x)
-    if nx > 0:
-        return VectorClass.SPACELIKE
-    if all(c == 0 for c in x):
-        raise DomainError("zero vector has no light-cone class")
-    same = pair(lattice, x, orient) < 0
-    if nx < 0:
-        return VectorClass.TIMELIKE_SAME_CONE if same else VectorClass.TIMELIKE_OPPOSITE_CONE
-    return VectorClass.LIGHTLIKE_SAME_CONE if same else VectorClass.LIGHTLIKE_OPPOSITE_CONE
 
 
 def cosh2(lattice: Lattice, x, y) -> Fraction:

@@ -127,12 +127,6 @@ def real_root_tuples(datum: RootDatum, height_bound: int):
     return sorted(_rising_walk(datum.cartan, simple, bound, 0), key=lambda t: (sum(t), t))
 
 
-def real_roots(datum: RootDatum, height_bound: int):
-    """Positive real roots as (lattice vector, height) pairs."""
-    return [(tuple_to_vector(datum, t), sum(t))
-            for t in real_root_tuples(datum, height_bound)]
-
-
 # ---------------------------------------------------------------------------
 # Weyl elements
 
@@ -255,8 +249,6 @@ def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityRes
     w_at = [{} for _ in range(height_bound + 1)]     # W by height, packed
     for v, c in series.coeffs.items():
         w_at[sum(v)][linalg.dot(place, v)] = c
-    if w_at[0].get(0, 0) != 1:
-        raise DenominatorMismatchError((0,) * len(place), 1, w_at[0].get(0, 0))
     mults = {}
     g_prod = [{} for _ in range(height_bound + 1)]   # G_P by height
 

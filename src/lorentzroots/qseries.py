@@ -1,6 +1,5 @@
-"""Truncated one-variable integer power series: eta powers, the cusp
-identity between ray multiplicities and product exponents, and the
-isotropic-ray multiset of a corrected root system.
+"""Truncated one-variable integer power series: eta powers and the cusp
+identity between ray multiplicities and product exponents.
 """
 
 from __future__ import annotations
@@ -38,18 +37,6 @@ class PowerSeries:
                 continue
             for j in range(n + 1 - i):
                 out[i + j] += a * other.coeffs[j]
-        return PowerSeries(tuple(out))
-
-    def inverse(self):
-        """Reciprocal of a unit-leading series, exact over the integers."""
-        if self.coeffs[0] not in (1, -1):
-            raise DomainError("only unit-leading series can be inverted over Z")
-        n = self.truncation
-        lead = self.coeffs[0]
-        out = [lead] + [0] * n
-        for i in range(1, n + 1):
-            acc = sum(self.coeffs[j] * out[i - j] for j in range(1, i + 1))
-            out[i] = -lead * acc
         return PowerSeries(tuple(out))
 
     def _match(self, other):
@@ -122,26 +109,3 @@ def cusp_identity(direction: str, coeffs, n: int):
                 below[j] += k * tau[-1]
         return tau
     raise DomainError(f"unknown direction {direction!r}")
-
-
-@dataclass(frozen=True)
-class RayMultiset:
-    """Multiples of a primitive isotropic vector with their multiplicities."""
-    a0: tuple[int, ...]
-    entries: tuple[tuple[int, int], ...]  # (multiple t, multiplicity)
-
-
-def build_H_ray(tau, a0, n: int) -> RayMultiset:
-    """Isotropic-ray slice of the corrected simple-root multiset:
-    t*a0 carries multiplicity tau(t) for 1 <= t <= n (zero entries dropped).
-    Multiplicities may be negative (superalgebra conventions pass through)."""
-    tau = [integer(c, "multiplicity") for c in tau]
-    entries = tuple((t, tau[t - 1]) for t in range(1, min(integer(n, "truncation"), len(tau)) + 1)
-                    if tau[t - 1] != 0)
-    return RayMultiset(a0=tuple(integer(x, "a0 entry") for x in a0), entries=entries)
-
-
-def corrected_denominator_ray_check(tau, m, n: int) -> bool:
-    """Does the pair (tau, m) satisfy the one-variable cusp identity to degree n?"""
-    m = [integer(c, "coefficient") for c in list(m)[:integer(n, "truncation")]]
-    return cusp_identity("tau_to_m", tau, n) == m + [0] * (n - len(m))

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
 from . import cones, linalg
-from .errors import ControllerOnMirrorError, DomainError
+from .errors import ControllerOnMirrorError, DegenerateFormError, DomainError
 from .lattice import Lattice, gram_matrix, int_vectors, integer, norm
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
@@ -195,7 +195,12 @@ def shells(lattice, h):
     the ints m z N / |S(h,h)| and (d |S(h,h)| + m^2) K N^4 / |S(h,h)|.
     """
     g, cols = linalg.row_kernel_transform(linalg.mat_vec(lattice.gram, h))
-    kern, dets, lam = linalg.lll(cols[1:], lattice.gram)
+    try:
+        kern, dets, lam = linalg.lll(cols[1:], lattice.gram)
+    except DegenerateFormError:
+        label = lattice.name or f"with Gram {lattice.gram}"
+        raise DegenerateFormError(f"lattice {label} is not hyperbolic: "
+                                  "the form is not positive definite on h^perp") from None
     basis = linalg.transpose([cols[0]] + kern)
     gb = linalg.mat_mul(lattice.gram, basis)
     hh = -norm(lattice, h)

@@ -206,6 +206,16 @@ def test_vinberg_on_a_rank_one_lattice(tmp_path):
         '"max_roots":null,"norms":[2],"terminated":false}\n')
 
 
+def test_vinberg_on_a_lattice_that_is_not_hyperbolic(tmp_path):
+    # h = (1, 0, 0) is timelike, and the form on h^perp, diag(-2, 2), is indefinite
+    path = tmp_path / "neg.json"
+    path.write_text('{"name": "diag(-2,-2,2)", "gram": [[-2,0,0],[0,-2,0],[0,0,2]]}')
+    res = run_cli("vinberg", "--lattice", str(path), "--controller", "1,0,0", "--norms", "2")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == ("error: lattice diag(-2,-2,2) is not hyperbolic: "
+                          "the form is not positive definite on h^perp\n")
+
+
 def test_vinberg_congruence_needs_a_residue():
     # with no residue every root would be rejected and the run would look exhausted
     spec = '[[[2,0,0],[0,1,0],[0,0,1]],[]]'
@@ -334,6 +344,8 @@ _ROOTS = "1,0,0;0,1,0;0,0,1"
      "--norms"),
     (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
       "--max-height-sq", "1/0"), "--max-height-sq"),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
+      "--max-height-sq", "5/"), "--max-height-sq"),
 ])
 def test_bad_inputs_are_usage_errors(args, option):
     res = run_cli(*args)

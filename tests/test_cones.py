@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from ex134_data import CUSP
-from lorentzroots import cones, linalg
+from lorentzroots import cones, kacmoody, linalg
 from lorentzroots.errors import DimensionError, DomainError
 from lorentzroots.lattice import Lattice, norm, pair, vector_of_sign
 
@@ -217,11 +217,12 @@ def test_arithmetic_sampling_oracle(ex134, triangle):
 
 
 def test_k_elements(ex134, triangle):
-    got = cones.k_elements(ex134, triangle, 2)
-    assert got == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
-    assert cones.k_elements(ex134, triangle, 0) == []
-    for x in cones.k_elements(ex134, triangle, 5):
-        assert norm(ex134, x) <= 0
+    # the triangle's walls are the unit vectors, so a K tuple is its lattice point
+    gcm = kacmoody.cartan(ex134, triangle)
+    assert sorted(cones.k_element_tuples(gcm.b, 2)) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    assert cones.k_element_tuples(gcm.b, 0) == []
+    for t in cones.k_element_tuples(gcm.b, 5):
+        assert kacmoody.tuple_norm(gcm, t) <= 0
 
 
 def test_k_element_tuples_match_box_enumeration():

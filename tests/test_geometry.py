@@ -1,4 +1,4 @@
-"""Light-cone classification, exact distances and the cusp-angle identities."""
+"""Exact distances, mirror positions and the cusp-angle identities."""
 
 import random
 from fractions import Fraction
@@ -7,27 +7,11 @@ import pytest
 
 from lorentzroots.errors import DomainError
 from ex134_data import CUSP, PHI
-from lorentzroots.geometry import (HoroInvariants, MirrorRelation, VectorClass,
-                                   classify_mirrors, classify_vector, cosh2,
+from lorentzroots.geometry import (HoroInvariants, MirrorRelation, classify_mirrors, cosh2,
                                    horo_invariants, theta_identity_check)
 from lorentzroots.lattice import Lattice, norm, pair, reflection
 from lorentzroots.linalg import mat_vec
 
-
-
-ORIENT = (1, 1, 1)
-
-
-def test_classify_vector(ex134):
-    assert classify_vector(ex134, (1, 1, 1), ORIENT) is VectorClass.TIMELIKE_SAME_CONE
-    assert classify_vector(ex134, (-1, -1, -1), ORIENT) is VectorClass.TIMELIKE_OPPOSITE_CONE
-    assert classify_vector(ex134, CUSP, ORIENT) is VectorClass.LIGHTLIKE_SAME_CONE
-    assert classify_vector(ex134, tuple(-x for x in CUSP), ORIENT) is VectorClass.LIGHTLIKE_OPPOSITE_CONE
-    assert classify_vector(ex134, (1, 0, 0), ORIENT) is VectorClass.SPACELIKE
-    with pytest.raises(DomainError):
-        classify_vector(ex134, (1, 1, 1), (1, 0, 0))   # orientation not timelike
-    with pytest.raises(DomainError):
-        classify_vector(ex134, (0, 0, 0), ORIENT)
 
 
 def test_cosh2_values(ex134):

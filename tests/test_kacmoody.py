@@ -97,7 +97,7 @@ def test_real_roots_match_descent_oracle(datum):
 
 
 def test_real_roots_heights_and_norms(datum, ex134):
-    rr = km.real_roots(datum, 5)
+    rr = [(km.tuple_to_vector(datum, t), sum(t)) for t in km.real_root_tuples(datum, 5)]
     simples = {v for v, h in rr if h == 1}
     assert simples == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert ((2, 1, 0), 3) in rr          # s_{d1}(d2) at height 3

@@ -10,7 +10,8 @@ from math import gcd, isqrt, lcm
 import pytest
 
 from lorentzroots import cones, linalg, vinberg, weylstruct
-from lorentzroots.errors import ControllerOnMirrorError, DimensionError, DomainError
+from lorentzroots.errors import (ControllerOnMirrorError, DegenerateFormError, DimensionError,
+                                 DomainError)
 from lorentzroots.lattice import (Lattice, gram_matrix, is_crystallographic, norm, pair,
                                   reflection)
 from lorentzroots.vinberg import HeightKey, RootFilter
@@ -389,6 +390,24 @@ def test_rank_one_lattice_has_no_roots():
     assert rep == vinberg.ChamberReport(accepted=(), terminated=False, gram=())
     assert list(vinberg.candidate_stream(lat, (3,), RootFilter(norms=frozenset({1, 2, 8})),
                                          HeightKey(10 ** 6, 1))) == []
+
+
+@pytest.mark.parametrize("gram, name, h", [
+    (((-2, 0, 0), (0, -2, 0), (0, 0, 2)), "diag(-2,-2,2)", (1, 0, 0)),
+    (((0, 0, 0), (0, 2, 0), (0, 0, -2)), "degenerate", (0, 0, 1)),
+    (((-2, 0, 0), (0, -2, 0), (0, 0, 2)), "", (1, 0, 0)),
+])
+def test_a_lattice_that_is_not_hyperbolic_is_named(gram, name, h):
+    # on a lattice that is not hyperbolic, h^perp is indefinite or degenerate
+    lat = Lattice(gram=gram, name=name)
+    label = name or f"with Gram {gram}"
+    message = (f"^lattice {re.escape(label)} is not hyperbolic: "
+               "the form is not positive definite on h\\^perp$")
+    for call in (lambda: vinberg.run(lat, h, NORMS2, max_key=HeightKey(100, 1)),
+                 lambda: list(vinberg.candidate_stream(lat, h, NORMS2, HeightKey(100, 1))),
+                 lambda: weylstruct.candidate_roots_for_weyl_vector(lat, h, 4)):
+        with pytest.raises(DegenerateFormError, match=message):
+            call()
 
 
 def test_rootless_norm_set_terminates():
