@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -110,18 +111,21 @@ def _cmd_vinberg(args, lat, roots):
         raise UsageError(f"--norms {args.norms!r} must be positive integers")
     congruence = _congruence(args.congruence, lat.rank) if args.congruence else None
     filt = vinberg.RootFilter(norms=norms, congruence=congruence)
+    bad = UsageError(f"cannot parse --max-height-sq {args.max_height_sq!r}")
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", args.max_height_sq)
+    if match is None:
+        raise bad
     try:
-        num, slash, den = args.max_height_sq.partition("/")
-        max_key = vinberg.HeightKey(int(num), int(den) if slash else 1)
+        max_key = vinberg.HeightKey(int(match[1]), int(match[2] or 1))
     except ValueError:
-        raise UsageError(f"cannot parse --max-height-sq {args.max_height_sq!r}")
+        raise bad
     report = vinberg.run(lat, controller, filt, max_key=max_key,
                          max_roots=args.max_roots)
     bound = vinberg.gram_bound_check(lat, report.accepted) if report.accepted else None
     return {
         "controller": controller,
         "norms": sorted(norms),
-        "max_height_sq": args.max_height_sq,
+        "max_height_sq": str(Fraction(max_key.numerator, max_key.denominator)),
         "max_roots": args.max_roots,
         "accepted": report.accepted,
         "gram": report.gram,

@@ -10,7 +10,7 @@ lineality space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from . import linalg
 from .errors import DomainError
@@ -27,14 +27,26 @@ def clip(lin, rays, rows, row):
     """Intersect span(lin) + cone(rays) with {y : row . y <= 0}.
 
     One double description step (Fukuda & Prodon 1996): rows are the
-    inequalities clipped so far and lin spans their common kernel.  If row
-    is nonzero on a lineality vector, the first one, k, oriented so that
-    row . k < 0, becomes a ray and all else is projected along k onto
-    row . y = 0.  Otherwise the rays with row . y > 0 are dropped and each
-    adjacent pair across the hyperplane adds its combination on it;
-    adjacency is the exact rank test on the processed rows tight on both,
-    whose indices are found once per ray.  Both cases use one cut rule.
+    inequalities clipped so far, lin spans their common kernel, and rays
+    maps each extreme ray to the int bitmask of the rows tight on it; row
+    is bit len(rows).  If row is nonzero on a lineality vector, the first
+    one, k, oriented so that row . k < 0, becomes a ray tight on every
+    processed row, and all else is projected along k onto row . y = 0,
+    which keeps the rows tight on each ray.  Otherwise the rays with
+    row . y > 0 are dropped and each adjacent pair p, q across the
+    hyperplane adds its cut; both coefficients of the cut are positive, so
+    it is tight on row and on the rows of tp & tq only.  One cut rule
+    serves both cases.
+
+    p and q are adjacent iff no third ray's mask contains tp & tq.  Proof:
+    the smallest face holding p and q is where the rows of tp & tq vanish,
+    and modulo lin it is spanned by the rays whose masks contain tp & tq.
+    The rays are the extreme rays modulo lin, each once, so that face is a
+    2-face iff p and q are its only rays.  A 2-face is cut out by at least
+    edge_rank rows, which filters first.
     """
+    bit = 1 << len(rows)
+
     def cut(p, vp, q, vq):  # on row . y = 0 for vp = row . p, vq = row . q
         return linalg.primitive(linalg.vec_sub(linalg.vec_scale(vp, q),
                                                linalg.vec_scale(vq, p)))
@@ -43,16 +55,19 @@ def clip(lin, rays, rows, row):
     if j is not None:
         k = lin[j] if linalg.dot(row, lin[j]) < 0 else linalg.vec_scale(-1, lin[j])
         vk = linalg.dot(row, k)
-        return ([cut(l, linalg.dot(row, l), k, vk) for i, l in enumerate(lin) if i != j],
-                [cut(r, linalg.dot(row, r), k, vk) for r in rays] + [k])
-    vals = [linalg.dot(row, r) for r in rays]
+        out = {cut(r, linalg.dot(row, r), k, vk): t | bit for r, t in rays.items()}
+        out[k] = bit - 1
+        return [cut(l, linalg.dot(row, l), k, vk) for i, l in enumerate(lin) if i != j], out
     edge_rank = len(row) - len(lin) - 2    # tight rank on a 2-face modulo lin
-    tight = [{i for i, r in enumerate(rows) if not linalg.dot(r, p)} if v else None
-             for p, v in zip(rays, vals)]
-    new = [cut(p, vp, q, vq) if vp > 0 else cut(q, vq, p, vp)
-           for (p, vp, tp), (q, vq, tq) in combinations(zip(rays, vals, tight), 2)
-           if vp * vq < 0 and linalg.rank([rows[i] for i in tp & tq]) == edge_rank]
-    return lin, [r for r, v in zip(rays, vals) if v <= 0] + new
+    vals = {r: linalg.dot(row, r) for r in rays}
+    out = {r: t if vals[r] else t | bit for r, t in rays.items() if vals[r] <= 0}
+    pos = [(p, t) for p, t in rays.items() if vals[p] > 0]
+    neg = [(q, t) for q, t in rays.items() if vals[q] < 0]
+    for (p, tp), (q, tq) in product(pos, neg):
+        m = tp & tq
+        if m.bit_count() >= edge_rank and sum(m & t == m for t in rays.values()) == 2:
+            out[cut(p, vals[p], q, vals[q])] = m | bit
+    return lin, out
 
 
 def dual_extreme_rays(lattice: Lattice, roots) -> Cone:
@@ -66,7 +81,7 @@ def dual_extreme_rays(lattice: Lattice, roots) -> Cone:
     if not roots:
         raise DomainError("empty wall system")
     rows = [linalg.mat_vec(lattice.gram, a) for a in roots]
-    lin, rays = linalg.identity(lattice.rank), []
+    lin, rays = linalg.identity(lattice.rank), {}
     for i, row in enumerate(rows):
         lin, rays = clip(lin, rays, rows[:i], row)
     return Cone(rays=tuple(sorted(rays)), lineality=tuple(sorted(lin)))

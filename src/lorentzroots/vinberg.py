@@ -318,7 +318,7 @@ def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
         raise DomainError(f"max_roots must be None or an integer >= 0, got {max_roots!r}")
     stream = candidate_stream(lattice, h, filt, max_key)
     accepted, rows = [], []
-    lin, rays = linalg.identity(lattice.rank), []
+    lin, rays = linalg.identity(lattice.rank), {}
     terminated = False
     if max_roots != 0:
         for x in stream:

@@ -383,6 +383,26 @@ def test_negative_vector_after_a_space(capsys, args, option, value, code):
     assert outcomes[0][0] == code, outcomes[0]
 
 
+def test_max_height_sq_is_ascii_p_or_p_over_q(capsys):
+    # only -?[0-9]+ or -?[0-9]+/[0-9]+ parse, and the report echoes the
+    # budget in lowest terms, so equal budgets give equal bytes
+    from lorentzroots import cli
+
+    base = ["vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
+            "--max-roots", "2"]
+    for bad in ("5_0", " 5", "+5/ 1", "+5", "5 ", "\uff15", "5/-1", "1/0", "5/", "-1/2"):
+        assert cli.main([*base, f"--max-height-sq={bad}"]) == 2, bad
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot parse --max-height-sq {bad!r}\n"
+    reports = []
+    for good in ("10/2", "5", "05", "15/3"):
+        assert cli.main([*base, "--max-height-sq", good]) == 0
+        reports.append(capsys.readouterr().out)
+    assert len(set(reports)) == 1 and '"max_height_sq":"5"' in reports[0]
+    assert cli.main(base) == 0
+    assert '"max_height_sq":"1000"' in capsys.readouterr().out
+
+
 def test_help_takes_no_value(capsys):
     # a negative number after --help is not joined to it: help still prints
     from lorentzroots import cli

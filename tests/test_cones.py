@@ -308,12 +308,13 @@ def _reference_arithmetic_type(lat, roots):
     return ok, witness, cone
 
 
-def test_clip_fold_matches_pointed_reference(ex134, u, u_plus_2, u_plus_a2, diag22m):
+def _random_folds(ex134, u, u_plus_2, u_plus_a2, diag22m):
+    """(lattice, walls, the walls shuffled): 150 random wall systems on each
+    of seven lattices, about 300 of whose cones have lineality."""
     i41 = Lattice(gram=tuple(tuple((-1 if i == 0 else 1) * (i == j) for j in range(5))
                              for i in range(5)))
     u22 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
     rng = random.Random(26)
-    total = with_lineality = 0
     for lat in (ex134, u, u_plus_2, u_plus_a2, diag22m, i41, u22):
         for _ in range(150):
             k = rng.randint(1, lat.rank + 3)
@@ -322,13 +323,44 @@ def test_clip_fold_matches_pointed_reference(ex134, u, u_plus_2, u_plus_a2, diag
                 v = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
                 if any(v):
                     roots.append(v)
-            art = cones.is_arithmetic_type(lat, roots)
-            assert (art.finite_volume, art.witness, art.cone) \
-                == _reference_arithmetic_type(lat, roots), roots
-            assert art.cone == cones.dual_extreme_rays(lat, roots)
-            shuffled = rng.sample(roots, len(roots))
-            again = cones.dual_extreme_rays(lat, shuffled)
-            assert again == art.cone, roots
-            total += 1
-            with_lineality += bool(art.cone.lineality)
+            yield lat, roots, rng.sample(roots, len(roots))
+
+
+def test_clip_fold_matches_pointed_reference(ex134, u, u_plus_2, u_plus_a2, diag22m):
+    total = with_lineality = 0
+    for lat, roots, shuffled in _random_folds(ex134, u, u_plus_2, u_plus_a2, diag22m):
+        art = cones.is_arithmetic_type(lat, roots)
+        assert (art.finite_volume, art.witness, art.cone) \
+            == _reference_arithmetic_type(lat, roots), roots
+        assert art.cone == cones.dual_extreme_rays(lat, roots)
+        again = cones.dual_extreme_rays(lat, shuffled)
+        assert again == art.cone, roots
+        total += 1
+        with_lineality += bool(art.cone.lineality)
     assert total >= 1000 and with_lineality >= 300, (total, with_lineality)
+
+
+def test_clip_carries_the_tight_rows_of_each_ray(ex134, u, u_plus_2, u_plus_a2, diag22m):
+    # after every step each ray's mask is the set of processed rows that
+    # vanish on it, recomputed, and no extreme ray appears twice: the masks
+    # are distinct and each ray is tight on rank - dim lin - 1 independent
+    # rows.  Folding every wall twice in a row doubles the tight rows, so
+    # the size filter alone would pass pairs that are not adjacent
+    steps = lineality_steps = 0
+    for lat, roots, _ in _random_folds(ex134, u, u_plus_2, u_plus_a2, diag22m):
+        folds = []
+        for walls in (roots, [a for a in roots for _ in range(2)]):
+            rows = [linalg.mat_vec(lat.gram, a) for a in walls]
+            lin, rays = linalg.identity(lat.rank), {}
+            for i, row in enumerate(rows):
+                lineality_steps += any(linalg.dot(row, l) for l in lin)
+                lin, rays = cones.clip(lin, rays, rows[:i], row)
+                for r, t in rays.items():
+                    tight = [j for j in range(i + 1) if not linalg.dot(rows[j], r)]
+                    assert t == sum(1 << j for j in tight), (walls, i, r)
+                    assert linalg.rank([rows[j] for j in tight]) == lat.rank - len(lin) - 1
+                assert len(set(rays.values())) == len(rays), (walls, i)
+                steps += 1
+            folds.append((lin, set(rays)))
+        assert folds[0] == folds[1], roots
+    assert lineality_steps >= 2000 and steps - lineality_steps >= 4000, (steps, lineality_steps)

@@ -15,6 +15,7 @@ from lorentzroots.errors import (ControllerOnMirrorError, DegenerateFormError, D
 from lorentzroots.lattice import (Lattice, gram_matrix, is_crystallographic, norm, pair,
                                   reflection)
 from lorentzroots.vinberg import HeightKey, RootFilter
+from test_cones import _reference_cone
 from test_linalg import last_slab
 
 
@@ -477,7 +478,8 @@ def test_even_unimodular_chambers_ii_9_1_and_ii_17_1():
         == sorted(linalg.identity(10))
     # II_{17,1} = E8 + E8 + U: 19 walls, pairwise at angle pi/2 or pi/3
     # (Vinberg 1975), with the same Gram rows from three controllers inside
-    # both E8 chambers; the Weyl vector's norm -620 is as measured here
+    # both E8 chambers, each with the dual cone of the rank-test reference;
+    # the Weyl vector's norm -620 is as measured here
     gram = [row + [0] * 10 for row in E8] + [[0] * 8 + row + [0, 0] for row in E8] \
         + [[0] * 16 + [0, -1], [0] * 16 + [-1, 0]]
     ii171 = Lattice(gram=gram)
@@ -489,9 +491,33 @@ def test_even_unimodular_chambers_ii_9_1_and_ii_17_1():
         assert rep.terminated and len(rep.accepted) == 19
         assert {x for row in rep.gram for x in row} == {2, 0, -1}
         rows.append(sorted(map(sorted, rep.gram)))
+        assert cones.dual_extreme_rays(ii171, rep.accepted) == _reference_cone(ii171, rep.accepted)
         weyl = weylstruct.lattice_weyl_vector(ii171, rep.accepted)
         assert (weyl.kind, weyl.rho_norm) == ("elliptic-type", -620)
     assert rows[0] == rows[1] == rows[2]
+
+
+def test_degenerate_cones_of_ii_25_1_match_the_rank_test_reference():
+    # Conway's chamber of II_{25,1} = E8 + E8 + E8 + U has infinitely many
+    # walls; the dual cones of its first walls are far from simplicial:
+    # 90 extreme rays at 27 walls and 730 at 28 on 26 coordinates, as
+    # measured here
+    gram = [[0] * 26 for _ in range(26)]
+    for b in range(0, 24, 8):
+        for i, row in enumerate(E8):
+            gram[b + i][b:b + 8] = row
+    gram[24][25] = gram[25][24] = -1
+    ii251 = Lattice(gram=gram)
+    w = minus_inverse_sum(E8)
+    h = w + tuple(2 * x for x in w) + tuple(3 * x for x in w) + (1000, 1009)
+    rep = vinberg.run(ii251, h, NORMS2, max_key=HeightKey(10 ** 12, 1), max_roots=28)
+    assert len(rep.accepted) == 28 and not rep.terminated
+    assert {x for row in rep.gram for x in row} == {2, 0, -1}
+    cone = cones.dual_extreme_rays(ii251, rep.accepted[:27])
+    assert cone == _reference_cone(ii251, rep.accepted[:27])
+    assert len(cone.rays) == 90 and not cone.lineality
+    cone = cones.dual_extreme_rays(ii251, rep.accepted)
+    assert len(cone.rays) == 730 and not cone.lineality
 
 
 def _subdiagram(gram, s):
