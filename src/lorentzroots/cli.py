@@ -22,7 +22,7 @@ from importlib import resources
 
 from . import kacmoody, qseries, vinberg, weylstruct
 from .errors import DomainError
-from .lattice import Lattice, integer, invariants, load_lattice, pair
+from .lattice import Lattice, check_dim, invariants, load_lattice, pair
 
 
 def _rat(x):
@@ -45,38 +45,32 @@ class UsageError(Exception):
     pass
 
 
-def _vector(text, option, rank=None):
-    """Comma-separated integers; with a rank, exactly that many."""
-    try:
-        v = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse {option} {text!r}")
-    if rank is not None and len(v) != rank:
-        raise UsageError(f"{option} {text!r} has {len(v)} entries, the lattice rank is {rank}")
-    return v
+_DIGITS = "[0-9]+"        # ASCII only: no '_', '+', blanks or digits of other scripts
+_INT = "-?" + _DIGITS     # every integer in argv
+
+
+def _integer(text, pattern=_INT, what="an integer"):
+    """argv text that matches pattern, as an int: the argparse type of --k and
+    --eta-power, and the reader behind _count and _vector."""
+    if re.fullmatch(pattern, text) is None:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return int(text)
 
 
 def _count(text):
     """argparse type of sizes and budgets: a nonnegative integer."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+    return _integer(text, _DIGITS, "a nonnegative integer")
 
 
-def _congruence(text, rank):
-    """--congruence as (basis rows, residues), each a vector of the lattice rank."""
+def _vector(text, option, rank=None):
+    """Comma-separated integers; with a rank, exactly that many."""
     try:
-        basis, residues = json.loads(text)
-        spec = tuple(tuple(tuple(integer(x, "congruence entry") for x in row) for row in part)
-                     for part in (basis, residues))
-    except (ValueError, TypeError, RecursionError) as exc:
-        raise UsageError(f"cannot parse --congruence {text!r}: {exc}")
-    if len(spec[0]) != rank or any(len(row) != rank for row in spec[0] + spec[1]):
-        raise UsageError(f"--congruence {text!r} needs {rank} basis rows and "
-                         f"residues of length {rank}")
-    if not spec[1]:
-        raise UsageError(f"--congruence {text!r} needs at least one residue")
-    return spec
+        v = tuple(map(_integer, text.split(",")))
+    except argparse.ArgumentTypeError:
+        raise UsageError(f"cannot parse {option} {text!r}")
+    if rank is not None and len(v) != rank:
+        raise UsageError(f"{option} {text!r} has {len(v)} entries, the lattice rank is {rank}")
+    return v
 
 
 def _vectors(text, option, rank):
@@ -107,18 +101,20 @@ def _cmd_info(args, lat, roots):
 def _cmd_vinberg(args, lat, roots):
     controller = _vector(args.controller, "--controller", lat.rank)
     norms = frozenset(_vector(args.norms, "--norms"))
-    if any(d <= 0 for d in norms):
-        raise UsageError(f"--norms {args.norms!r} must be positive integers")
-    congruence = _congruence(args.congruence, lat.rank) if args.congruence else None
-    filt = vinberg.RootFilter(norms=norms, congruence=congruence)
-    bad = UsageError(f"cannot parse --max-height-sq {args.max_height_sq!r}")
-    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", args.max_height_sq)
-    if match is None:
-        raise bad
+    try:
+        congruence = json.loads(args.congruence) if args.congruence else None
+        filt = vinberg.RootFilter(norms, congruence)
+        if args.congruence:      # JSON null leaves filt.congruence None: a TypeError here
+            for v in (filt.congruence[0], *filt.congruence[1]):    # the basis is square
+                check_dim(lat, v)
+    except (ValueError, TypeError, RecursionError) as exc:
+        given = f" --congruence {args.congruence!r}" if args.congruence else ""
+        raise UsageError(f"--norms {args.norms!r}{given}: {exc}")
+    match = re.fullmatch(f"({_INT})(?:/({_DIGITS}))?", args.max_height_sq)
     try:
         max_key = vinberg.HeightKey(int(match[1]), int(match[2] or 1))
-    except ValueError:
-        raise bad
+    except (TypeError, ValueError):      # no match, or a key that HeightKey rejects
+        raise UsageError(f"cannot parse --max-height-sq {args.max_height_sq!r}")
     report = vinberg.run(lat, controller, filt, max_key=max_key,
                          max_roots=args.max_roots)
     bound = vinberg.gram_bound_check(lat, report.accepted) if report.accepted else None
@@ -264,7 +260,7 @@ def build_parser():
 
     p = sub.add_parser("qseries", help="one-variable integer power series")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--eta-power", type=int)
+    mode.add_argument("--eta-power", type=_integer)
     mode.add_argument("--cusp-identity", choices=["tau2m", "m2tau"])
     p.add_argument("--coeffs", default="")
     p.add_argument("--n", type=_count, required=True)
@@ -276,7 +272,7 @@ def build_parser():
     p.add_argument("--e0", default="1,0,0")
     p.add_argument("--f01", default="4,2,0")
     p.add_argument("--f02", default="4,0,2")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--window", type=_count, required=True)
     p.set_defaults(func=_cmd_family)
 

@@ -346,6 +346,10 @@ _ROOTS = "1,0,0;0,1,0;0,0,1"
       "--max-height-sq", "1/0"), "--max-height-sq"),
     (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
       "--max-height-sq", "5/"), "--max-height-sq"),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
+      "--congruence", "[[], [[0,0,0]]]"), "--congruence"),     # det of the empty basis is 1
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
+      "--congruence", "null"), "--congruence"),    # RootFilter reads None as no congruence
 ])
 def test_bad_inputs_are_usage_errors(args, option):
     res = run_cli(*args)
@@ -409,3 +413,48 @@ def test_help_takes_no_value(capsys):
 
     assert cli.main(["vinberg", "--help", "-1"]) == 0
     assert capsys.readouterr().out.startswith("usage: lorentz-roots vinberg")
+
+
+_VINBERG = ("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2")
+_WEYL = ("weyl", "--lattice", "ex134.json", "--roots", _ROOTS)
+_FAMILY = ("family", "--lattice", "ex134.json", "--k", "2", "--window", "2")
+# int() reads each of these, but none is ASCII digits after an optional '-'
+# (U+FF15 is a fullwidth 5, U+0663 an Arabic-Indic 3)
+_NOT_ASCII_INTEGERS = ("1_0", "+5", " 5", "5 ", "\uff15", "\u0663")
+
+
+def _row(args, option, template="{}"):
+    values = [template.format(s) for s in _NOT_ASCII_INTEGERS]
+    return pytest.param(args, option, values, id=option)
+
+
+@pytest.mark.parametrize("args, option, values", [
+    _row(("vinberg", "--lattice", "ex134.json", "--norms", "2"), "--controller", "1,{},1"),
+    _row(("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1"), "--norms", "2,{}"),
+    _row(_VINBERG, "--max-height-sq"),
+    _row(_VINBERG, "--max-roots"),
+    _row(("weyl", "--lattice", "ex134.json"), "--roots", "1,0,0;0,{},0;0,0,1"),
+    _row(_WEYL, "--norm-bound"),
+    _row(_WEYL, "--max-pairing"),
+    _row(("denominator", "--lattice", "ex134.json", "--roots", _ROOTS), "--height"),
+    _row(("qseries", "--n", "3"), "--eta-power"),
+    _row(("qseries", "--cusp-identity", "tau2m", "--n", "3"), "--coeffs", "24,{},24"),
+    _row(("qseries", "--eta-power", "24"), "--n"),
+    _row(_FAMILY, "--mirror-a", "0,{},0"),
+    _row(_FAMILY, "--mirror-b", "0,0,{}"),
+    _row(_FAMILY, "--e0", "{},0,0"),
+    _row(_FAMILY, "--f01", "4,2,{}"),
+    _row(_FAMILY, "--f02", "4,{},2"),
+    _row(("family", "--lattice", "ex134.json", "--window", "2"), "--k"),
+    _row(("family", "--lattice", "ex134.json", "--k", "2"), "--window"),
+    # RootFilter rejects a basis that is not of finite index, as it does an empty residue list
+    pytest.param(_VINBERG, "--congruence", ["[[[1,0,0],[0,1,0],[1,1,0]],[[0,0,0]]]"],
+                 id="--congruence"),
+])
+def test_non_ascii_integers_and_rejected_filters_are_usage_errors(capsys, args, option, values):
+    from lorentzroots import cli
+
+    for value in values:
+        assert cli.main([*args, f"{option}={value}"]) == 2, value
+        out, err = capsys.readouterr()
+        assert out == "" and option in err, (value, err)

@@ -19,7 +19,8 @@ RANKS = {"ex134.json": 3, "u.json": 2, "u_plus_2.json": 3, "u_plus_a2.json": 4,
 GOOD_ROOTS = ["1,0,0;0,1,0;0,0,1", "4,2,0;4,0,2;1,2,6", "1,0,0;-1,1,0;0,-1,1"]
 GOOD_CONGRUENCE = "[[[2,0,0],[0,2,0],[0,0,2]], [[1,0,0]]]"
 
-junk = st.text(alphabet="0123456789,;-/ x[]", max_size=8)
+# "_", "+", U+FF15 and U+0663 spell integers to int() but not to the CLI
+junk = st.text(alphabet="0123456789,;-/ x[]_+\uff15\u0663", max_size=8)
 
 
 def joined(values, sep=","):
