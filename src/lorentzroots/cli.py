@@ -18,7 +18,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from . import kacmoody, qseries, vinberg, weylstruct
 from .errors import DomainError
@@ -33,6 +32,7 @@ def _load_lattice_arg(path) -> Lattice:
     try:
         return load_lattice(path)
     except FileNotFoundError:
+        from importlib import resources    # here, not at the top: it loads pathlib and zipfile
         fixture = resources.files("lorentzroots").joinpath("fixtures", path)
         if fixture.is_file():
             return load_lattice(fixture)
@@ -103,11 +103,12 @@ def _cmd_vinberg(args, lat, roots):
     norms = frozenset(_vector(args.norms, "--norms"))
     try:
         congruence = json.loads(args.congruence) if args.congruence else None
+        if args.congruence and congruence is None:      # RootFilter reads None as no congruence
+            raise DomainError(vinberg.CONGRUENCE_SHAPE)
         filt = vinberg.RootFilter(norms, congruence)
-        if args.congruence:      # JSON null leaves filt.congruence None: a TypeError here
-            for v in (filt.congruence[0], *filt.congruence[1]):    # the basis is square
-                check_dim(lat, v)
-    except (ValueError, TypeError, RecursionError) as exc:
+        if congruence is not None:    # the basis is square, and each residue has its length
+            check_dim(lat, filt.congruence[0])
+    except (ValueError, RecursionError) as exc:
         given = f" --congruence {args.congruence!r}" if args.congruence else ""
         raise UsageError(f"--norms {args.norms!r}{given}: {exc}")
     match = re.fullmatch(f"({_INT})(?:/({_DIGITS}))?", args.max_height_sq)

@@ -9,16 +9,14 @@ lineality space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import linalg
 from .errors import DomainError
-from .lattice import Lattice, int_vectors, integer, norm, pair, vector_of_sign
+from .lattice import Lattice, Record, int_vectors, integer, norm, pair, vector_of_sign
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     rays: tuple[tuple[int, ...], ...]
     lineality: tuple[tuple[int, ...], ...]
 
@@ -93,8 +91,7 @@ def in_light_cone(lattice: Lattice, rays) -> bool:
             and all(pair(lattice, p, q) <= 0 for p, q in combinations(rays, 2)))
 
 
-@dataclass(frozen=True)
-class ArithmeticTypeReport:
+class ArithmeticTypeReport(Record):
     finite_volume: bool
     witness: tuple[int, ...] | None
     cone: Cone

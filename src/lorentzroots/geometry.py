@@ -7,13 +7,12 @@ radii), so the whole pipeline remains free of square roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError
-from .lattice import Lattice, norm, pair, rational, rational_vectors
+from .lattice import Lattice, Record, norm, pair, rational, rational_vectors
 
 
 class MirrorRelation(Enum):
@@ -54,8 +53,7 @@ def classify_mirrors(lattice: Lattice, d1, d2) -> MirrorRelation:
     return MirrorRelation.ULTRAPARALLEL
 
 
-@dataclass(frozen=True)
-class HoroInvariants:
+class HoroInvariants(Record):
     theta: Fraction | None
     r_squared: Fraction
 

@@ -11,26 +11,23 @@ height even when the walls are linearly dependent in the lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import cones, linalg, weylstruct
 from .errors import DenominatorMismatchError, DomainError
-from .lattice import (Lattice, gram_matrix, int_vectors, integer, norm, pair, rational_vectors,
-                      reflection)
+from .lattice import (Lattice, Record, gram_matrix, int_vectors, integer, norm, pair,
+                      rational_vectors, reflection)
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
-@dataclass(frozen=True)
-class GeneralizedCartanMatrix:
+class GeneralizedCartanMatrix(Record):
     a: tuple[tuple[int, ...], ...]
     d: tuple[Fraction, ...]
     b: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     lattice: Lattice
     simple_roots: tuple[tuple[int, ...], ...]
     cartan: GeneralizedCartanMatrix
@@ -151,15 +148,14 @@ def weyl_elements(datum: RootDatum, height_bound: int):
 # ---------------------------------------------------------------------------
 # graded series
 
-@dataclass
-class GradedSeries:
+class GradedSeries(Record):
     """Integer formal sum over simple-root tuples, truncated by height."""
     nvars: int
     truncation: int
     coeffs: dict
 
     def __post_init__(self):
-        self.truncation = integer(self.truncation, "truncation")
+        object.__setattr__(self, "truncation", integer(self.truncation, "truncation"))
 
     @classmethod
     def one(cls, nvars, truncation):
@@ -187,7 +183,7 @@ class GradedSeries:
             for j in range(min(len(terms), (self.truncation - sum(k1)) // h + 1)):
                 k2 = tuple(a + j * b for a, b in zip(k1, key))
                 out[k2] = out.get(k2, 0) + c1 * terms[j]
-        self.coeffs = {k2: c for k2, c in out.items() if c}
+        object.__setattr__(self, "coeffs", {k2: c for k2, c in out.items() if c})
 
     def items_by_height(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -212,8 +208,7 @@ def imaginary_candidate_tuples(datum: RootDatum, height_bound: int):
     return sorted(_rising_walk(gcm, base, height_bound, 0), key=lambda t: (sum(t), t))
 
 
-@dataclass(frozen=True)
-class MultiplicityResult:
+class MultiplicityResult(Record):
     mults: dict
     sum_side: GradedSeries     # the Weyl sum W that the product was balanced against
     residual_zero = True       # a nonzero residual raises DenominatorMismatchError

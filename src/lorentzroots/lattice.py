@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -56,8 +55,51 @@ def rational_vectors(lattice, vs, what) -> tuple:
     return _vectors(lattice, vs, what, rational)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Record:
+    """Base of the package's value types.  The fields are the class
+    annotations, in order, and a class attribute of a field's name is its
+    default.  A record is built from its fields by position or keyword, runs
+    __post_init__ once they are set, is read-only (a normalization in
+    __post_init__ writes through object.__setattr__), and compares, hashes
+    and prints field by field; it equals only a record of its own class."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        state = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or state.keys() != set(names)
+                or kwargs.keys() & names[:len(args)]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}; got "
+                            f"{len(args)} by position and {', '.join(kwargs) or 'none'} by keyword")
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Lattice(Record):
     gram: tuple[tuple[int, ...], ...]
     name: str = ""
 
@@ -80,8 +122,7 @@ class Lattice:
         return {"name": self.name, "gram": [list(row) for row in self.gram]}
 
 
-@dataclass(frozen=True)
-class LatticeInvariants:
+class LatticeInvariants(Record):
     signature: tuple[int, int]
     even: bool
     determinant: int

@@ -4,15 +4,13 @@ identity between ray multiplicities and product exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import DomainError
-from .lattice import integer
+from .lattice import Record, integer
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Record):
     """Integer coefficients c_0 .. c_N of a series truncated at degree N."""
     coeffs: tuple[int, ...]
 

@@ -9,18 +9,16 @@ hyperplane S(h, x) = -m), enumerated exactly.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
 from . import cones, linalg
 from .errors import ControllerOnMirrorError, DegenerateFormError, DomainError
-from .lattice import Lattice, gram_matrix, int_vectors, integer, norm
+from .lattice import Lattice, Record, gram_matrix, int_vectors, integer, norm
 from .lattice import is_crystallographic  # noqa: F401  benchmarks/tracing.py wraps it here
 
 
-@dataclass(frozen=True)
-class HeightKey:
+class HeightKey(Record):
     """A budget on the squared Vinberg height S(h,d)^2 / S(d,d): the ints
     numerator >= 0 and denominator > 0.  Keys are not ordered."""
     numerator: int
@@ -35,8 +33,11 @@ class HeightKey:
         object.__setattr__(self, "denominator", den)
 
 
-@dataclass(frozen=True)
-class RootFilter:
+CONGRUENCE_SHAPE = ("congruence must be [basis rows, residues]: a nonempty square basis of "
+                    "finite index and at least one residue of the basis length")
+
+
+class RootFilter(Record):
     norms: frozenset[int]
     congruence: tuple | None = None  # (basis rows of M1, tuple of residues)
 
@@ -45,12 +46,15 @@ class RootFilter:
         if not self.norms or any(d <= 0 for d in self.norms):
             raise DomainError("norm set must be a nonempty set of positive integers")
         if self.congruence is not None:
+            try:
+                basis, residues = (tuple(map(tuple, part)) for part in self.congruence)
+            except (TypeError, ValueError):     # not a pair of lists of rows
+                raise DomainError(CONGRUENCE_SHAPE) from None
             basis, residues = (tuple(tuple(integer(x, "congruence entry") for x in row)
-                                     for row in part) for part in self.congruence)
-            if not residues:
-                raise DomainError("congruence condition needs at least one residue")
-            if any(len(row) != len(basis) for row in basis) or linalg.det(basis) == 0:
-                raise DomainError("congruence sublattice must have finite index")
+                                     for row in part) for part in (basis, residues))
+            if (not basis or not residues or any(len(v) != len(basis) for v in basis + residues)
+                    or linalg.det(basis) == 0):
+                raise DomainError(CONGRUENCE_SHAPE)
             object.__setattr__(self, "congruence", (basis, residues))
 
 
@@ -63,8 +67,7 @@ def _residue_ok(filt: RootFilter, delta) -> bool:
                for r in residues)
 
 
-@dataclass(frozen=True)
-class ChamberReport:
+class ChamberReport(Record):
     accepted: tuple[tuple[int, ...], ...]
     terminated: bool
     gram: tuple[tuple[int, ...], ...]
@@ -335,8 +338,7 @@ def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
                          gram=gram_matrix(lattice, accepted))
 
 
-@dataclass(frozen=True)
-class GramBoundReport:
+class GramBoundReport(Record):
     violations: tuple[tuple[int, int], ...]
     spanning_subset: tuple[int, ...] | None
 

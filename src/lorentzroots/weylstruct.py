@@ -4,7 +4,6 @@ elliptic / parabolic classification of wall systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -12,13 +11,12 @@ from . import cones, linalg, vinberg
 from .errors import (DomainError, IndeterminateFixedSpaceError, NonObtusePairError,
                      UnderDeterminedError)
 from .geometry import MirrorRelation, classify_mirrors
-from .lattice import (Lattice, a_delta, gram_matrix, int_inverse, int_matrix,
+from .lattice import (Lattice, Record, a_delta, gram_matrix, int_inverse, int_matrix,
                       int_vectors, integer, invariants, is_crystallographic, is_isometry, norm,
                       pair, rational, rational_vectors, reflection, timelike_vector)
 
 
-@dataclass(frozen=True)
-class WeylData:
+class WeylData(Record):
     rho: tuple[Fraction, ...] | None
     rho_norm: Fraction | None
     kind: str  # "elliptic-type" | "parabolic-type" | "none"

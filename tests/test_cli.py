@@ -238,6 +238,17 @@ def test_vinberg_congruence_booleans_are_usage_errors(spec):
     assert "Traceback" not in res.stderr and res.stdout == ""
 
 
+@pytest.mark.parametrize("spec", ["7", "[[1]]", "null", "[[], [[0,0,0]]]",
+                                  "[[[1,0,0],[0,1,0],[0,0,1]],[[0,0]]]"])
+def test_vinberg_congruence_of_the_wrong_shape_names_the_shape(spec):
+    from lorentzroots.vinberg import CONGRUENCE_SHAPE
+
+    res = run_cli("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1",
+                  "--norms", "2", "--congruence", spec)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"error: --norms '2' --congruence {spec!r}: {CONGRUENCE_SHAPE}\n"
+
+
 def test_deeply_nested_json_is_a_usage_error(tmp_path):
     path = tmp_path / "nested.json"
     path.write_text("[" * 100000 + "]" * 100000)
@@ -350,6 +361,10 @@ _ROOTS = "1,0,0;0,1,0;0,0,1"
       "--congruence", "[[], [[0,0,0]]]"), "--congruence"),     # det of the empty basis is 1
     (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
       "--congruence", "null"), "--congruence"),    # RootFilter reads None as no congruence
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
+      "--congruence", "7"), "--congruence"),
+    (("vinberg", "--lattice", "ex134.json", "--controller", "1,1,1", "--norms", "2",
+      "--congruence", "[[[1,0,0],[0,1,0],[0,0,1]],[[0,0]]]"), "--congruence"),
 ])
 def test_bad_inputs_are_usage_errors(args, option):
     res = run_cli(*args)

@@ -7,6 +7,9 @@ names the benchmark tracer wraps in a module's namespace).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,22 @@ def test_the_check_finds_an_unused_import():
               "def f(lat: Lattice, x):\n"
               "    return norm(lat, x)\n")
     assert unused_imports(source) == [(2, "os"), (3, "gram_matrix")]
+
+
+# Standard modules the package needs anyway; Python 3.10 to 3.13 start without
+# most of them under -S, where `site` preloads nothing.
+_NEEDED = ("__future__, argparse, json, fractions, heapq, re, math, functools, itertools, "
+           "operator, enum, importlib")
+
+
+def test_importing_the_cli_loads_no_other_module():
+    # dataclasses (which loads inspect), typing or importlib.resources would
+    # cost a CLI run more than its computation
+    code = (f"import sys, {_NEEDED}; before = set(sys.modules); import lorentzroots.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(lorentzroots.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    added = ast.literal_eval(out)
+    assert "lorentzroots.cli" in added
+    assert [m for m in added if m.split(".")[0] != "lorentzroots"] == []

@@ -244,3 +244,91 @@ def test_json_roundtrip(tmp_path, ex134):
     path.write_text(json.dumps(ex134.to_dict()))
     again = load_lattice(path)
     assert again == ex134
+
+
+def _record_samples():
+    """One valid keyword set per Record subclass, in field order."""
+    from lorentzroots import cones, geometry, kacmoody, qseries, vinberg, weylstruct
+    from lorentzroots.lattice import LatticeInvariants
+
+    lat = Lattice(gram=((0, 1), (1, 0)), name="u")
+    cone = {"rays": ((1, 0),), "lineality": ()}
+    gcm = {"a": ((2, -2), (-2, 2)), "d": (Fraction(1), Fraction(1)), "b": ((2, -2), (-2, 2))}
+    weyl = {"rho": (Fraction(1, 2), 0), "rho_norm": Fraction(-1, 2), "kind": "elliptic-type"}
+    series = {"nvars": 1, "truncation": 3, "coeffs": {(0,): 1, (2,): -1}}
+    return {
+        Lattice: {"gram": lat.gram, "name": "u"},
+        LatticeInvariants: {"signature": (1, 1), "even": True, "determinant": -1,
+                            "smith_divisors": (1, 1), "exponent_aS": 1},
+        cones.Cone: cone,
+        cones.ArithmeticTypeReport: {"finite_volume": False, "witness": (1, 1),
+                                     "cone": cones.Cone(**cone)},
+        geometry.HoroInvariants: {"theta": Fraction(1, 2), "r_squared": Fraction(4)},
+        kacmoody.GeneralizedCartanMatrix: gcm,
+        kacmoody.RootDatum: {"lattice": lat, "simple_roots": ((1, 0), (0, 1)),
+                             "cartan": kacmoody.GeneralizedCartanMatrix(**gcm),
+                             "weyl_data": weylstruct.WeylData(**weyl)},
+        kacmoody.GradedSeries: series,
+        kacmoody.MultiplicityResult: {"mults": {(1, 1): 2},
+                                      "sum_side": kacmoody.GradedSeries(**series)},
+        qseries.PowerSeries: {"coeffs": (1, -24, 252)},
+        vinberg.HeightKey: {"numerator": 4, "denominator": 2},
+        vinberg.RootFilter: {"norms": frozenset({2}),
+                             "congruence": (((2, 0), (0, 1)), ((1, 0),))},
+        vinberg.ChamberReport: {"accepted": ((1, 0),), "terminated": False, "gram": ((0,),)},
+        vinberg.GramBoundReport: {"violations": ((0, 1),), "spanning_subset": None},
+        weylstruct.WeylData: weyl,
+    }
+
+
+_RECORDS = _record_samples()
+
+
+def test_every_record_class_has_a_sample():
+    from lorentzroots.lattice import Record
+
+    package = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("lorentzroots.")}
+    assert package == set(_RECORDS)
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    from lorentzroots.lattice import Record
+
+    fields = _RECORDS[cls]
+    names, values = list(fields), tuple(fields.values())
+    rec = cls(**fields)
+    assert rec == cls(*values) and rec == cls(*values[:1], **dict(list(fields.items())[1:]))
+    assert tuple(getattr(rec, n) for n in names) == values
+    assert repr(rec) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in fields.items())})"
+    try:
+        hash(values)
+    except TypeError:             # a dict field: the record is unhashable too
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == hash(cls(**fields))
+    twin = type(cls.__name__, (Record,), {"__annotations__": dict.fromkeys(names, "object")})
+    assert rec != values and values != rec
+    assert rec != twin(*values) and twin(*values) != rec and twin(*values) == twin(*values)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert tuple(getattr(rec, n) for n in names) == values
+    with pytest.raises(TypeError):
+        cls(**dict(list(fields.items())[1:]))          # the first field has no default
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=0)
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+
+
+def test_record_defaults():
+    from lorentzroots.vinberg import RootFilter
+
+    assert Lattice(((0, 1), (1, 0))).name == ""
+    assert RootFilter(frozenset({2})).congruence is None

@@ -772,6 +772,16 @@ def test_congruence_basis_of_infinite_index_rejected():
             RootFilter(norms=frozenset({2}), congruence=(basis, ((0, 0, 0),)))
 
 
+@pytest.mark.parametrize("congruence", [
+    ((), ((0, 0, 0),)),                                   # det of the empty basis is 1
+    7, ((1,),), (((1,),), ((0,),), ()),                   # not [basis rows, residues]
+    ((1, 0), ((0, 0),)),                                  # basis rows that are not rows
+], ids=["empty", "int", "one-part", "three-parts", "flat-basis"])
+def test_congruence_of_the_wrong_shape_is_rejected_when_built(congruence):
+    with pytest.raises(DomainError, match=re.escape(vinberg.CONGRUENCE_SHAPE)):
+        RootFilter(frozenset({2}), congruence)
+
+
 def test_congruence_filter_needs_a_residue():
     # an empty residue list would reject every root
     with pytest.raises(DomainError, match="residue"):
@@ -791,15 +801,17 @@ def test_congruence_entries_must_be_integers():
 
 
 def test_congruence_vectors_must_have_the_lattice_rank(monkeypatch):
-    # a 3x3 basis, or a short residue, on the rank-4 I_{3,1} is rejected
-    # before any shell is built, naming both lengths
+    # a 3x3 basis on the rank-4 I_{3,1} is rejected before any shell is
+    # built, naming both lengths; a residue shorter than its own basis is
+    # rejected when the filter is built
     i31 = Lattice(gram=((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     monkeypatch.setattr(vinberg, "shells", lambda *a: pytest.fail("shell built"))
-    for congruence in ((linalg.identity(3), ((0, 0, 0),)),
-                       (linalg.identity(4), ((0, 0, 0, 0), (0, 0, 0)))):
-        filt = RootFilter(norms=frozenset({1, 2}), congruence=congruence)
-        with pytest.raises(DimensionError, match="length 3 against lattice of rank 4"):
-            list(vinberg.candidate_stream(i31, (10, 3, 2, 1), filt, HeightKey(10 ** 4, 1)))
+    filt = RootFilter(norms=frozenset({1, 2}), congruence=(linalg.identity(3), ((0, 0, 0),)))
+    with pytest.raises(DimensionError, match="length 3 against lattice of rank 4"):
+        list(vinberg.candidate_stream(i31, (10, 3, 2, 1), filt, HeightKey(10 ** 4, 1)))
+    with pytest.raises(DomainError, match=re.escape(vinberg.CONGRUENCE_SHAPE)):
+        RootFilter(norms=frozenset({1, 2}),
+                   congruence=(linalg.identity(4), ((0, 0, 0, 0), (0, 0, 0))))
 
 
 def test_gram_bound_check_triangle(ex134, triangle):
