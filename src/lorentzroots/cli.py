@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -83,7 +84,7 @@ def _emit(report, args):
         with open(args.output, "w") as fh:
             fh.write(data + "\n")
     else:
-        print(data)
+        print(data, flush=True)    # a closed pipe raises here, not at exit
 
 
 def _cmd_info(args, lat, roots):
@@ -307,6 +308,12 @@ def main(argv=None) -> int:
         if roots is not None:
             report["roots"] = roots
         _emit(report, args)
+    except BrokenPipeError:
+        # the reader closed stdout: quiet the flush at exit (signal docs), exit as on SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

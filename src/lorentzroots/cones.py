@@ -169,27 +169,34 @@ def k_element_tuples(gram_of_roots, height_bound):
     """Coefficient tuples a >= 0, 0 < sum(a) <= N with (B a)_j <= 0 for all j.
 
     Depth-first over the coordinates in lexicographic order, so the output
-    is sorted.  With a_0 .. a_{i-1} fixed, r_j the partial value of
-    (B a)_j and `left` the height still free, row j can end no lower than
-    r_j + left * min(0, min_{i' >= i} B_{j i'}); a branch is cut as soon
-    as that bound is positive for some row.  The bound holds for any
-    integer B.
+    is sorted.  With a_0 .. a_{i-1} fixed, r_j the partial value of (B a)_j
+    and `left` the height still free, row j ends no lower than r_j + left *
+    f_j, f_j = min(0, min_{i' >= i} B_{j i'}), for any integer B.  That
+    bound for a child a_i = c, r_j + c B_{ji} + (left - c) f'_j (f' over
+    i' > i), is linear in c, so only the integer interval of c where no row
+    bounds above 0 is entered.  A row with B_{ji} = f'_j bounds no c: then
+    f'_j = f_j and the node's own bound is <= 0, or N < 0 empties the range.
     """
     b = [tuple(row) for row in gram_of_roots]
     k = len(b)
-    floor = [[min(0, *row[i:]) for row in b] for i in range(k)] + [[0] * k]
+    floor = [[min(0, *row[i + 1:]) for row in b] for i in range(k - 1)] + [[0] * k]  # f' at i
+    cols = [[row[i] for row in b] for i in range(k)]
     out = []
 
     def rec(i, left, acc, r):
-        if any(rj + left * fj > 0 for rj, fj in zip(r, floor[i])):
-            return
         if i == k:
             if any(acc):
                 out.append(tuple(acc))
             return
-        col = [row[i] for row in b]
-        for c in range(left + 1):
-            rec(i + 1, left - c, acc + [c], [rj + c * bj for rj, bj in zip(r, col)])
+        lo, hi = 0, left
+        for rj, bj, fj in zip(r, cols[i], floor[i]):
+            rest, slope = rj + left * fj, bj - fj     # live iff rest + c * slope <= 0
+            if slope > 0:
+                hi = min(hi, -rest // slope)
+            elif slope < 0:
+                lo = max(lo, -(rest // slope))
+        for c in range(lo, hi + 1):
+            rec(i + 1, left - c, acc + [c], [rj + c * bj for rj, bj in zip(r, cols[i])])
 
     rec(0, integer(height_bound, "height_bound"), [], [0] * k)
     return out

@@ -71,14 +71,6 @@ def root_datum(lattice: Lattice, roots) -> RootDatum:
 # ---------------------------------------------------------------------------
 # simple-root coordinates
 
-def simple_reflection_on_tuple(gcm: GeneralizedCartanMatrix, j: int, coeffs):
-    """s_j acting on simple-root coordinates: c_j -> c_j - sum_i a_{ji} c_i."""
-    shift = linalg.dot(gcm.a[j], coeffs)
-    out = list(coeffs)
-    out[j] -= shift
-    return tuple(out)
-
-
 def tuple_to_vector(datum: RootDatum, coeffs):
     return linalg.mat_vec(linalg.transpose(datum.simple_roots), coeffs)
 
@@ -93,22 +85,25 @@ def _rising_walk(gcm: GeneralizedCartanMatrix, base, height_bound: int, shift: i
     <t, a_j^v> < shift and the new height stays <= N.  shift 0 is s_j on
     roots, shift 1 is e -> e_j + s_j(e) on Weyl exponents.  A step changes
     only coordinate j, and raises it, so every tuple stays nonnegative.
+    A frontier tuple carries its height and pairings A t; step j adds rise
+    times column j of A to them, in O(r).
     Returns {tuple: BFS level} in walk order; the base is level 0."""
+    cols = list(zip(*gcm.a))
     found = dict.fromkeys(base, 0)
-    frontier = list(found)
+    frontier = [(t, sum(t), [linalg.dot(row, t) for row in gcm.a]) for t in found]
     level = 0
     while frontier:
         level += 1
         nxt = []
-        for t in frontier:
-            height = sum(t)
-            for j, row in enumerate(gcm.a):
-                rise = shift - linalg.dot(row, t)
+        for t, height, at in frontier:
+            for j, atj in enumerate(at):
+                rise = shift - atj
                 if rise > 0 and height + rise <= height_bound:
                     img = t[:j] + (t[j] + rise,) + t[j + 1:]
                     if img not in found:
                         found[img] = level
-                        nxt.append(img)
+                        nxt.append((img, height + rise,
+                                    [x + rise * c for x, c in zip(at, cols[j])]))
         frontier = nxt
     return found
 
@@ -233,8 +228,11 @@ def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityRes
     base-(N+1) digits (Kronecker substitution): u + v packs to the sum of
     the keys, and within one height the keys sort like the tuples.  The
     cost is about |supp W| * |supp G| integer additions, with no truncated
-    product ever expanded.  A mismatch raises DenominatorMismatchError
-    carrying the first failing exponent in (height, tuple) order.
+    product ever expanded.  Once a height's unknowns are solved, its
+    push-forward table, which nothing reads again, becomes the residual
+    G_P - G_W in place; only a nonzero residual is searched for its least
+    key, and the mismatch raises DenominatorMismatchError carrying the
+    first failing exponent in (height, tuple) order.
     """
     if integer(height_bound, "height_bound") < 0:
         raise DomainError(f"height bound must be a nonnegative integer, got {height_bound!r}")
@@ -268,12 +266,14 @@ def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityRes
             if m:
                 mults[t] = m
                 factor(t, m)
-        for u in sorted(set(gp) | set(sw) | set(wh)):
+        for u, g in gp.items():         # sw becomes the residual G_P - G_W
+            sw[u] = sw.get(u, 0) + g
+        for u, w in wh.items():
+            sw[u] = sw.get(u, 0) - h * w
+        if any(sw.values()):
+            u = min(u for u, diff in sw.items() if diff)
             w = wh.get(u, 0)
-            diff = gp.get(u, 0) - h * w + sw.get(u, 0)
-            if diff:
-                exponent = tuple(u // b % base for b in place)
-                raise DenominatorMismatchError(exponent, w + diff // h, w)
+            raise DenominatorMismatchError(tuple(u // b % base for b in place), w + sw[u] // h, w)
         for u, g in gp.items():
             if not g:
                 continue
@@ -287,21 +287,16 @@ def solve_multiplicities(datum: RootDatum, height_bound: int) -> MultiplicityRes
 # ---------------------------------------------------------------------------
 # anti-invariance
 
-def exponent_involution(gcm: GeneralizedCartanMatrix, j: int, exponent):
-    """Action of left multiplication by s_j on exponents: e -> e_j + s_j(e)."""
-    base = simple_reflection_on_tuple(gcm, j, exponent)
-    out = list(base)
-    out[j] += 1
-    return tuple(out)
-
-
 def weyl_sum_anti_invariant(gcm: GeneralizedCartanMatrix, series: GradedSeries) -> bool:
     """Check that every simple reflection maps the Weyl sum to its negative:
-    W(e_j + s_j(u)) = -W(u) wherever the image stays inside the truncation."""
+    W(e_j + s_j(u)) = -W(u) wherever the image stays inside the truncation.
+    The image raises coordinate j of u by 1 - <u, a_j^v> and no other."""
     for u, c in series.coeffs.items():
-        for j in range(len(gcm.a)):
-            img = exponent_involution(gcm, j, u)
-            if sum(img) <= series.truncation and series.coeffs.get(img, 0) != -c:
+        height = sum(u)
+        for j, row in enumerate(gcm.a):
+            rise = 1 - linalg.dot(row, u)
+            if height + rise <= series.truncation \
+                    and series.coeffs.get(u[:j] + (u[j] + rise,) + u[j + 1:], 0) != -c:
                 return False
     return True
 

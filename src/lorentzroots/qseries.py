@@ -73,7 +73,12 @@ def eta_power(e: int, n: int) -> PowerSeries:
                   for j in (i * (3 * i - 1) // 2, i * (3 * i + 1) // 2) if j <= n]
     a = [1] + [0] * n
     for k in range(1, n + 1):
-        a[k] = sum(((e + 1) * j - k) * f * a[k - j] for j, f in pentagonal if j <= k) // k
+        total = 0
+        for j, f in pentagonal:     # increasing, so the j <= k are a prefix
+            if j > k:
+                break
+            total += ((e + 1) * j - k) * f * a[k - j]
+        a[k] = total // k
     return PowerSeries(tuple(a))
 
 

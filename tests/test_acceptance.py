@@ -15,7 +15,7 @@ from lorentzroots import cones, kacmoody as km, linalg, qseries as qs, vinberg, 
 from lorentzroots.lattice import (Lattice, is_crystallographic, is_isometry, norm, pair,
                                   reflection)
 from lorentzroots.vinberg import HeightKey, RootFilter
-from test_kacmoody import _matrix_bfs_weyl_elements
+from test_kacmoody import _matrix_bfs_weyl_elements, simple_reflection_on_tuple
 
 
 def _report(number, label):
@@ -123,7 +123,7 @@ def test_criterion_05_denominator_identity(ex134, triangle):
     # W-invariance on orbit pairs inside the truncation
     for t, m in res.mults.items():
         for j in range(3):
-            img = km.simple_reflection_on_tuple(datum.cartan, j, t)
+            img = simple_reflection_on_tuple(datum.cartan, j, t)
             if min(img) >= 0 and sum(img) <= 6:
                 assert res.mults.get(img, 0) == m
     elapsed = time.monotonic() - t0

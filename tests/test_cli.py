@@ -1,6 +1,7 @@
 """Exit codes, report schemas and byte determinism of the CLI."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -169,6 +170,22 @@ def test_exit_codes(tmp_path):
     assert res.returncode == 1 and "Traceback" not in res.stderr
     # usage error from argparse
     assert run_cli("vinberg", "--lattice", "ex134.json").returncode == 2
+
+
+@pytest.mark.parametrize("args, read", [
+    (("qseries", "--eta-power=-24", "--n", "3000"), 5),   # about 540 kB, more than a pipe holds
+    (("info", "--lattice", "u.json"), 0),                 # closed before the report is written
+], ids=["large", "small"])
+def test_a_closed_stdout_exits_141_quietly(args, read):
+    # stdout block-buffered, as without PYTHONUNBUFFERED: a small report meets
+    # the closed pipe only when main flushes it, not at the flush at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "lorentzroots.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize("text, kind", [("[1, 2]", "array"), ('"abc"', "string"),

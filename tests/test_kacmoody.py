@@ -14,11 +14,26 @@ from sympy.functions.combinatorial.numbers import partition
 
 from ex134_data import CUSP, F01, F02
 from lorentzroots import cones, kacmoody as km, linalg, weylstruct as ws
-from lorentzroots.errors import DenominatorMismatchError, DomainError, NonObtusePairError
+from lorentzroots.errors import (DenominatorMismatchError, DimensionError, DomainError,
+                                 NonObtusePairError)
 from lorentzroots.lattice import Lattice, norm
 
 
 PHI_D1 = (1, 2, 6)
+
+
+def simple_reflection_on_tuple(gcm, j, coeffs):
+    """s_j acting on simple-root coordinates: c_j -> c_j - sum_i a_{ji} c_i."""
+    out = list(coeffs)
+    out[j] -= linalg.dot(gcm.a[j], coeffs)
+    return tuple(out)
+
+
+def exponent_involution(gcm, j, exponent):
+    """Left multiplication by s_j on Weyl exponents: e -> e_j + s_j(e)."""
+    out = list(simple_reflection_on_tuple(gcm, j, exponent))
+    out[j] += 1
+    return tuple(out)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +93,7 @@ def _descent_is_real_root(gcm, t):
         seen.add(t)
         drops = []
         for j in range(k):
-            img = km.simple_reflection_on_tuple(gcm, j, t)
+            img = simple_reflection_on_tuple(gcm, j, t)
             if sum(img) < sum(t):
                 drops.append(img)
         ok = [d for d in drops if min(d) >= 0]
@@ -165,7 +180,7 @@ def _matrix_bfs_weyl_elements(datum, height_bound):
                 if new in seen:
                     continue
                 seen.add(new)
-                nxt.append(((j,) + word, new, km.exponent_involution(datum.cartan, j, exp),
+                nxt.append(((j,) + word, new, exponent_involution(datum.cartan, j, exp),
                             -sign))
         frontier = nxt
         elements.extend(nxt)
@@ -406,7 +421,7 @@ def _all_steps_closure(gcm, base, height_bound):
         nxt = set()
         for t in frontier:
             for j in range(len(gcm.a)):
-                img = km.simple_reflection_on_tuple(gcm, j, t)
+                img = simple_reflection_on_tuple(gcm, j, t)
                 if img not in found and sum(img) <= height_bound and min(img) >= 0:
                     nxt.add(img)
         found |= nxt
@@ -427,18 +442,23 @@ def test_rising_walk_equals_the_all_steps_closure(datum):
         _check_rising_walk(d, height)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_rising_walk_equals_the_all_steps_closure_on_random_cartan_matrices(data):
+def _random_datum(data):
+    """A symmetric generalized Cartan matrix of rank 3 or 4, off-diagonal
+    entries in {0, -1, -2, -3}, with no lattice behind it."""
     k = data.draw(st.integers(3, 4))
     a = [[2] * k for _ in range(k)]
     for i, j in itertools.combinations(range(k), 2):
         a[i][j] = a[j][i] = data.draw(st.sampled_from((0, -1, -2, -3)))
     a = tuple(map(tuple, a))
     gcm = km.GeneralizedCartanMatrix(a=a, d=(Fraction(1),) * k, b=a)
-    d = km.RootDatum(lattice=None, simple_roots=linalg.identity(k), cartan=gcm,
-                     weyl_data=None)
-    _check_rising_walk(d, data.draw(st.integers(0, 12)))
+    return km.RootDatum(lattice=None, simple_roots=linalg.identity(k), cartan=gcm,
+                        weyl_data=None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rising_walk_equals_the_all_steps_closure_on_random_cartan_matrices(data):
+    _check_rising_walk(_random_datum(data), data.draw(st.integers(0, 12)))
 
 
 def _q_plus(nvars, height_bound):
@@ -569,7 +589,7 @@ def test_multiplicity_weyl_invariance(datum):
     gcm = datum.cartan
     for t, m in res.mults.items():
         for j in range(3):
-            img = km.simple_reflection_on_tuple(gcm, j, t)
+            img = simple_reflection_on_tuple(gcm, j, t)
             if min(img) >= 0 and sum(img) <= 6:
                 assert res.mults.get(img, 0) == m, (t, img)
 
@@ -578,18 +598,43 @@ def test_anti_invariance(datum):
     assert km.anti_invariance_check(datum, 4)
 
 
-@pytest.mark.parametrize("corrupt", [lambda c: -c, lambda c: 0, lambda c: 2 * c],
-                         ids=["sign-flip", "dropped", "doubled"])
+CORRUPTIONS = {"sign-flip": lambda c: -c, "dropped": lambda c: 0, "doubled": lambda c: 2 * c}
+
+
+def _corrupted(series, u, corrupt):
+    coeffs = dict(series.coeffs)
+    coeffs[u] = corrupt(coeffs[u])
+    return km.GradedSeries(nvars=series.nvars, truncation=series.truncation,
+                           coeffs={k: v for k, v in coeffs.items() if v})
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS))
 def test_anti_invariance_rejects_corrupted_series(datum, corrupt):
     # every nonzero exponent has a descent, whose image lies inside the
-    # truncation, so a change at any single exponent is caught
-    series = km.sum_side(datum, 6)
-    for u, c in series.coeffs.items():
-        coeffs = dict(series.coeffs)
-        coeffs[u] = corrupt(c)
-        coeffs = {k: v for k, v in coeffs.items() if v}
-        bad = km.GradedSeries(nvars=3, truncation=6, coeffs=coeffs)
-        assert not km.weyl_sum_anti_invariant(datum.cartan, bad), u
+    # truncation, and 0 maps to the e_j, so a change at any single exponent
+    # is caught
+    for d, height in ((datum, 6), (_i41_datum(), 8)):
+        series = km.sum_side(d, height)
+        for u in series.coeffs:
+            assert not km.weyl_sum_anti_invariant(d.cartan, _corrupted(series, u, corrupt)), u
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_anti_invariance_rejects_corrupted_series_on_random_cartan_matrices(data):
+    d = _random_datum(data)
+    series = km.sum_side(d, data.draw(st.integers(1, 8)))
+    assert km.weyl_sum_anti_invariant(d.cartan, series)
+    u = data.draw(st.sampled_from(sorted(series.coeffs)))
+    corrupt = CORRUPTIONS[data.draw(st.sampled_from(sorted(CORRUPTIONS)))]
+    assert not km.weyl_sum_anti_invariant(d.cartan, _corrupted(series, u, corrupt))
+
+
+def test_anti_invariance_rejects_an_exponent_of_the_wrong_length(datum):
+    for bad in ((1, 0), (1, 0, 0, 0)):
+        series = km.GradedSeries(nvars=3, truncation=4, coeffs={bad: -1, (0, 0, 0): 1})
+        with pytest.raises(DimensionError):
+            km.weyl_sum_anti_invariant(datum.cartan, series)
 
 
 def test_anti_invariance_rank1_subcase(ex134):
