@@ -406,9 +406,9 @@ def quadric_integer_points(form, centre, radius):
     coordinate solves its square exactly.  A last slab with no integer in
     it leaves the top level's range empty, so it returns [] (vinberg's
     shell walk makes that test before it asks for a shell).  Levels 1 and
-    0 are one loop over y_1 with no call per leaf: N^2 t_0 is affine in y_1
-    with slope -N nu[0][0], and each leaf is one floor division and an
-    isqrt square test.
+    0 are one loop over y_1, _leaves: a binary form (n == 2, every rank-3
+    shell) runs it with no closure and no coordinate lists, and at n >= 3
+    it runs under each y_{n-1}, ..., y_2 that a recursive descent fixes.
     """
     nn, nu, kd = form
     n = len(kd)
@@ -423,34 +423,45 @@ def quadric_integer_points(form, centre, radius):
         return sorted({(t // n2,) for t in (c - r, c + r) if t % n2 == 0}) \
             if r * r * kd[0] == radius else []
     out = []
+    # N^2 t_0 = c0 - slope y_1 when n == 2; below, less the terms of y_2, ...
+    slope, c0 = nn * nu[0][0], nn * centre[0] + nu[0][0] * centre[1]
+    if n == 2:
+        _leaves(out, (), radius, c, r, n2, kd[0], kd[1], slope, c0)
+        return sorted(out)
     y = [0] * n
     z = [0] * n                                                          # N (y_j - c_j)
 
     def descend(i, rem, c, r):
         # rem = scaled budget left for terms 0..i, c = N^2 t_i, r = isqrt(rem // K D_i)
-        lo, hi = -((r - c) // n2), (c + r) // n2 + 1
-        if i > 1:
-            for yi in range(lo, hi):
-                t = n2 * yi - c
-                y[i] = yi
-                z[i] = nn * yi - centre[i]
-                left = rem - kd[i] * t * t
-                c1 = nn * centre[i - 1] - sum(map(mul, nu[i - 1], z[i:]))
+        for yi in range(-((r - c) // n2), (c + r) // n2 + 1):
+            t = n2 * yi - c
+            y[i] = yi
+            z[i] = nn * yi - centre[i]
+            left = rem - kd[i] * t * t
+            c1 = nn * centre[i - 1] - sum(map(mul, nu[i - 1], z[i:]))
+            if i > 2:
                 descend(i - 1, left, c1, isqrt(left // kd[i - 1]))
-            return
-        k0, k1, slope = kd[0], kd[1], nn * nu[0][0]                   # N^2 t_0 = c0 - slope y_1
-        c0 = nn * centre[0] + nu[0][0] * centre[1] - sum(map(mul, nu[0][1:], z[2:]))
-        t = n2 * lo - c
-        for y1 in range(lo, hi):
-            left = rem - k1 * t * t
-            t += n2
-            s = isqrt(left // k0)
-            if s * s * k0 == left:
-                y[1] = y1
-                for t0 in {c0 - slope * y1 + s, c0 - slope * y1 - s}:
-                    if t0 % n2 == 0:
-                        y[0] = t0 // n2
-                        out.append(tuple(y))
+            else:
+                _leaves(out, tuple(y[2:]), left, c1, isqrt(left // kd[1]), n2, kd[0], kd[1],
+                        slope, c0 - sum(map(mul, nu[0][1:], z[2:])))
 
     descend(n - 1, radius, c, r)
     return sorted(out)
+
+
+def _leaves(out, tail, rem, c, r, n2, k0, k1, slope, c0):
+    """Append every (y_0, y_1) + tail of levels 1 and 0 to out: rem is the
+    scaled budget left for them, c = N^2 t_1, r = isqrt(rem // K D_1), and
+    N^2 t_0 = c0 - slope y_1 is affine in y_1, so a leaf is one floor
+    division and an isqrt square test."""
+    lo = -((r - c) // n2)
+    t, b = n2 * lo - c, c0 - slope * lo
+    for y1 in range(lo, (c + r) // n2 + 1):
+        left = rem - k1 * t * t
+        s = isqrt(left // k0)
+        if s * s * k0 == left:
+            for t0 in {b + s, b - s}:
+                if t0 % n2 == 0:
+                    out.append((t0 // n2, y1) + tail)
+        t += n2
+        b -= slope

@@ -58,13 +58,18 @@ class RootFilter(Record):
             object.__setattr__(self, "congruence", (basis, residues))
 
 
-def _residue_ok(filt: RootFilter, delta) -> bool:
+def _congruence_test(filt: RootFilter):
+    """The predicate x -> x = r + C a for a residue r and an integral a, C
+    the congruence basis as columns.  a = adj(C) (x - r) / det C, so x
+    passes iff det C divides every entry of adj(C) (x - r)."""
     if filt.congruence is None:
-        return True
+        return lambda x: True
     basis, residues = filt.congruence
     cols = linalg.transpose(basis)
-    return any(all(c.denominator == 1 for c in linalg.solve(cols, linalg.vec_sub(delta, r)))
-               for r in residues)
+    det = linalg.det(cols)
+    adj = [[int(det * a) for a in row] for row in linalg.inverse(cols)]
+    return lambda x: any(all(linalg.dot(row, v) % det == 0 for row in adj)
+                         for v in (linalg.vec_sub(x, r) for r in residues))
 
 
 class ChamberReport(Record):
@@ -157,7 +162,7 @@ def shells(lattice, h):
     iff d | 2 S(e_j, x) for all j, so a root needs g = gcd(G h) | m and
     d | 2m.  A point x = B u (B unimodular, u = (-m/g, y)) is kept iff
     d | 2 G B u, then mapped back; that is q = d/gcd(d, 2) | G B u, tested
-    on the rows of G B not 0 mod q.
+    on the rows of G B not 0 mod q, which are found once per norm d.
 
     walk(d, big, bound): the (m^2 (big/d), d, m) with m^2 (big/d) <= bound,
     in increasing m, of the shells of norm d that can hold a root: m steps
@@ -229,14 +234,17 @@ def shells(lattice, h):
     local = _residue_masks(bgb) if r == 2 else []
     period = lcm(*(mod for mod, _ in local))
     full = (1 << period) - 1
+    rows_of = {}    # d -> (q, the rows of G B not 0 mod q)
 
     def roots(d, m):
         ys = linalg.quadric_integer_points(form, [m * x for x in centre],
                                            (d * hh + m * m) * scale)
         if not ys:
             return []
-        q = d // gcd(d, 2)
-        rows = [row for row in gb if any(x % q for x in row)]
+        if d not in rows_of:
+            q = d // gcd(d, 2)
+            rows_of[d] = q, [row for row in gb if any(x % q for x in row)]
+        q, rows = rows_of[d]
         return sorted(linalg.mat_vec(basis, u) for u in ((-m // g,) + y for y in ys)
                       if all(linalg.dot(row, u) % q == 0 for row in rows))
 
@@ -293,6 +301,7 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
         raise DomainError("controller must be timelike")
     int_vectors(lattice, sum(filt.congruence or (), ()), "congruence entry")  # basis, residues
     roots, walk = shells(lattice, h)
+    admissible = _congruence_test(filt)
     # m^2 (L/d) <= floor(L max_key) is exactly m^2/d <= max_key
     big = lcm(*filt.norms)
     bound = max_key.numerator * big // max_key.denominator
@@ -300,7 +309,7 @@ def candidate_stream(lattice: Lattice, h, filt: RootFilter, max_key: HeightKey):
     def stream():
         for _, d, m in heapq.merge(*(walk(d, big, bound) for d in filt.norms)):
             for x in roots(d, m):
-                if linalg.content(x) == 1 and _residue_ok(filt, x):
+                if linalg.content(x) == 1 and admissible(x):
                     if m == 0:
                         raise ControllerOnMirrorError(x)
                     yield x

@@ -8,6 +8,7 @@ from math import gcd, isqrt, lcm
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
 from lorentzroots import linalg, vinberg
@@ -649,6 +650,76 @@ def test_quadric_points_edge_cases():
     assert check(q, centre, radius) == [(-3, -2), (-2, -3), (-1, 0), (0, -1)]
     args = integer_form(*fraction_ldl(q), centre, radius)
     assert args[0][1][0][0] != 0 and last_slab(*args) == (-3, 0)
+
+
+def scaled_value(form, centre, p):
+    """K N^4 (p - c)^T q (p - c) of integer-form arguments at the integer
+    point p: the radius whose quadric passes through p.  Each t_i has
+    denominator N^2, so the value is an int."""
+    (d, u), c, _ = scaled_ldl(form, centre, 0)
+    n = len(d)
+    t = [c[i] - sum(u[i][j] * (p[j] - c[j]) for j in range(i + 1, n)) for i in range(n)]
+    value = form[0] ** 4 * sum(d[i] * (p[i] - t[i]) ** 2 for i in range(n))
+    assert value.denominator == 1
+    return int(value)
+
+
+@st.composite
+def deep_scale_quadrics(draw, levels):
+    """Integer-form arguments at the scale of the rank-3 shells of U+<22>
+    and U+<26> (N = 1298, K D = (484, 7139), radii near 2^55): N up to
+    1300, K D_i up to 8000, centres of either sign that N need not divide,
+    and a radius that is random up to 2^66, the value at an integer point
+    near the centre, 0, the value at a point where the level-0 term is
+    zero, so both level-0 roots coincide, or the value at a point p around
+    an integral centre c, whose quadric then holds 2 c - p too, on another
+    y_{n-1} layer when p_{n-1} != c_{n-1}.  The ranges of levels >= 1 are
+    kept small, so the Fraction descent stays quick."""
+    nn = draw(st.integers(1, 1300) | st.integers(1200, 1300))
+    kd = [draw(st.integers(1, 8000) | st.integers(4000, 8000)) for _ in range(levels)]
+    nu = [[draw(st.integers(-nn, nn)) for _ in range(i + 1, levels)] for i in range(levels)]
+    centre = [draw(st.integers(-40 * nn, 40 * nn)) for _ in range(levels)]
+    kind = draw(st.sampled_from(("random", "point", "zero", "tangent", "mirror")))
+    if kind == "random":
+        # level i's range spans about 2 sqrt(radius / K D_i) / N^2 integers
+        top = min(2 ** 66, (3600 if levels == 2 else 100) * min(kd[1:]) * nn ** 4)
+        return (nn, nu, kd), centre, draw(st.integers(0, top) | st.integers(top // 2, top))
+    p = [draw(st.integers(-3, 3)) + c // nn for c in centre]
+    if kind == "tangent":
+        # move the centre's first coordinate so that N^2 t_0 = N^2 p_0 at p
+        nu[0] = [x * nn for x in nu[0]]     # N | nu[0][j] makes that shift a multiple of N
+        shift = nn * nn * p[0] + sum(x * (nn * y - c) for x, y, c in zip(nu[0], p[1:], centre[1:]))
+        centre[0] = shift // nn
+    if kind in ("zero", "mirror"):
+        centre = [nn * (c // nn) for c in centre]
+    if kind == "zero":
+        p = [c // nn for c in centre]
+    return (nn, nu, kd), centre, scaled_value((nn, nu, kd), centre, p)
+
+
+SHELL_FORM = (1298, [[-649], []], [484, 7139])      # a U+<22> shell: N and K D
+TANGENT_CENTRE = [1298 * 7 - 649 * 3, 1298 * 5]     # N^2 t_0 = N^2 7 at y_1 = 2
+RANK3 = ((6, [[1, -2], [3], []], [5, 7, 4]), [6, -12, 18])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(deep_scale_quadrics(2))
+@example((SHELL_FORM, [-800, 140000], 30916105174170304))   # an empty shell of deep
+@example((SHELL_FORM, [-800, 140000], scaled_value(SHELL_FORM, [-800, 140000], (-107, 108))))
+@example((SHELL_FORM, [1298 * 4, -1298 * 9], 0))            # the centre, once
+@example((SHELL_FORM, [1298 * 4 + 1, -1298 * 9], 0))        # a centre off the lattice
+@example((SHELL_FORM, TANGENT_CENTRE, scaled_value(SHELL_FORM, TANGENT_CENTRE, (7, 2))))
+def test_two_level_descent_matches_fraction_descent_at_shell_scale(args):
+    got = linalg.quadric_integer_points(*args)
+    assert got == fraction_quadric_points(*scaled_ldl(*args))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(deep_scale_quadrics(3))
+@example((*RANK3, scaled_value(*RANK3, (2, 0, 1))))        # (0, -4, 5) too: two y_2 layers
+def test_three_level_descent_runs_the_shared_leaf_loop_under_each_y2(args):
+    got = linalg.quadric_integer_points(*args)
+    assert got == fraction_quadric_points(*scaled_ldl(*args))
 
 
 def test_primitive_and_clear_denominators():

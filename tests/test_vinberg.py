@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lorentzroots import cones, linalg, vinberg, weylstruct
 from lorentzroots.errors import (ControllerOnMirrorError, DegenerateFormError, DimensionError,
@@ -266,7 +267,7 @@ def every_m_stream(lat, h, filt, max_key):
     for d in filt.norms:
         for m in range(0, isqrt(max_key.numerator * d // max_key.denominator) + 1, g):
             out.extend((Fraction(m * m, d), d, x) for x in roots(d, m)
-                       if linalg.content(x) == 1 and vinberg._residue_ok(filt, x))
+                       if linalg.content(x) == 1 and vinberg._congruence_test(filt)(x))
     return [x for _, _, x in sorted(out)]
 
 
@@ -762,6 +763,73 @@ def test_congruence_filter_with_two_residues_matches_a_box(ex134):
     for r in residues:
         assert any(in_m1(linalg.vec_sub(x, r)) for x in got)
     assert len(everything) > len(want)
+
+
+def fraction_congruence_test(filt, x):
+    """x - r = C a for a residue r and an integral a, C the basis as
+    columns, with a from the Fraction solve."""
+    basis, residues = filt.congruence
+    cols = linalg.transpose(basis)
+    return any(all(a.denominator == 1 for a in linalg.solve(cols, linalg.vec_sub(x, r)))
+               for r in residues)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_congruence_test_matches_the_fraction_solve(data):
+    n = data.draw(st.integers(1, 4))
+    basis = [[data.draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(n)]
+    if data.draw(st.booleans()):
+        basis[0] = [-a for a in basis[0]]               # either sign of det
+    det = linalg.det(basis)
+    assume(det != 0)
+    residues = [[data.draw(st.integers(-9, 9)) for _ in range(n)]
+                for _ in range(data.draw(st.integers(1, 3)))]
+    filt = RootFilter(norms=frozenset({2}), congruence=(basis, residues))
+    # a point of some coset r + C Z^n, moved off it by a small offset or not
+    a = [data.draw(st.integers(-6, 6)) for _ in range(n)]
+    r = data.draw(st.sampled_from(residues))
+    off = [data.draw(st.integers(-2, 2)) if data.draw(st.booleans()) else 0 for _ in range(n)]
+    x = tuple(ri + sum(row[j] * a[j] for j in range(n)) + o
+              for ri, row, o in zip(r, linalg.transpose(basis), off))
+    assert vinberg._congruence_test(filt)(x) == fraction_congruence_test(filt, x)
+    assert vinberg._congruence_test(filt)(x) or any(off)
+
+
+def test_roots_of_two_norms_read_interleaved_match_a_crystallographic_filter():
+    # U+<22> with h = (22, 30, -1): S(x, x) = -2 x0 x1 + 22 x2^2 and
+    # S(h, x) = -(30 x0 + 22 x1 + 22 x2).  roots(2, m) and roots(22, m) are
+    # read in turn at every m with gcd(G h) = 2 | m, so each norm's rows are
+    # read after the other norm's: both must be the shell points x with
+    # d | 2 G x, found by solving for x0 at each x2
+    lat, h = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22))), (22, 30, -1)
+    roots, _ = vinberg.shells(lat, h)
+
+    def brute(d, m):
+        # 22 x1 = m - 30 x0 - 22 x2 turns S(x, x) = d into
+        # 60 x0^2 - 2 (m - 22 x2) x0 + 484 x2^2 - 22 d = 0, whose
+        # discriminant is negative once |x2| > m + 10 (d <= 22)
+        out = []
+        for x2 in range(-m - 10, m + 11):
+            b = m - 22 * x2
+            disc = b * b - 60 * (484 * x2 * x2 - 22 * d)
+            if disc < 0 or isqrt(disc) ** 2 != disc:
+                continue
+            for num in {b + isqrt(disc), b - isqrt(disc)}:
+                if num % 60 == 0 and (m - 30 * (num // 60) - 22 * x2) % 22 == 0:
+                    x = (num // 60, (m - 30 * (num // 60) - 22 * x2) // 22, x2)
+                    assert norm(lat, x) == d and -pair(lat, h, x) == m
+                    if all(2 * linalg.dot(row, x) % d == 0 for row in lat.gram):
+                        out.append(x)
+        return sorted(out)
+
+    found = {2: 0, 22: 0}
+    for m in range(0, 700, 2):
+        for d in ((2, 22) if m % 4 else (22, 2)):
+            got = roots(d, m)
+            assert got == brute(d, m), (d, m)
+            found[d] += len(got)
+    assert found[2] > 0 and found[22] > 0
 
 
 def test_congruence_basis_of_infinite_index_rejected():
