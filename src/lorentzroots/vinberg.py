@@ -154,6 +154,37 @@ def _residue_masks(q):
     return out
 
 
+def _first_root(a, b, c, m):
+    """For P(x) = a x^2 + b x + c with P(m) > 0 at the int m, any sign of
+    a: None if P(x) > 0 for every real x >= m, else an int lo with
+    lo <= ceil(x0) <= lo + 1, x0 the least real x >= m with P(x) = 0.
+
+    With x = m + u, P = a u^2 + b' u + c', b' = 2 a m + b, c' = P(m) > 0,
+    and disc = b'^2 - 4 a c'.  If b' < 0 and disc >= 0, the root
+    (-b' - sqrt(disc)) / (2a) = 2c' / (sqrt(disc) - b') is positive and the
+    least one: for a > 0 both roots are positive, for a < 0 the other is
+    negative, and for a = 0 it is the linear root c' / |b'|.  With
+    s = ceil(sqrt(disc)), lo = m + ceil(2c' / (s - b')).  On a square s is
+    exact (a = 0 makes disc = b'^2); otherwise a != 0,
+    (sqrt(disc) - b')^2 >= 4 |a| c', and the two quotients differ by at
+    most 2c' / (sqrt(disc) - b')^2 <= 1/2.  With b' >= 0, if a < 0 the
+    one positive root is (b' + sqrt(disc)) / (2|a|), at least
+    (b' + isqrt(disc)) / (2|a|) and less than that plus 1/2; if a >= 0
+    every coefficient of P(m + u) is >= 0 and c' > 0.  If a > 0 and
+    disc < 0, P has no real root.
+    """
+    c += (a * m + b) * m
+    b += 2 * a * m
+    disc = b * b - 4 * a * c
+    if b < 0 <= disc:
+        s = isqrt(disc)
+        s += s * s < disc
+        return m - (-2 * c // (s - b))
+    if a < 0:
+        return m - ((b + isqrt(disc)) // (2 * a))
+    return None
+
+
 def shells(lattice, h):
     """(roots, walk) for the shells (d, m) of the controller h.
 
@@ -165,11 +196,34 @@ def shells(lattice, h):
     on the rows of G B not 0 mod q, which are found once per norm d.
 
     walk(d, big, bound): the (m^2 (big/d), d, m) with m^2 (big/d) <= bound,
-    in increasing m, of the shells of norm d that can hold a root: m steps
-    by lcm(g, d/gcd(d, 2)), and m is kept only if the last slab of the
-    shell's descent holds an integer, so an empty slab never reaches roots.
-    The m = 0 slab holds 0.  With no kernel (a rank-1 lattice) there is no
-    slab, and the positive radius leaves every shell empty.
+    in increasing m, of the shells of norm d that can hold a root: m runs
+    over the multiples of lcm(g, d/gcd(d, 2)), and m is kept only if the
+    last slab of the shell's descent holds an integer, so an empty slab
+    never reaches roots.  In the scaled ints below that slab holds an int y
+    iff P_y(m) <= 0, where
+    P_y(x) = K D (N^2 y - x c1)^2 - (d |S(h,h)| + x^2) sc
+           = a x^2 + b_y x + c_y,
+    c1 = N^2 z_last / |S(h,h)|, sc = K N^4 / |S(h,h)|, a = K D c1^2 - sc,
+    b_y = -2 K D N^2 c1 y and c_y = K D N^4 y^2 - d |S(h,h)| sc.  y = 0
+    passes while a m^2 <= d |S(h,h)| sc, so the m = 0 slab holds 0, and
+    with a <= 0 no slab is empty.  Empty slabs come in runs, and from the
+    fourth empty slab in a row the walk jumps.  At an empty m, a > 0 and
+    m c1 lies strictly between y0 N^2 and (y0 + 1) N^2, y0 = floor(m c1 / N^2).
+    The slab is [x c1 - s(x), x c1 + s(x)] with s(x)^2 = (d |S(h,h)| + x^2)
+    sc / K D for real x >= 0, and 0 <= s'(x) < sqrt(sc / K D) < |c1|, so
+    both edges move strictly in the direction of c1, without bound.  Say
+    c1 > 0 (c1 < 0 is the mirror image, with y0 for y0 + 1).  The lower
+    edge never returns to y0 N^2, so a later m' passes only with some
+    y' > y0, and by the intermediate value theorem the upper edge meets
+    (y0 + 1) N^2 at some x in (m, m'], where P_y0+1(x) <= 0.  So m' is at
+    least the least real x >= m with P_y0+1(x) <= 0, which exists and which
+    _first_root bounds from below to within one, and the walk moves to the
+    first multiple of the step at or after that bound, at least one step
+    on.  A jump costs several stepped pairings, and on the rank-3 walks of
+    the benchmark's deep runs the runs of empty slabs are one to six steps
+    long, so the walk steps through the first three.
+    With no kernel (a rank-1 lattice) there is no slab, and the positive
+    radius leaves every shell empty.
 
     On a rank-3 lattice two local tests follow the slab test.  The residue
     test: a shell point is x = B u with u = (-m/g, y), and S(x,x) = d reads
@@ -251,25 +305,38 @@ def shells(lattice, h):
     def walk(d, big, bound):
         if not r:
             return
-        # quadric_integer_points' top level: |N^2 y - m N centre| <= s with
-        # s = isqrt(radius // K D), which grows with m; once 2 s >= N^2 - 1
-        # every later slab holds an integer, and the walk only steps
+        # the last slab holds an int iff K D t^2 <= rad, t the signed
+        # remainder of m c1 mod N^2; once K D (N^2 // 2)^2 <= rad it spans
+        # N^2 consecutive ints, and so does every later one
         step, per = lcm(g, d // gcd(d, 2)), big // d
         n2, c1, kd = nn * nn, nn * centre[-1], form[2][-1]
+        half, wide_rad, base = n2 // 2, kd * (n2 // 2) ** 2, d * hh * scale
+        a = kd * c1 * c1 - scale
         # bit i of ok: no modulus rules out m/g = i (mod period).  The masks
         # are read at t = -m/g, as Q(-t, -y) = Q(t, y), and times
         # full // (2^M - 1) an M-bit row repeats over the period
         ok, i, di = full, 0, step // g % period
         for mod, masks in local:
             ok &= masks[d % mod] * (full // ((1 << mod) - 1))
-        m = key = 0
+        m = key = misses = 0
         wide = False
         while key <= bound:
             if not wide:
-                c, s = m * c1, isqrt((d * hh + m * m) * scale // kd)
-                wide = 2 * s + 1 >= n2
-            if (wide or -((s - c) // n2) <= (c + s) // n2) and ok >> i & 1 and not (
-                    inert and gcd(rad := (d * hh + m * m) * scale, inert_product) > 1
+                rad = base + m * m * scale
+                t = (m * c1 + half) % n2 - half
+                if kd * t * t > rad:
+                    k, misses = 1, misses + 1
+                    if misses > 3:      # the fourth empty slab in a row: jump
+                        z = m * c1 // n2 + (c1 > 0)     # the multiple the slab moves to
+                        lo = _first_root(a, -2 * kd * n2 * c1 * z, kd * n2 * n2 * z * z - base, m)
+                        k = max(1, -((m - lo) // step))
+                    m += k * step
+                    key = m * m * per
+                    i = (i + k * di) % period
+                    continue
+                misses, wide = 0, rad >= wide_rad
+            if ok >> i & 1 and not (
+                    inert and gcd(rad := base + m * m * scale, inert_product) > 1
                     and _odd_valuation(rad, inert)):
                 yield key, d, m
             m += step
@@ -343,8 +410,13 @@ def run(lattice: Lattice, h, filt: RootFilter, *, max_key: HeightKey,
             terminated = not lin and cones.in_light_cone(lattice, rays)
             if terminated or len(accepted) == max_roots:
                 break
+    # S(a_i, a_j) = (G a_i) . a_j from the rows already held, once per pair
+    gram = [[0] * len(accepted) for _ in accepted]
+    for i, row in enumerate(rows):
+        for j in range(i, len(accepted)):
+            gram[i][j] = gram[j][i] = linalg.dot(row, accepted[j])
     return ChamberReport(accepted=tuple(accepted), terminated=terminated,
-                         gram=gram_matrix(lattice, accepted))
+                         gram=tuple(map(tuple, gram)))
 
 
 class GramBoundReport(Record):

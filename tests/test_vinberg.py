@@ -1,20 +1,22 @@
 """Height-ordered enumeration, chamber accretion and the pairing bounds."""
 
+import ast
 import itertools
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lorentzroots import cones, linalg, vinberg, weylstruct
 from lorentzroots.errors import (ControllerOnMirrorError, DegenerateFormError, DimensionError,
                                  DomainError)
 from lorentzroots.lattice import (Lattice, gram_matrix, is_crystallographic, norm, pair,
-                                  reflection)
+                                  reflection, timelike_vector)
 from lorentzroots.vinberg import HeightKey, RootFilter
 from test_cones import _reference_cone
 from test_linalg import last_slab
@@ -1089,3 +1091,257 @@ def test_walks_at_rank_4_and_5_do_not_read_the_residue_test(monkeypatch, u_plus_
             got.append((len(keys), sum(m for _, _, m in keys), keys[-1]))
     assert got == [(181, 250015, (8217458, 1, 2027)), (348, 666941, (9998244, 2, 3162)),
                    (317, 50086, (99856, 2, 316))]
+
+
+# ---------------------------------------------------------------------------
+# the walk's jumps over runs of empty slabs
+
+def stepped_walk(walk, d, big, bound):
+    """A test-only oracle: walk(d, big, bound) as it was before it jumped
+    over empty slabs.  Every multiple m of the step is visited, and its last
+    slab pays an isqrt.  The set-up of shells() is read from the walk's
+    closure, so the two loops share it."""
+    env = dict(zip(walk.__code__.co_freevars, (cell.cell_contents for cell in walk.__closure__)))
+    if not env["r"]:
+        return
+    g, nn, centre, form, hh, scale = (env[k] for k in ("g", "nn", "centre", "form", "hh", "scale"))
+    local, period, full, inert = (env[k] for k in ("local", "period", "full", "inert"))
+    step, per = lcm(g, d // gcd(d, 2)), big // d
+    n2, c1, kd = nn * nn, nn * centre[-1], form[2][-1]
+    ok, i, di = full, 0, step // g % period
+    for mod, masks in local:
+        ok &= masks[d % mod] * (full // ((1 << mod) - 1))
+    m = key = 0
+    wide = False
+    while key <= bound:
+        if not wide:
+            c, s = m * c1, isqrt((d * hh + m * m) * scale // kd)
+            wide = 2 * s + 1 >= n2
+        if (wide or -((s - c) // n2) <= (c + s) // n2) and ok >> i & 1 and not (
+                inert and gcd(rad := (d * hh + m * m) * scale, env["inert_product"]) > 1
+                and vinberg._odd_valuation(rad, inert)):
+            yield key, d, m
+        m += step
+        key = m * m * per
+        i = (i + di) % period
+
+
+def _slab_sign(gram, h):
+    """(sign of a, c1 == 0) for the walks of controller h: a = K D c1^2 - sc,
+    in the names of the shells() docstring."""
+    _, walk = vinberg.shells(Lattice(gram=gram), h)
+    env = dict(zip(walk.__code__.co_freevars, (cell.cell_contents for cell in walk.__closure__)))
+    c1 = env["nn"] * env["centre"][-1]
+    a = env["form"][2][-1] * c1 * c1 - env["scale"]
+    return (a > 0) - (a < 0), c1 == 0
+
+
+def _diag(*entries):
+    return tuple(tuple(x if i == j else 0 for j in range(len(entries)))
+                 for i, x in enumerate(entries))
+
+
+def _u_plus(k2):
+    return ((0, -1, 0), (-1, 0, 0), (0, 0, k2))
+
+
+EX134_GRAM = ((2, -2, -2), (-2, 2, -2), (-2, -2, 2))
+U_PLUS_A2_GRAM = ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2))
+DIAG_2_2_M2_GRAM = _diag(2, 2, -2)
+# (gram, h, norms, bound): a > 0 with runs of hundreds of empty slabs, a = 0,
+# a < 0, and c1 = 0 (h has no top kernel coordinate, so a = -sc < 0)
+WALK_EXAMPLES = [(_diag(-1, 1, 1, 1, 1), (400, 4, 3, 2, 1), frozenset({1, 2}), 2 * 10 ** 7),
+                 (_diag(-1, 1), (9, 8), frozenset({1, 2}), 5000 ** 2),
+                 (((2, 3), (3, -4)), (1, 5), frozenset({1, 2, 3}), 5000 ** 2),
+                 (_u_plus(22), (2, 6, 0), frozenset({1, 2, 22}), 5000 ** 2)]
+
+
+def _moved(gram, h, seed):
+    """gram and h in the basis B U, for a unimodular U made of 12 seeded
+    elementary column moves."""
+    n = len(gram)
+    rng = random.Random(seed)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(12 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        for row in u:                               # U <- U (I + s e_i e_j^T)
+            row[j] += s * row[i]
+        u_inv[i] = [a - s * b for a, b in zip(u_inv[i], u_inv[j])]
+    moved = linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(gram, u))
+    return tuple(map(tuple, moved)), tuple(linalg.mat_vec(u_inv, h))
+
+
+@st.composite
+def walk_cases(draw):
+    """(gram, h, norms, bound): U + <2k>, I_{n,1}, a hyperbolic binary form
+    or a fixture lattice, in its own basis or a moved one, a random timelike
+    controller, one to three norms and a key bound up to 5000^2."""
+    kind = draw(st.sampled_from(("u_plus", "odd_unimodular", "binary", "fixture")))
+    if kind == "u_plus":
+        gram = _u_plus(2 * draw(st.integers(1, 30)))
+    elif kind == "odd_unimodular":
+        gram = _diag(-1, *[1] * draw(st.integers(1, 6)))
+    elif kind == "binary":
+        p, q, s = (draw(st.integers(-6, 6)) for _ in range(3))
+        assume(p * s < q * q)
+        gram = ((p, q), (q, s))
+    else:
+        gram = draw(st.sampled_from((EX134_GRAM, U_PLUS_A2_GRAM, DIAG_2_2_M2_GRAM)))
+    lat = Lattice(gram=gram)
+    h0 = timelike_vector(lat)
+    t = draw(st.integers(1, 40))
+    h = [t * a + draw(st.integers(-9, 9)) for a in h0]
+    while norm(lat, h) >= 0:
+        h = [a + b for a, b in zip(h, h0)]
+    seed = draw(st.integers(0, 3))
+    if seed:
+        gram, h = _moved(gram, h, seed)
+    norms = frozenset(draw(st.sets(st.integers(1, 12), min_size=1, max_size=3)))
+    return gram, tuple(h), norms, draw(st.integers(0, 5000 ** 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(walk_cases())
+@example(WALK_EXAMPLES[0])
+@example(WALK_EXAMPLES[1])
+@example(WALK_EXAMPLES[2])
+@example(WALK_EXAMPLES[3])
+def test_walk_equals_the_stepped_walk(case):
+    gram, h, norms, bound = case
+    _, walk = vinberg.shells(Lattice(gram=gram), h)
+    big = lcm(*norms)
+    for d in norms:
+        assert list(walk(d, big, bound)) == list(stepped_walk(walk, d, big, bound)), d
+
+
+def test_the_walk_examples_cover_each_sign_of_a_and_only_a_positive_one_jumps(monkeypatch):
+    # with a <= 0, y = 0 lies in every slab (a m^2 <= d |S(h,h)| sc), so no
+    # slab is empty and the walk never jumps
+    first_root, calls = vinberg._first_root, []
+    monkeypatch.setattr(vinberg, "_first_root",
+                        lambda *args: calls.append(args) or first_root(*args))
+    got = []
+    for gram, h, norms, bound in WALK_EXAMPLES:
+        _, walk = vinberg.shells(Lattice(gram=gram), h)
+        calls.clear()
+        for d in norms:
+            list(walk(d, lcm(*norms), bound))
+        got.append((*_slab_sign(gram, h), len(calls)))
+    assert got == [(1, False, 20), (0, False, 0), (-1, False, 0), (-1, True, 0)]
+
+
+def _first_root_scan(a, b, c, m):
+    """(the ceiling of the least real x >= m with P(x) <= 0, the least int
+    k >= m with P(k) <= 0), each None if there is none, by a scan of the unit
+    intervals [k - 1, k] from k = m + 1: P <= 0 somewhere on one iff at an
+    end, or a > 0, b^2 >= 4 a c and the vertex -b / 2a lies inside it.  Every
+    real root is at most 1 + |b| + |c| in size (Cauchy), so the scan stops."""
+    def p(x):
+        return (a * x + b) * x + c
+    ks = range(m + 1, abs(b) + abs(c) + 3)
+    ceiling = next((k for k in ks if p(k) <= 0 or (
+        a > 0 and b * b >= 4 * a * c and 2 * a * (k - 1) < -b < 2 * a * k)), None)
+    return ceiling, next((k for k in ks if p(k) <= 0), None)
+
+
+def test_first_root_is_a_floor_of_the_least_root_within_one():
+    # every P = a x^2 + b x + c and int m with P(m) > 0 in a box, a of each
+    # sign: lo never exceeds the least int k >= m with P(k) <= 0, and is
+    # within one of it, so a jump to lo makes progress and skips no pairing
+    # that passes.  lo is None exactly when no real x >= m has P(x) <= 0;
+    # for a <= 0 that is when no such int exists, while for a > 0 the real
+    # roots may lie between two ints (P = (2x - 1)^2 at m = 0), and lo is
+    # an int there: a slab edge can cross y N^2 between two pairings, and a
+    # later pairing then passes with a farther multiple
+    between = 0
+    box = itertools.product(range(-4, 5), range(-14, 15), range(-14, 15), range(-5, 6))
+    for a, b, c, m in box:
+        if (a * m + b) * m + c <= 0:
+            continue
+        ceiling, least = _first_root_scan(a, b, c, m)
+        lo = vinberg._first_root(a, b, c, m)
+        assert (lo is None) == (ceiling is None), (a, b, c, m)
+        if lo is not None:
+            assert lo <= ceiling <= lo + 1, (a, b, c, m, lo)
+        assert least in (None, ceiling), (a, b, c, m)
+        between += ceiling is not None and least is None
+    assert between > 0
+    assert vinberg._first_root(4, -4, 1, 0) in (0, 1)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 12, 10 ** 12),
+       st.integers(-10 ** 18, 10 ** 18), st.integers(-10 ** 6, 10 ** 6))
+@example(0, -3, 10 ** 18, 0)                            # a = 0: the linear root, exactly
+@example(-1, 10 ** 6, 1, 0)                             # a < 0, b' >> 0: no cancellation
+@example(4, -4 * (2 * 10 ** 6 + 1), (2 * 10 ** 6 + 1) ** 2, 0)  # a double root at 10^6 + 1/2
+@example(1, -2 * 10 ** 6, 10 ** 12 - 1, 5)             # roots 10^6 - 1 and 10^6 + 1
+def test_first_root_at_scale(a, b, c, m):
+    def p(x):
+        return (a * x + b) * x + c
+
+    def dips(x0, x1):
+        # P <= 0 somewhere on the real interval [x0, x1], x0 <= x1
+        return p(x0) <= 0 or p(x1) <= 0 or (a > 0 and b * b >= 4 * a * c
+                                            and 2 * a * x0 < -b < 2 * a * x1)
+    assume(p(m) > 0)
+    lo = vinberg._first_root(a, b, c, m)
+    # P has a real zero right of m iff it falls to -inf, falls along a line,
+    # or has real roots with its vertex right of m
+    has_root = a < 0 or (a == 0 and b < 0) or (a > 0 and b * b >= 4 * a * c and -b > 2 * a * m)
+    assert (lo is not None) == has_root
+    if lo is not None:
+        assert lo >= m
+        assert lo - 1 < m or not dips(m, lo - 1)        # lo <= ceil(x0)
+        assert dips(m, lo + 1)                           # ceil(x0) <= lo + 1
+
+
+CHAMBER_RUNS = ([(_diag(-1, *[1] * n), (400,) + tuple(range(n, 0, -1)), {1, 2}, 10 ** 7, None)
+                 for n in (4, 5, 6)]
+                + [(gram, h, norms, 2000, 16) for gram, h, norms in (
+                    (EX134_GRAM, (1, 1, 1), {2}), (EX134_GRAM, (4, 3, 2), {2, 8}),
+                    (_u_plus(2), (-4, -3, -1), {2}), (_u_plus(2), (-4, -3, -1), {2, 4}),
+                    (DIAG_2_2_M2_GRAM, (1, 2, 4), {2, 4}),
+                    (U_PLUS_A2_GRAM, (-4, -3, -1, -1), {2}))])
+DEEP_RUNS = [(_u_plus(22), (22, 30, -1), {2}, 4 * 10 ** 6, 24),
+             (_u_plus(22), (22, 30, -1), {2, 22}, 4 * 10 ** 6, None),
+             (_u_plus(26), (-12, -28, -3), {2}, 4 * 10 ** 6, 40)]
+
+
+def _walk_visits(runs):
+    """The pairings the walks of shells() visit while vinberg.run makes the
+    runs (gram, h, norms, key, max_roots): a line tracer counts the passes
+    through the first statement of the walk's loop."""
+    with open(vinberg.__file__) as fh:
+        tree = ast.parse(fh.read())
+    walk = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "walk")
+    line = next(n for n in ast.walk(walk) if isinstance(n, ast.While)).body[0].lineno
+    visits = 0
+
+    def in_walk(frame, event, arg):
+        nonlocal visits
+        visits += event == "line" and frame.f_lineno == line
+        return in_walk
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        return in_walk if code.co_name == "walk" and code.co_filename == vinberg.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        for gram, h, norms, key, max_roots in runs:
+            vinberg.run(Lattice(gram=gram), h, RootFilter(norms=frozenset(norms)),
+                        max_key=HeightKey(key, 1), max_roots=max_roots)
+    finally:
+        sys.settrace(previous)
+    return visits
+
+
+def test_walks_of_the_benchmark_runs_jump_over_empty_slabs():
+    # the chamber and deep runs of the benchmark: stepping through every
+    # multiple of the step, the walks visit 2,366 and 3,503 pairings, of
+    # which 2,277 and 150 have an empty last slab
+    assert (_walk_visits(CHAMBER_RUNS), _walk_visits(DEEP_RUNS)) == (114, 3495)
