@@ -9,11 +9,11 @@ lineality space.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 from . import linalg
 from .errors import DomainError
-from .lattice import Lattice, Record, int_vectors, integer, norm, pair, vector_of_sign
+from .lattice import Lattice, Record, check_dim, int_vectors, integer, norm, pair, vector_of_sign
 
 
 class Cone(Record):
@@ -46,8 +46,7 @@ def clip(lin, rays, rows, row):
     bit = 1 << len(rows)
 
     def cut(p, vp, q, vq):  # on row . y = 0 for vp = row . p, vq = row . q
-        return linalg.primitive(linalg.vec_sub(linalg.vec_scale(vp, q),
-                                               linalg.vec_scale(vq, p)))
+        return linalg.primitive([vp * b - vq * a for a, b in zip(p, q)])
 
     j = next((i for i, l in enumerate(lin) if linalg.dot(row, l)), None)
     if j is not None:
@@ -86,9 +85,18 @@ def dual_extreme_rays(lattice: Lattice, roots) -> Cone:
 
 
 def in_light_cone(lattice: Lattice, rays) -> bool:
-    """All rays isotropic or timelike and pairwise in one closed half-cone."""
-    return (all(norm(lattice, r) <= 0 for r in rays)
-            and all(pair(lattice, p, q) <= 0 for p, q in combinations(rays, 2)))
+    """All rays isotropic or timelike and pairwise in one closed half-cone.
+    G r is formed once per ray of the iterable rays, in order, for its norm
+    (the test stops at the first spacelike ray); each pair is then one dot
+    of a held row with a ray (it stops at the first positive pairing)."""
+    rays, rows = list(rays), []
+    for r in rays:
+        check_dim(lattice, r)
+        row = linalg.mat_vec(lattice.gram, r)
+        if linalg.dot(row, r) > 0:
+            return False
+        rows.append(row)
+    return all(linalg.dot(row, q) <= 0 for i, row in enumerate(rows) for q in rays[i + 1:])
 
 
 class ArithmeticTypeReport(Record):

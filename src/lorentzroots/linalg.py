@@ -76,16 +76,17 @@ def is_zero_matrix(m):
 
 
 def content(v) -> int:
-    """gcd of the entries, 0 for the zero vector."""
-    return gcd(*(int(a) for a in v))
+    """gcd of the int entries, 0 for the zero vector; a non-integer entry
+    raises TypeError."""
+    return gcd(*v)
 
 
 def primitive(v):
-    """Divide an integer vector by the gcd of its entries (direction kept)."""
-    g = content(v)
+    """Divide an int vector by the gcd of its entries (direction kept)."""
+    g = gcd(*v)
     if g == 0:
         raise DegenerateFormError("zero vector has no primitive representative")
-    return tuple(int(a) // g for a in v)
+    return tuple(a // g for a in v)
 
 
 def clear_denominators(v):

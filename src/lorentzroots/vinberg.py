@@ -250,9 +250,17 @@ def shells(lattice, h):
     is LLL-reduced under the form, which keeps the Fincke-Pohst descent from
     walking long thin boxes (Fincke & Pohst 1985), whatever basis the
     lattice is given in, and LLL's integral Gram-Schmidt data is the LDL of
-    the form on h^perp.  The coordinates z of h in the basis are integers
-    (at rank 3 they come from the 2 x 2 kernel block of Q by Cramer's rule),
-    so the only denominators are those of that LDL and |S(h,h)|: they are
+    the form on h^perp.  It also gives the int coordinates (z_0, z) of h in
+    the unimodular basis, at every rank.  B^T G h = (g, 0, ..., 0), so
+    z_0 = S(h,h)/g, and v = h - z_0 col_0 = sum z_i kern_i pairs with kern_j
+    as -z_0 S(kern_j, col_0), read off column 0 of G B.  Forward pass: on
+    that pairing lll's recurrence for a new row,
+    u <- (d_{i+1} u - lam_vi lam_ji) / d_i, gives lam_vj = d_{j+1} mu_vj; each
+    u is a bordered Gram determinant of the int vectors kern_0..kern_j, v,
+    so each division is exact (Cohen, Alg. 2.6.7).  Back pass: v's
+    coefficient on kern_j* is mu_vj = z_j + sum_{i>j} z_i mu_ij, so
+    z_j = (lam_vj - sum_{i>j} z_i lam_ij) / d_{j+1}, exact as z_j is an int.
+    So the only denominators are those of the LDL and |S(h,h)|: they are
     cleared once per controller, and each shell passes quadric_integer_points
     the ints m z N / |S(h,h)| and (d |S(h,h)| + m^2) K N^4 / |S(h,h)|.
     """
@@ -267,14 +275,15 @@ def shells(lattice, h):
     gb = linalg.mat_mul(lattice.gram, basis)
     hh = -norm(lattice, h)
     r = len(kern)
-    if r == 2:
-        # B^T G B z = B^T G h = (g, 0, 0), so z_0 = -hh/g and the kernel
-        # part solves K z' = -z_0 (b1, b2), with det K = dets[2]
-        bgb = linalg.mat_mul([cols[0]] + kern, gb)
-        (_, b1, b2), (_, k11, k12), (_, _, k22) = bgb
-        z = [hh // g * x // dets[2] for x in (k22 * b1 - k12 * b2, k11 * b2 - k12 * b1)]
-    else:
-        z = [int(c) for c in linalg.solve(basis, h)[1:]]     # basis is unimodular
+    # z: the docstring's forward pass for v = h + (hh/g) col_0, then its back pass
+    col0, lam_v, z = [row[0] for row in gb], [], [0] * r
+    for j in range(r):
+        u = hh // g * linalg.dot(kern[j], col0)
+        for i in range(j):
+            u = (dets[i + 1] * u - lam_v[i] * lam[j][i]) // dets[i]
+        lam_v.append(u)
+    for j in range(r - 1, -1, -1):
+        z[j] = (lam_v[j] - sum(z[i] * lam[i][j] for i in range(j + 1, r))) // dets[j + 1]
     # D_i = dets[i+1]/dets[i] and U_ik = lam[k][i]/dets[i+1]: N clears U and
     # z/hh, K clears D, and hh | N makes the scaled radius an int
     nn = lcm(hh, *dets[1:r])
@@ -285,7 +294,7 @@ def shells(lattice, h):
     scale = kk * nn ** 4 // hh
     inert = _inert_primes(*form[2]) if r == 2 else []
     inert_product = prod(inert)
-    local = _residue_masks(bgb) if r == 2 else []
+    local = _residue_masks(linalg.mat_mul([cols[0]] + kern, gb)) if r == 2 else []
     period = lcm(*(mod for mod, _ in local))
     full = (1 << period) - 1
     rows_of = {}    # d -> (q, the rows of G B not 0 mod q)

@@ -1,12 +1,13 @@
 """Double description, duality round trips and the arithmetic-type test."""
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
 from ex134_data import CUSP
-from lorentzroots import cones, kacmoody, linalg
+from lorentzroots import cones, kacmoody, linalg, vinberg
 from lorentzroots.errors import DimensionError, DomainError
 from lorentzroots.lattice import Lattice, norm, pair, vector_of_sign
 
@@ -308,14 +309,16 @@ def _reference_arithmetic_type(lat, roots):
     return ok, witness, cone
 
 
+I41 = Lattice(gram=tuple(tuple((-1 if i == 0 else 1) * (i == j) for j in range(5))
+                         for i in range(5)))
+
+
 def _random_folds(ex134, u, u_plus_2, u_plus_a2, diag22m):
     """(lattice, walls, the walls shuffled): 150 random wall systems on each
     of seven lattices, about 300 of whose cones have lineality."""
-    i41 = Lattice(gram=tuple(tuple((-1 if i == 0 else 1) * (i == j) for j in range(5))
-                             for i in range(5)))
     u22 = Lattice(gram=((0, -1, 0), (-1, 0, 0), (0, 0, 22)))
     rng = random.Random(26)
-    for lat in (ex134, u, u_plus_2, u_plus_a2, diag22m, i41, u22):
+    for lat in (ex134, u, u_plus_2, u_plus_a2, diag22m, I41, u22):
         for _ in range(150):
             k = rng.randint(1, lat.rank + 3)
             roots = []
@@ -364,3 +367,72 @@ def test_clip_carries_the_tight_rows_of_each_ray(ex134, u, u_plus_2, u_plus_a2, 
             folds.append((lin, set(rays)))
         assert folds[0] == folds[1], roots
     assert lineality_steps >= 2000 and steps - lineality_steps >= 4000, (steps, lineality_steps)
+
+
+# ---------------------------------------------------------------------------
+# the light-cone test on held rows
+
+def _pairwise_light_cone(lat, rays):
+    """in_light_cone's definition before it held rows: every norm by
+    lattice.norm, then every pair by lattice.pair, in order."""
+    return (all(norm(lat, r) <= 0 for r in rays)
+            and all(pair(lat, p, q) <= 0 for p, q in combinations(rays, 2)))
+
+
+def test_in_light_cone_equals_the_pairwise_definition(ex134, u, u_plus_2, u_plus_a2, diag22m):
+    # ray lists, tuples and ray dicts (as vinberg.run passes them) of
+    # timelike and isotropic rays turned into the half-cone of a timelike t,
+    # then perhaps with a spacelike ray put in or one ray turned over, which
+    # makes pairs with a positive pairing
+    rng = random.Random(5)
+    seen = Counter()
+    for lat in (ex134, u, u_plus_2, u_plus_a2, diag22m, I41):
+        box = [v for v in product(range(-2, 3), repeat=lat.rank) if any(v)]
+        timelike, isotropic, spacelike = ([v for v in box if f(norm(lat, v))] for f in (
+            lambda n: n < 0, lambda n: n == 0, lambda n: n > 0))
+        t = timelike[0]
+        for _ in range(300):
+            rays = [rng.choice(rng.choice((timelike, isotropic))) for _ in range(rng.randint(0, 6))]
+            rays = [tuple(-x for x in r) if pair(lat, t, r) > 0 else r for r in rays]
+            change = rng.randrange(3)
+            if change == 1:
+                rays.insert(rng.randint(0, len(rays)), rng.choice(spacelike))
+            elif change == 2 and rays:
+                i = rng.randrange(len(rays))
+                rays[i] = tuple(-x for x in rays[i])
+            want = _pairwise_light_cone(lat, rays)
+            assert cones.in_light_cone(lat, rays) == want, (lat.gram, rays)
+            assert cones.in_light_cone(lat, tuple(rays)) == want
+            held = dict.fromkeys(rays, 0)
+            assert cones.in_light_cone(lat, held) == _pairwise_light_cone(lat, list(held))
+            seen["in" if want else "spacelike" if change == 1 else "pair"] += 1
+    assert min(seen.values()) >= 150 and len(seen) == 3, seen
+
+
+def test_in_light_cone_checks_each_ray_it_reads(ex134):
+    # a ray of the wrong length raises when the norm loop reaches it, as
+    # with lattice.norm: after an isotropic ray, and in a ray dict
+    for rays in ([(1, 1)], [(1, 1, 0), (1, 0, 1, 0)], {(1, 1, 0): 0, (1, 1): 1}):
+        with pytest.raises(DimensionError, match="vector of length"):
+            cones.in_light_cone(ex134, rays)
+
+
+def test_arithmetic_type_of_the_fixture_chambers(ex134, u_plus_2, u_plus_a2, diag22m):
+    # the terminated chambers, and each with one wall left out, give the
+    # reports of the pairwise reference
+    chambers = [(ex134, (1, 1, 1), {2}, 2000), (ex134, (4, 3, 2), {2, 8}, 2000),
+                (u_plus_2, (-4, -3, -1), {2}, 2000), (u_plus_2, (-4, -3, -1), {2, 4}, 2000),
+                (diag22m, (1, 2, 4), {2, 4}, 2000), (u_plus_a2, (-4, -3, -1, -1), {2}, 2000),
+                (I41, (400, 4, 3, 2, 1), {1, 2}, 10 ** 7)]
+    outcomes = Counter()
+    for lat, h, norms, key in chambers:
+        rep = vinberg.run(lat, h, vinberg.RootFilter(norms=frozenset(norms)),
+                          max_key=vinberg.HeightKey(key, 1))
+        assert rep.terminated
+        for i in range(len(rep.accepted) + 1):
+            walls = rep.accepted[:i] + rep.accepted[i + 1:]
+            art = cones.is_arithmetic_type(lat, walls)
+            assert (art.finite_volume, art.witness, art.cone) \
+                == _reference_arithmetic_type(lat, walls), (lat.gram, walls)
+            outcomes[art.finite_volume] += 1
+    assert outcomes[True] >= len(chambers) and outcomes[False] >= 20, outcomes

@@ -722,6 +722,23 @@ def test_three_level_descent_runs_the_shared_leaf_loop_under_each_y2(args):
     assert got == fraction_quadric_points(*scaled_ldl(*args))
 
 
+def test_content_and_primitive_read_ints_and_truncate_nothing():
+    # a non-integer entry raises, where int() used to truncate it:
+    # content((3/2, 1)) was 1, primitive((3/2, 2)) was (1, 2), content((2.9, 4)) was 2
+    for call, v in ((linalg.content, (Fraction(3, 2), 1)), (linalg.primitive, (Fraction(3, 2), 2)),
+                    (linalg.content, (2.9, 4)), (linalg.primitive, (2.0, 4))):
+        with pytest.raises(TypeError):
+            call(v)
+    assert linalg.content((-4, 6, 0)) == 2 and linalg.content((-3,)) == 3
+    assert linalg.primitive((-4, 6, 0)) == (-2, 3, 0)
+    assert linalg.content((True, 2)) == 1 and linalg.content((0, 0)) == 0
+    got = linalg.primitive((True, False, -3))
+    assert got == (1, 0, -3) and all(type(x) is int for x in got)
+    for zero in ((0, 0, 0), (False, 0)):
+        with pytest.raises(DegenerateFormError):
+            linalg.primitive(zero)
+
+
 def test_primitive_and_clear_denominators():
     assert linalg.primitive((4, 2, 0)) == (2, 1, 0)
     assert linalg.primitive((-6, -9)) == (-2, -3)

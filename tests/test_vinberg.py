@@ -1345,3 +1345,32 @@ def test_walks_of_the_benchmark_runs_jump_over_empty_slabs():
     # multiple of the step, the walks visit 2,366 and 3,503 pairings, of
     # which 2,277 and 150 have an empty last slab
     assert (_walk_visits(CHAMBER_RUNS), _walk_visits(DEEP_RUNS)) == (114, 3495)
+
+
+# ---------------------------------------------------------------------------
+# the coordinates of h, on ints from lll's LDL
+
+def _no_solve(*args):
+    raise AssertionError("shells() called linalg.solve")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(walk_cases())
+@example((((-2,),), (3,), frozenset({1}), 0))                      # rank 1: no kernel
+@example((_diag(-1, *[1] * 7), (400, 7, 6, 5, 4, 3, 2, 1), frozenset({1}), 0))
+@example(WALK_EXAMPLES[3])                                           # c1 = 0: z_last = 0
+@example((*_moved(EX134_GRAM, (4, 3, 2), 5), frozenset({2}), 0))
+def test_coordinates_of_h_equal_the_fraction_solve(case):
+    # a test-only oracle: h = B (z_0, z) read off the set-up of shells() by
+    # a Fraction solve, on lattices of every rank 1 to 8 in their own and in
+    # moved bases.  shells() itself makes no solve, at any rank
+    gram, h = case[:2]
+    solve, linalg.solve = linalg.solve, _no_solve
+    try:
+        roots, _ = vinberg.shells(Lattice(gram=gram), h)
+    finally:
+        linalg.solve = solve
+    env = dict(zip(roots.__code__.co_freevars, (cell.cell_contents for cell in roots.__closure__)))
+    basis, g, hh, nn, centre = (env["basis"], env["g"], env["hh"], env["form"][0], env["centre"])
+    assert hh == -norm(Lattice(gram=gram), h) and nn % hh == 0
+    assert linalg.solve(basis, h) == (Fraction(-hh, g), *(Fraction(c * hh, nn) for c in centre))
