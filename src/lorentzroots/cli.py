@@ -30,14 +30,15 @@ def _rat(x):
 
 
 def _load_lattice_arg(path) -> Lattice:
+    """The lattice file at path, else the packaged fixture of that name."""
     try:
-        return load_lattice(path)
-    except FileNotFoundError:
-        from importlib import resources    # here, not at the top: it loads pathlib and zipfile
-        fixture = resources.files("lorentzroots").joinpath("fixtures", path)
-        if fixture.is_file():
+        try:
+            return load_lattice(path)
+        except FileNotFoundError:
+            fixture = os.path.join(os.path.dirname(__file__), "fixtures", path)
+            if not os.path.isfile(fixture):
+                raise
             return load_lattice(fixture)
-        raise
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"cannot parse lattice file {path}: {exc}")
 

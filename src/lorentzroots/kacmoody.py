@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from . import cones, linalg, weylstruct
 from .errors import DenominatorMismatchError, DomainError
@@ -72,11 +73,11 @@ def root_datum(lattice: Lattice, roots) -> RootDatum:
 # simple-root coordinates
 
 def tuple_to_vector(datum: RootDatum, coeffs):
-    return linalg.mat_vec(linalg.transpose(datum.simple_roots), coeffs)
+    return tuple(sum(map(mul, col, coeffs)) for col in zip(*datum.simple_roots))
 
 
 def tuple_norm(gcm: GeneralizedCartanMatrix, coeffs):
-    return sum(ci * linalg.dot(row, coeffs) for ci, row in zip(coeffs, gcm.b))
+    return sum(ci * sum(map(mul, row, coeffs)) for ci, row in zip(coeffs, gcm.b))
 
 
 def _rising_walk(gcm: GeneralizedCartanMatrix, base, height_bound: int, shift: int):

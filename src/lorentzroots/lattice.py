@@ -174,8 +174,8 @@ def gram_matrix(lattice: Lattice, vectors):
 def invariants(lattice: Lattice) -> LatticeInvariants:
     """Signature, parity, determinant and discriminant-group data.
 
-    The signature comes from an exact symmetric diagonalization over the
-    rationals, the divisor chain from the integer Smith normal form; the
+    The signature comes from the integer symmetric elimination of the Gram
+    matrix, the divisor chain from the integer Smith normal form; the
     discriminant-group exponent is the largest Smith divisor.
     """
     d = linalg.det(lattice.gram)
@@ -244,10 +244,10 @@ def is_isometry(lattice: Lattice, g) -> bool:
 
 def int_inverse(g):
     """Inverse of an integer matrix with determinant +-1; raises otherwise."""
-    inv = linalg.inverse(g)
-    if any(x.denominator != 1 for row in inv for x in row):
+    det, adj = linalg.adjugate(g)
+    if det not in (1, -1):
         raise DomainError("matrix is not unimodular: its inverse is not integral")
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return tuple(tuple(det * x for x in row) for row in adj)
 
 
 def scaled(lattice: Lattice, m: int) -> Lattice:
@@ -257,12 +257,13 @@ def scaled(lattice: Lattice, m: int) -> Lattice:
 
 def vector_of_sign(lattice: Lattice, sign: int, basis):
     """A primitive integer vector of the span of basis whose norm has the
-    given sign (+1 or -1), or None: the first diagonal entry of that sign
-    of the restricted form's rational diagonalization, pulled back."""
-    rows, diag = linalg.diagonalizing_basis(gram_matrix(lattice, basis))
-    for row, d in zip(rows, diag):
-        if d * sign > 0:
-            return linalg.clear_denominators(linalg.mat_vec(linalg.transpose(basis), row))
+    given sign (+1 or -1), or None: the basis combination rows[i] / p0 of
+    the first LDL entry p / p0 of that sign in the integer symmetric
+    elimination of the restricted form."""
+    rows = [list(b) for b in basis]
+    for i, p0, p in linalg.congruence_pivots(gram_matrix(lattice, basis), rows):
+        if p0 * p * sign > 0:
+            return linalg.primitive(rows[i] if p0 > 0 else [-x for x in rows[i]])
     return None
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .errors import DegenerateFormError, DimensionError
 
@@ -87,12 +87,6 @@ def primitive(v):
     if g == 0:
         raise DegenerateFormError("zero vector has no primitive representative")
     return tuple(a // g for a in v)
-
-
-def clear_denominators(v):
-    """Scale a rational vector to a primitive integer vector, keeping direction."""
-    den = lcm(*(Fraction(a).denominator for a in v))
-    return primitive(tuple(int(a * den) for a in v))
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +172,22 @@ def solve(rows, rhs):
     return tuple(x)
 
 
-def inverse(m):
-    """Exact inverse of a square rational matrix; raises if singular."""
+def _require_ints(m):
+    if not all(isinstance(x, int) for row in m for x in row):
+        raise TypeError("expected a matrix of ints")
+
+
+def adjugate(m):
+    """(det m, adj m) in ints of a square int matrix: the right block of the
+    elimination of [m | I] is |det m| m^-1, so adj m is that block times the
+    sign of det m.  A singular m or a non-int entry (TypeError) raises."""
+    _require_ints(m)
     n = len(m)
     aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    red, pivots, d, _ = _rref(aug)
+    red, pivots, d, sign = _rref(aug)
     if pivots[:n] != list(range(n)):
         raise DegenerateFormError("matrix is singular")
-    return tuple(tuple(Fraction(x, d) for x in red[i][n:]) for i in range(n))
+    return sign * d, tuple(tuple(sign * x for x in row[n:]) for row in red)
 
 
 def det(m) -> int:
@@ -200,55 +202,54 @@ def det(m) -> int:
 # symmetric forms
 
 def signature(sym):
-    """(positives, negatives, zeros) of a symmetric rational matrix, read off
-    the diagonal of diagonalizing_basis."""
-    _, diag = diagonalizing_basis(sym)
-    pos = sum(1 for d in diag if d > 0)
-    neg = sum(1 for d in diag if d < 0)
-    return pos, neg, len(diag) - pos - neg
+    """(positives, negatives, zeros) of a symmetric integer matrix: the signs
+    of its LDL entries p_k / p_{k-1} (Sylvester's law of inertia)."""
+    steps = congruence_pivots(sym, [()] * len(sym))      # no rows to carry
+    pos = sum(1 for _, p0, p in steps if p0 * p > 0)
+    return pos, len(steps) - pos, len(sym) - len(steps)
 
 
-def diagonalizing_basis(sym):
-    """Rows t_i with t_i sym t_j^T diagonal; returns (basis rows, diagonal).
+def congruence_pivots(sym, rows):
+    """Fraction-free symmetric elimination of an int matrix (Bareiss); a
+    non-int entry raises TypeError.
 
-    Congruence diagonalization with rational pivots; a zero diagonal is
-    repaired with the standard add-row-and-column trick, so no square
-    roots are ever needed.
-    """
+    A zero pivot a[i][i] is repaired by a congruence: swap row and column i
+    with a later j of a[j][j] != 0, else add row and column j to i for a
+    later j of a[i][j] != 0, else skip step i.  The rest becomes
+    a[r][c] = (p a[r][c] - a[r][i] a[i][c]) / p_prev: the pivots p are the
+    leading principal minors of an integer matrix congruent to sym, so each
+    division is exact and p_k / p_{k-1} is the k-th LDL entry.  The int rows,
+    one per row of sym, take the same row operations in place: rows[i] ends
+    as p_prev times (T rows)[i] for the rational T of T sym T^T = D.
+    Returns [(i, p_prev, p)] over the steps."""
+    _require_ints(sym)
     if tuple(map(tuple, sym)) != transpose(sym):
         raise DegenerateFormError("matrix is not symmetric")
     n = len(sym)
-    a = [[Fraction(x) for x in row] for row in sym]
-    t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    a = [list(row) for row in sym]
+    steps, d = [], 1
     for i in range(n):
         if a[i][i] == 0:
             j = next((k for k in range(i + 1, n) if a[k][k] != 0), None)
             if j is not None:
-                a[i], a[j] = a[j], a[i]
-                t[i], t[j] = t[j], t[i]
+                a[i], a[j], rows[i], rows[j] = a[j], a[i], rows[j], rows[i]
                 for row in a:
                     row[i], row[j] = row[j], row[i]
             else:
                 j = next((k for k in range(i + 1, n) if a[i][k] != 0), None)
                 if j is None:
                     continue
-                for k in range(n):
-                    a[i][k] += a[j][k]
-                    t[i][k] += t[j][k]
-                for k in range(n):
-                    a[k][i] += a[k][j]
-        piv = a[i][i]
+                a[i], rows[i] = list(map(add, a[i], a[j])), list(map(add, rows[i], rows[j]))
+                for row in a:
+                    row[i] += row[j]
+        top, p = a[i], a[i][i]
         for r in range(i + 1, n):
-            f = a[r][i] / piv
-            if f == 0:
-                continue
-            for k in range(n):
-                a[r][k] -= f * a[i][k]
-                t[r][k] -= f * t[i][k]
-            for k in range(n):
-                a[k][r] -= f * a[k][i]
-    diag = [a[i][i] for i in range(n)]
-    return [tuple(row) for row in t], diag
+            f = a[r][i]
+            a[r][i + 1:] = [(p * x - f * y) // d for x, y in zip(a[r][i + 1:], top[i + 1:])]
+            rows[r] = [(p * x - f * y) // d for x, y in zip(rows[r], rows[i])]
+        steps.append((i, d, p))
+        d = p
+    return steps
 
 
 # ---------------------------------------------------------------------------

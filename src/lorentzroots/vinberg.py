@@ -65,9 +65,7 @@ def _congruence_test(filt: RootFilter):
     if filt.congruence is None:
         return lambda x: True
     basis, residues = filt.congruence
-    cols = linalg.transpose(basis)
-    det = linalg.det(cols)
-    adj = [[int(det * a) for a in row] for row in linalg.inverse(cols)]
+    det, adj = linalg.adjugate(linalg.transpose(basis))
     return lambda x: any(all(linalg.dot(row, v) % det == 0 for row in adj)
                          for v in (linalg.vec_sub(x, r) for r in residues))
 

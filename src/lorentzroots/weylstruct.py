@@ -165,9 +165,7 @@ def symmetry_group(lattice: Lattice, roots) -> tuple:
     base = linalg.pivots(linalg.transpose(roots))
     if len(base) < lattice.rank:
         raise DomainError("wall system must span to determine isometries")
-    base_cols = linalg.transpose([roots[i] for i in base])
-    det = linalg.det(base_cols)
-    adj = tuple(tuple(int(det * x) for x in row) for row in linalg.inverse(base_cols))
+    det, adj = linalg.adjugate(linalg.transpose([roots[i] for i in base]))
     elements = []
     sigma = [None] * k
 

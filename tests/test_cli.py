@@ -87,6 +87,73 @@ def test_denominator_walks_the_weyl_group_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["anti_invariant"] is True
 
 
+@pytest.mark.parametrize("fixture, walls", [
+    ("ex134", ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    ("diag_2_2_m2", ((1, -1, 0), (-1, 0, 0), (1, 1, 1))),      # walls of norms 4, 2, 2
+])
+def test_denominator_rows_are_the_root_vectors_and_their_norms(capsys, fixture, walls):
+    # each row's vector is sum t_i a_i over the walls, and its norm is that
+    # vector's lattice norm
+    from lorentzroots import cli, linalg
+    from lorentzroots.lattice import load_lattice, norm
+
+    lat = load_lattice(os.path.join(os.path.dirname(cli.__file__), "fixtures", fixture + ".json"))
+    roots = ";".join(",".join(map(str, w)) for w in walls)
+    for height in range(9):
+        assert cli.main(["denominator", "--lattice", fixture + ".json", f"--roots={roots}",
+                         "--height", str(height)]) == 0
+        rows = json.loads(capsys.readouterr().out)["multiplicities"]
+        assert len(rows) > 0 or height == 0
+        for row in rows:
+            vector = linalg.mat_vec(linalg.transpose(walls), row["root"])
+            assert row["vector"] == list(vector)
+            assert row["norm"] == norm(lat, vector)
+
+
+def test_a_file_in_the_working_directory_shadows_the_packaged_fixture(tmp_path, monkeypatch,
+                                                                       capsys):
+    from lorentzroots import cli
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ex134.json").write_text('{"name": "shadow", "gram": [[0, 1], [1, 0]]}')
+    assert cli.main(["info", "--lattice", "ex134.json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["lattice"], report["rank"]) == ("shadow", 2)
+    (tmp_path / "ex134.json").unlink()
+    assert cli.main(["info", "--lattice", "ex134.json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["lattice"], report["rank"]) == ("ex134", 3)
+
+
+@pytest.mark.parametrize("path, make_dir", [
+    ("no_such_lattice.json", False),
+    ("ex134.json", True),         # a directory of a fixture's name
+    ("", False),
+])
+def test_a_lattice_path_that_is_no_file_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                                          path, make_dir):
+    from lorentzroots import cli
+
+    monkeypatch.chdir(tmp_path)
+    if make_dir:
+        (tmp_path / path).mkdir()
+    assert cli.main(["info", f"--lattice={path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and repr(path) in captured.err
+
+
+def test_a_fixture_relative_path_to_a_file_that_is_no_lattice_is_a_usage_error(
+        tmp_path, monkeypatch, capsys):
+    # "../cli.py" is missing from the working directory, and beside the
+    # fixtures it names a source file: a parse error, exit 2, no traceback
+    from lorentzroots import cli
+
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["info", "--lattice", "../cli.py"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse lattice file ../cli.py: ")
+
+
 def test_family_subcommand():
     res = run_cli("family", "--lattice", "ex134.json", "--k", "2", "--window", "2")
     report = json.loads(res.stdout)

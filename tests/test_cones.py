@@ -9,7 +9,8 @@ import pytest
 from ex134_data import CUSP
 from lorentzroots import cones, kacmoody, linalg, vinberg
 from lorentzroots.errors import DimensionError, DomainError
-from lorentzroots.lattice import Lattice, norm, pair, vector_of_sign
+from lorentzroots.lattice import Lattice, norm, pair
+from oracles import clear_denominators, inverse, vector_of_sign
 
 
 def test_triangle_dual_rays(ex134, triangle):
@@ -252,8 +253,8 @@ def _reference_dd_pointed(rows, n):
     if n == 0:
         return []
     base = linalg.pivots(linalg.transpose(rows))
-    inv = linalg.inverse([rows[i] for i in base])
-    rays = [linalg.clear_denominators([-x for x in col]) for col in linalg.transpose(inv)]
+    inv = inverse([rows[i] for i in base])
+    rays = [clear_denominators([-x for x in col]) for col in linalg.transpose(inv)]
     processed = list(base)
 
     def adjacent(p, q):

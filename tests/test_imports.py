@@ -7,6 +7,7 @@ names the benchmark tracer wraps in a module's namespace).
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -64,7 +65,7 @@ def test_the_check_finds_an_unused_import():
 # Standard modules the package needs anyway; Python 3.10 to 3.13 start without
 # most of them under -S, where `site` preloads nothing.
 _NEEDED = ("__future__, argparse, json, fractions, heapq, re, math, functools, itertools, "
-           "operator, enum, importlib")
+           "operator, enum")
 
 
 def test_importing_the_cli_loads_no_other_module():
@@ -78,3 +79,20 @@ def test_importing_the_cli_loads_no_other_module():
     added = ast.literal_eval(out)
     assert "lorentzroots.cli" in added
     assert [m for m in added if m.split(".")[0] != "lorentzroots"] == []
+
+
+def test_an_info_run_on_a_packaged_fixture_loads_no_resource_machinery(tmp_path):
+    # the --lattice fixture fallback is an os.path lookup: importlib.resources
+    # would bring pathlib, zipfile, tempfile and typing into every such run
+    code = (f"import sys, {_NEEDED}; import lorentzroots.cli; before = set(sys.modules); "
+            "code = lorentzroots.cli.main(['info', '--lattice', 'ex134.json']); "
+            "print(code, sorted(set(sys.modules) - before), file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(Path(lorentzroots.__file__).parent.parent)}
+    res = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(res.stdout)["lattice"] == "ex134"
+    code, added = res.stderr.split(" ", 1)
+    assert code == "0"
+    added = ast.literal_eval(added)
+    assert [m for m in ("importlib.resources", "zipfile", "pathlib", "tempfile", "typing")
+            if m in added] == []

@@ -9,10 +9,11 @@ from sympy.matrices.normalforms import invariant_factors
 
 from lorentzroots import linalg
 from lorentzroots.errors import DegenerateFormError, DimensionError, DomainError
+import oracles
 from ex134_data import CUSP, F01, F02, PHI
 from lorentzroots.lattice import (Lattice, a_delta, gram_matrix, int_inverse, invariants,
                                   is_crystallographic, is_isometry, norm, pair, reflection,
-                                  scaled, timelike_vector)
+                                  scaled, timelike_vector, vector_of_sign)
 
 
 
@@ -193,13 +194,15 @@ def test_is_isometry(ex134):
 
 
 def test_int_inverse_rejects_non_unimodular():
-    assert int_inverse(PHI) == linalg.inverse(PHI)
+    assert int_inverse(PHI) == oracles.inverse(PHI)
     assert linalg.mat_mul(PHI, int_inverse(PHI)) == linalg.identity(3)
     assert int_inverse(((0, 1), (1, 0))) == ((0, 1), (1, 0))
     # determinant 2 and 3: the rational inverse has a non-integer entry
     for g in (((2, 0), (0, 1)), ((1, 1), (-1, 2)), ((2, 1, 0), (0, 1, 0), (0, 0, 1))):
         with pytest.raises(DomainError, match="not unimodular"):
             int_inverse(g)
+    with pytest.raises(DegenerateFormError, match="singular"):
+        int_inverse(((1, 2), (2, 4)))
 
 
 def _random_crystallographic(rng, lat, count):
@@ -233,6 +236,34 @@ def test_timelike_vector(ex134, u, u_plus_2, u_plus_a2, diag22m):
         assert norm(lat, h) < 0
     with pytest.raises(DomainError, match="no timelike vectors"):
         timelike_vector(Lattice(gram=((2, 0), (0, 0))))
+
+
+def test_vector_of_sign_matches_the_fraction_route(ex134, u, u_plus_2, u_plus_a2, diag22m):
+    # the integer elimination's witness is the vector that the rational
+    # diagonalization, pulled back and cleared of denominators, gives
+    for lat in (ex134, u, u_plus_2, u_plus_a2, diag22m):
+        assert timelike_vector(lat) == oracles.vector_of_sign(lat, -1, linalg.identity(lat.rank))
+    rng = random.Random(42)
+    found = {1: 0, -1: 0}
+    for draw in range(400):
+        n = rng.randint(1, 6)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.choice([0, 0, rng.randint(-4, 4)])
+        if draw % 3 == 0:      # hollow: the zero-pivot repairs run
+            for i in range(n):
+                g[i][i] = 0
+        lat = Lattice(gram=g)
+        k = rng.randint(1, n)
+        basis = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        for sign in (1, -1):
+            v = vector_of_sign(lat, sign, basis)
+            assert v == oracles.vector_of_sign(lat, sign, basis)
+            if v is not None:
+                found[sign] += 1
+                assert norm(lat, v) * sign > 0 and linalg.content(v) == 1
+    assert min(found.values()) >= 100, found
 
 
 def test_json_roundtrip(tmp_path, ex134):

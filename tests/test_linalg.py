@@ -14,6 +14,7 @@ from sympy.matrices.normalforms import invariant_factors
 from lorentzroots import linalg, vinberg
 from lorentzroots.errors import DegenerateFormError, DimensionError
 from lorentzroots.lattice import Lattice
+import oracles
 
 
 def random_int_matrix(rng, n, m, lo=-6, hi=6):
@@ -80,8 +81,50 @@ def test_det_rejects_non_square_matrices():
             linalg.det(m)
 
 
+def test_adjugate_of_random_nonsingular_matrices():
+    # m adj = det I in ints, det agrees with linalg.det, and adj / det is the
+    # rational inverse
+    rng = random.Random(41)
+    sizes = 0
+    while sizes < 120:
+        n = rng.randint(1, 7)
+        m = random_int_matrix(rng, n, n, -4, 4)
+        if linalg.det(m) == 0:
+            continue
+        sizes += 1
+        det, adj = linalg.adjugate(m)
+        assert det == linalg.det(m)
+        assert all(type(x) is int for row in adj for x in row)
+        assert linalg.mat_mul(m, adj) == tuple(tuple(det * x for x in row)
+                                               for row in linalg.identity(n))
+        assert tuple(tuple(Fraction(x, det) for x in row) for row in adj) == oracles.inverse(m)
+
+
+def test_adjugate_rejects_a_singular_matrix():
+    for m in (((0,),), ((1, 2), (2, 4)), ((1, 0, 1), (0, 1, 1), (1, 1, 2)), ((0, 0), (0, 0))):
+        with pytest.raises(DegenerateFormError, match="singular"):
+            linalg.adjugate(m)
+
+
+def test_integer_eliminations_reject_rational_entries():
+    # floor division on a Fraction pivot would be silently wrong: the
+    # signature of diag(1, 1/2) would read (1, 0, 1), and the adjugate would
+    # belong to the row-scaled matrix
+    half = Fraction(1, 2)
+    for m in (((1, 0), (0, half)), ((half,),), ((0, half), (half, 0))):
+        with pytest.raises(TypeError, match="ints"):
+            linalg.signature(m)
+        with pytest.raises(TypeError, match="ints"):
+            linalg.congruence_pivots(m, [[1, 0], [0, 1]][:len(m)])
+        with pytest.raises(TypeError, match="ints"):
+            linalg.adjugate(m)
+    with pytest.raises(TypeError, match="ints"):
+        linalg.adjugate(((2.0, 0), (0, 1)))
+
+
 def test_signature_certificate():
-    # diagonalizing_basis is a congruence certificate for signature()
+    # the integer rows of congruence_pivots are a congruence certificate for
+    # signature(): T sym T^T = diag(p_prev p) on the steps, 0 on skipped rows
     rng = random.Random(15)
     for draw in range(90):
         n = rng.randint(1, 4) if draw < 60 else rng.randint(2, 5)
@@ -90,18 +133,61 @@ def test_signature_certificate():
         if draw >= 60:      # hollow: every diagonal entry 0, so the zero-pivot repair runs
             sym = tuple(tuple(0 if i == j else x for j, x in enumerate(row))
                         for i, row in enumerate(sym))
-        basis, diag = linalg.diagonalizing_basis(sym)
-        # certificate: T sym T^T is the claimed diagonal
-        t = [[Fraction(x) for x in row] for row in basis]
+        t = [list(row) for row in linalg.identity(n)]
+        steps = linalg.congruence_pivots(sym, t)
+        diag = [0] * n
+        for i, p0, p in steps:
+            diag[i] = p0 * p
         prod = linalg.mat_mul(linalg.mat_mul(t, sym), linalg.transpose(t))
         for i in range(n):
             for j in range(n):
                 assert prod[i][j] == (diag[i] if i == j else 0)
-        assert linalg.rank(basis) == n
+        assert all(type(x) is int for row in t for x in row)
+        assert linalg.rank(t) == n
         pos, neg, zero = linalg.signature(sym)
         assert pos == sum(1 for d in diag if d > 0)
         assert neg == sum(1 for d in diag if d < 0)
         assert zero == sum(1 for d in diag if d == 0)
+
+
+def random_symmetric(rng, n, hollow=False, singular=False):
+    sym = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            sym[i][j] = sym[j][i] = rng.choice([0, 0, rng.randint(-5, 5)])
+    if hollow:
+        for i in range(n):
+            sym[i][i] = 0
+    if singular and n > 1:      # a repeated row and column
+        sym[-1] = list(sym[0])
+        for i in range(n):
+            sym[i][-1] = sym[i][0]
+        sym[-1][-1] = sym[0][0]
+    return sym
+
+
+def test_congruence_pivots_against_the_fraction_diagonalization():
+    # each integer row is p_prev times the rational row, each pivot ratio the
+    # rational diagonal entry, so every division was exact
+    rng = random.Random(40)
+    for draw in range(600):
+        n = rng.randint(1, 9)
+        sym = random_symmetric(rng, n, hollow=draw % 3 == 1, singular=draw % 5 == 2)
+        basis, diag = oracles.diagonalizing_basis(sym)
+        t = [list(row) for row in linalg.identity(n)]
+        steps = linalg.congruence_pivots(sym, t)
+        assert [i for i, _, _ in steps] == [i for i, d in enumerate(diag) if d != 0]
+        scale = 1
+        for i in range(n):      # row i is scaled by the last pivot before it
+            assert tuple(t[i]) == tuple(scale * x for x in basis[i])
+            step = next((s for s in steps if s[0] == i), None)
+            if step is not None:
+                _, p0, p = step
+                assert p0 == scale and Fraction(p, p0) == diag[i]
+                scale = p
+        assert linalg.signature(sym) == (sum(1 for d in diag if d > 0),
+                                         sum(1 for d in diag if d < 0),
+                                         sum(1 for d in diag if d == 0))
 
 
 def test_signature_known_cases():
@@ -109,6 +195,22 @@ def test_signature_known_cases():
     assert linalg.signature(((2, -2, -2), (-2, 2, -2), (-2, -2, 2))) == (2, 1, 0)
     assert linalg.signature(((1,),)) == (1, 0, 0)
     assert linalg.signature(((0, 0), (0, 0))) == (0, 0, 2)
+    assert linalg.signature(((0, 0, 1), (0, 0, 0), (1, 0, 0))) == (1, 1, 1)
+    assert linalg.signature(()) == (0, 0, 0)
+
+
+def test_signature_of_the_even_unimodular_lattice_of_rank_26():
+    # II_{25,1} = E8 + E8 + E8 + U, with E8 positive definite
+    e8 = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)):
+        e8[i][j] = e8[j][i] = -1
+    gram = [[0] * 26 for _ in range(26)]
+    for k in range(3):
+        for i in range(8):
+            gram[8 * k + i][8 * k:8 * k + 8] = e8[i]
+    gram[24][25] = gram[25][24] = 1
+    assert linalg.det(gram) == -1
+    assert linalg.signature(gram) == (25, 1, 0)
 
 
 def test_signature_against_charpoly():
@@ -116,17 +218,9 @@ def test_signature_against_charpoly():
     # counts them exactly: sign changes of p(x) and p(-x), and the order of x
     rng = random.Random(17)
     x = sympy.Symbol("x")
-    for _ in range(150):
-        n = rng.randint(1, 6)
-        sym = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                sym[i][j] = sym[j][i] = rng.choice([0, 0, rng.randint(-4, 4)])
-        if n > 1 and rng.random() < 0.3:      # a repeated row makes it singular
-            sym[-1] = list(sym[0])
-            for i in range(n):
-                sym[i][-1] = sym[i][0]
-            sym[-1][-1] = sym[0][0]
+    for draw in range(150):
+        n = rng.randint(1, 6) if draw < 120 else rng.randint(7, 9)
+        sym = random_symmetric(rng, n, hollow=rng.random() < 0.2, singular=rng.random() < 0.3)
         coeffs = sympy.Matrix(sym).charpoly(x).all_coeffs()
         zero = next(i for i, c in enumerate(reversed(coeffs)) if c != 0)
 
@@ -143,7 +237,9 @@ def test_diagonalizing_basis_rejects_asymmetric():
     for bad in (((1, 2), (3, 4)), ((0, 1, 0), (1, 0, 0), (0, 5, 1)),
                 ((1, 2, 3), (2, 1, 0)), ((1, 2), (2, 1), (0, 0))):
         with pytest.raises(DegenerateFormError):
-            linalg.diagonalizing_basis(bad)
+            oracles.diagonalizing_basis(bad)
+        with pytest.raises(DegenerateFormError):
+            linalg.congruence_pivots(bad, [()] * len(bad))
         with pytest.raises(DegenerateFormError):
             linalg.signature(bad)
 
@@ -230,9 +326,9 @@ def test_elimination_against_sympy():
         ssq = sympy.Matrix(sq)
         if ssq.det() == 0:
             with pytest.raises(DegenerateFormError):
-                linalg.inverse(sq)
+                oracles.inverse(sq)
         else:
-            assert sympy.Matrix(linalg.inverse(sq)) == ssq.inv()
+            assert sympy.Matrix(oracles.inverse(sq)) == ssq.inv()
         ints = [[int(6 * x) for x in row] for row in sq]
         assert linalg.det(ints) == sympy.Matrix(ints).det()
 
@@ -744,4 +840,5 @@ def test_primitive_and_clear_denominators():
     assert linalg.primitive((-6, -9)) == (-2, -3)
     with pytest.raises(DegenerateFormError):
         linalg.primitive((0, 0))
-    assert linalg.clear_denominators((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
+    assert oracles.clear_denominators((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
+    assert oracles.clear_denominators((Fraction(-1, 2), 0, Fraction(5, 4))) == (-2, 0, 5)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from ex134_data import CUSP, F01, F02, PHI
 from lorentzroots import linalg, weylstruct as ws
 from lorentzroots.errors import (DomainError, IndeterminateFixedSpaceError,
@@ -177,7 +178,7 @@ def _symmetry_group_by_brute_force(lattice, roots):
     """Every permutation of the walls, kept iff its map g on the base walls is
     integral, passes is_isometry and maps every wall; each g once."""
     base = linalg.pivots(linalg.transpose(roots))
-    base_inv = linalg.inverse(linalg.transpose([roots[i] for i in base]))
+    base_inv = oracles.inverse(linalg.transpose([roots[i] for i in base]))
     out = []
     for perm in itertools.permutations(range(len(roots))):
         g = linalg.mat_mul(linalg.transpose([roots[perm[b]] for b in base]), base_inv)
